@@ -1,25 +1,25 @@
 """Pin the output digests that run.py checks against, in expected.json.
 
-    python3 perfbench/pin.py --seeds 1-10
+    python3 perfbench/pin.py
 
 Run it from the root of a checkout at the commit whose outputs are the
-reference.  It runs one untraced pass per workload and seed (acceptance-serial
-once: its inputs do not depend on the seed) and rewrites expected.json:
-acceptance digests by criterion name under "*", and per seed the list of op
-digests in pass order for the seeded workloads.  Empty the table first
-(`echo {} > perfbench/expected.json`) when the reference outputs change, or
-the runs it makes fail against the old digests.
+reference.  It runs one untraced pass per workload and seed 1-10
+(acceptance-serial once: its inputs do not depend on the seed) and rewrites
+expected.json: acceptance digests by criterion name under "*", and per seed
+the list of op digests in pass order for the seeded workloads.  Empty the
+table first (`echo {} > perfbench/expected.json`) when the reference outputs
+change, or the runs it makes fail against the old digests.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import subprocess
 import sys
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
+SEEDS = range(1, 11)
 
 
 def one_pass(workload: str, seed: int) -> dict:
@@ -36,19 +36,15 @@ def one_pass(workload: str, seed: int) -> dict:
 
 
 def main() -> None:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--seeds", default="1-10", help="inclusive range LO-HI")
-    args = ap.parse_args()
-    lo, hi = (int(x) for x in args.seeds.split("-"))
     spec = json.loads((HERE.parent / "BENCHMARK.json").read_text())
     table = {}
     for w in spec["workloads"]:
         name = w["name"]
         if name == "acceptance-serial":
-            rec = one_pass(name, lo)
+            rec = one_pass(name, SEEDS[0])
             table[name] = {"*": dict(zip(rec["ops"], rec["digests"]))}
         else:
-            table[name] = {str(s): one_pass(name, s)["digests"] for s in range(lo, hi + 1)}
+            table[name] = {str(s): one_pass(name, s)["digests"] for s in SEEDS}
         print(f"pinned {name}", file=sys.stderr)
     (HERE / "expected.json").write_text(dump(table))
 

@@ -10,15 +10,16 @@ A run is a closed loop: one caller issues each op only after the previous
 one returned.  A pass issues every op of the workload once.  The run starts
 with a cold pass (no warm-up: CLI users pay for lazily built tables on every
 run) and starts another pass only while the pass time measured so far still
-fits in --seconds.  wall_s and cpu_s are the median time of a batch of
-consecutive ops over all passes, scaled to a whole pass; a batch is the whole
-pass except where the workload sets a smaller one.  Each pass's outputs are reduced to digests and checked;
-an op fails on an exception, a failed output check, or a digest that differs
-from an earlier pass or from the pinned digests in expected.json.
+fits in --seconds.  wall_s and cpu_s are the time of the calls in the cold
+first pass; later passes only check that the outputs repeat.  Each pass's
+outputs are reduced to digests and checked; an op fails on an exception, a
+failed output check, or a digest that differs from an earlier pass or from
+the pinned digests in expected.json.  At the library's default budget a refused op also makes the
+run incorrect.
 
 --trace 0 prints the end-to-end metrics.  --trace 1 first runs one untraced
 pass in a fresh child process, then one traced pass here, and prints the
-per-layer metrics; its digests must equal the child's.
+per-layer metrics; its digests must equal the child's and the pinned ones.
 
 The last line of stdout is one JSON object with the keys correct, attempted,
 failed and metrics.  The line before it is a record with the environment
@@ -68,14 +69,14 @@ def import_rankforge() -> None:
 
 
 def setup(workload: str, seed: int, budget: int | None):
-    """Import rankforge and build the inputs: (workers, batch, ops, seconds taken)."""
+    """Import rankforge and build the inputs: (workers, ops, seconds taken)."""
     t0 = time.perf_counter()
     import_rankforge()
     import workloads
 
     w = workloads.WORKLOADS[workload]
     ops = w.build(seed, budget)
-    return w.workers, w.batch or len(ops), ops, time.perf_counter() - t0
+    return w.workers, ops, time.perf_counter() - t0
 
 
 def run_pass(ops, refusal, tracer=None) -> dict:
@@ -111,12 +112,6 @@ def run_pass(ops, refusal, tracer=None) -> dict:
         outcomes.append(outcome)
         digests.append(digest)
     return {"wall_s": wall, "cpu_s": cpu, "outcomes": outcomes, "digests": digests}
-
-
-def per_pass(passes, key: str, batch: int) -> float:
-    """Median time of a batch of `batch` consecutive ops, over every pass, scaled to a pass."""
-    samples = [sum(p[key][i : i + batch]) for p in passes for i in range(0, len(p[key]), batch)]
-    return statistics.median(samples) * len(passes[0][key]) / batch
 
 
 def mark_mismatches(ops, passes, reference) -> list[str]:
@@ -182,7 +177,7 @@ def main(argv=None) -> None:
     if args.workload not in {w["name"] for w in spec["workloads"]}:
         die(f"unknown workload {args.workload!r}")
 
-    workers, batch, ops, setup_s = setup(args.workload, args.seed, args.budget)
+    workers, ops, setup_s = setup(args.workload, args.seed, args.budget)
     if args.setup_probe:
         print(json.dumps({"setup_s": setup_s}))
         return
@@ -217,6 +212,7 @@ def main(argv=None) -> None:
         finally:
             t.uninstall()
         mismatched = mark_mismatches(ops, passes, child["digests"])
+        mismatched += mark_mismatches(ops, passes, pinned(args.workload, args.seed))
     else:
         setup_samples = [setup_s] + probe_setup(args)
         passes = []
@@ -242,8 +238,8 @@ def main(argv=None) -> None:
         section = "per_layer"
     else:
         values.update(
-            wall_s=per_pass(passes, "wall_s", batch),
-            cpu_s=per_pass(passes, "cpu_s", batch),
+            wall_s=sum(passes[0]["wall_s"]),
+            cpu_s=sum(passes[0]["cpu_s"]),
             peak_rss_mb=resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
             setup_s=statistics.median(setup_samples),
             ok_frac=outcomes.count("ok") / attempted,
@@ -268,7 +264,9 @@ def main(argv=None) -> None:
             die(f"metric {m['name']} is not measured")
         metrics[m["name"]] = {"value": values[m["name"]], "unit": m["unit"]}
     print(json.dumps({"record": record}))
-    print(json.dumps({"correct": failed == 0, "attempted": attempted, "failed": failed, "metrics": metrics}))
+    # Refusals are expected only under a budget given on the command line.
+    correct = failed == 0 and (args.budget is not None or refused == 0)
+    print(json.dumps({"correct": correct, "attempted": attempted, "failed": failed, "metrics": metrics}))
 
 
 if __name__ == "__main__":

@@ -38,7 +38,7 @@ def checked_ops():
     """The acceptance battery and every 50th small-box op (threaded)."""
     import workloads
 
-    return workloads.acceptance_serial(0, None) + workloads.smallbox_threads(0, None)[::50]
+    return workloads.acceptance_serial(0, None) + workloads.smallbox_ops(0, None)[::50]
 
 
 def snapshot():
