@@ -447,6 +447,12 @@ def crit_rough_bound(budget: Budget, ctx: ParallelContext):
     return ok, f"counts vs bounds {payload}", payload
 
 
+def _rank_steps(A: np.ndarray) -> int:
+    """Elimination steps of rank_mod on A: rows * cols * min(rows, cols)."""
+    rows, cols = A.shape
+    return rows * cols * min(rows, cols)
+
+
 def crit_grid_vanishing(budget: Budget, ctx: ParallelContext):
     F7 = PrimeField(7)
     delta = F7.delta_subgroup(6)
@@ -462,6 +468,7 @@ def crit_grid_vanishing(budget: Budget, ctx: ParallelContext):
                 for x, e in zip(pt, m):
                     v = v * pow(x, e, 7) % 7
                 A[r, c] = v
+        budget.charge(_rank_steps(A), "evaluation-matrix rank")
         rk = rank_mod(A, 7)
         payload[f"cube_N{N}"] = [len(monos), rk]
         ok &= rk == len(monos)
@@ -473,6 +480,7 @@ def crit_grid_vanishing(budget: Budget, ctx: ParallelContext):
     for r, pt in enumerate(pts):
         for c, m in enumerate(monos):
             A[r, c] = pow(pt[0], m[0], 7) * pow(pt[1], m[1], 7) % 7
+    budget.charge(_rank_steps(A), "evaluation-matrix rank")
     rk = rank_mod(A, 7)
     payload["simplex"] = [len(monos), rk]
     ok &= rk == len(monos)

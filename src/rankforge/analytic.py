@@ -49,15 +49,6 @@ class CharHistogram:
         counts = tuple(int(c) for c in counts)
         return CharHistogram(p, counts, sum(counts))
 
-    def merge(self, other: "CharHistogram") -> "CharHistogram":
-        if other.p != self.p:
-            raise InputError("modulus mismatch")
-        return CharHistogram(
-            self.p,
-            tuple(a + b for a, b in zip(self.counts, other.counts)),
-            self.domain_size + other.domain_size,
-        )
-
     # -- exact extraction -------------------------------------------------------
 
     def char_sum_rational(self) -> Fraction | None:
@@ -130,21 +121,16 @@ def histogram_of_poly(
     budget: Budget | None = None,
     ctx: ParallelContext = SERIAL,
 ) -> CharHistogram:
-    """Histogram of P over all of k^n, chunked deterministically."""
+    """Histogram of P over all of k^n, from one whole-box evaluation.
+
+    The charge covers the p bins as well as the p^n points.  ctx is accepted
+    for a uniform signature; the whole-box evaluation runs serially.
+    """
     field = P.field
     b = box(field, P.n)
-    (budget or Budget()).charge(b.size, "histogram enumeration")
     p = field.p
-
-    def chunk(lo: int, hi: int):
-        vals = b.eval_poly(P, np.arange(lo, hi, dtype=np.int64))
-        return np.bincount(vals, minlength=p)
-
-    parts = ctx.map_chunks(chunk, b.size)
-    total = np.zeros(p, dtype=np.int64)
-    for part in parts:
-        total += part
-    return CharHistogram.from_counts(p, total)
+    (budget or Budget()).charge(max(b.size, p), "histogram enumeration")
+    return CharHistogram.from_counts(p, np.bincount(b.eval_poly(P), minlength=p))
 
 
 def bias(P: MultiPoly, budget: Budget | None = None, ctx: ParallelContext = SERIAL) -> ExactMagnitude:
@@ -349,25 +335,22 @@ def value_distribution(
     budget: Budget | None = None,
     ctx: ParallelContext = SERIAL,
 ) -> ValueDistribution:
-    """Exact fiber counts of the map x -> (P_1(x), ..., P_c(x)) on k^n."""
+    """Exact fiber counts of the map x -> (P_1(x), ..., P_c(x)) on k^n.
+
+    One whole-box evaluation per member; ctx is accepted for a uniform
+    signature and not used.
+    """
     field = family.field
     p = field.p
     n = family.n
     c = family.c
     b = box(field, n)
-    (budget or Budget()).charge(b.size * c, "value distribution enumeration")
-
-    def chunk(lo: int, hi: int):
-        idxs = np.arange(lo, hi, dtype=np.int64)
-        key = np.zeros(hi - lo, dtype=np.int64)
-        for P in family:
-            key = key * p + b.eval_poly(P, idxs)
-        return np.bincount(key, minlength=p**c)
-
-    parts = ctx.map_chunks(chunk, b.size)
-    counts = np.zeros(p**c, dtype=np.int64)
-    for part in parts:
-        counts += part
+    # p^c bins and a Fraction per bin: refuse a large c before allocating them
+    (budget or Budget()).charge(max(b.size * c, p**c), "value distribution enumeration")
+    key = np.zeros(b.size, dtype=np.int64)
+    for P in family:
+        key = key * p + b.eval_poly(P)
+    counts = np.bincount(key, minlength=p**c)
     total = p**n
     qc = p**c
     eps = max(Fraction(abs(int(cnt) * qc - total), total) for cnt in counts)

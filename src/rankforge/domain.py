@@ -2,20 +2,36 @@
 
 Points of F_p^n are identified with integers in [0, p^n) in row-major order
 (first coordinate most significant), which agrees with lexicographic order
-on coordinate tuples.  A Box carries the digit table for the whole space and
-vectorized evaluation of sparse polynomials; these are the inner loops of
-every histogram and every subspace scan, so they run on int64 numpy arrays
-with arithmetic kept exactly in [0, p).
+on coordinate tuples.  Arithmetic is exact on int64 numpy arrays, and
+values come back in [0, p).
+
+`Box.eval_poly` has two routes.  Over the whole box it uses Yates'
+tensor-product transform: the function-reduced coefficients of P form a
+tensor of shape (p,)*n in the same row-major order, and multiplying axis i by
+the Vandermonde columns V[x, e] = x^e for the exponents e of x_i that occur in
+P turns exponents into coordinates (over F_2 this is the fast Moebius
+transform).  That takes sum_i k_i * p^n multiply-adds, k_i <= p the number
+of distinct exponents of x_i in P, and builds no digit table.  At given
+indices, and over the whole box when n = 1 (where the p x k_0 Vandermonde
+block can be p times the box), it evaluates term by term on rows of the
+cached (p^n, n) digit table.
 """
 
 from __future__ import annotations
 
+import collections
 import itertools
+import threading
 
 import numpy as np
 
 from .gf import PrimeField
 from .poly import MultiPoly, Point
+
+
+def _powers(p: int, exps: list[int]) -> np.ndarray:
+    """p x len(exps) matrix V[x, j] = x^exps[j] mod p, with 0^0 = 1."""
+    return np.array([[pow(x, e, p) for e in exps] for x in range(p)], dtype=np.int64)
 
 
 class Box:
@@ -26,19 +42,24 @@ class Box:
         self.n = n
         self.size = field.p**n
         self._digits: np.ndarray | None = None
+        self._digits_lock = threading.Lock()
         self._places = np.array(
             [field.p ** (n - 1 - i) for i in range(n)], dtype=np.int64
         )
 
     def digits(self) -> np.ndarray:
-        """(size, n) array of coordinates; row i is the point with index i."""
-        if self._digits is None:
-            p, n = self.field.p, self.n
-            idx = np.arange(self.size, dtype=np.int64)
-            D = np.empty((self.size, n), dtype=np.int64)
-            for i in range(n):
-                D[:, i] = (idx // self._places[i]) % p
-            self._digits = D
+        """(size, n) array of coordinates; row i is the point with index i.
+
+        Built once per box, also when several threads ask for it at once.
+        """
+        with self._digits_lock:
+            if self._digits is None:
+                p, n = self.field.p, self.n
+                idx = np.arange(self.size, dtype=np.int64)
+                D = np.empty((self.size, n), dtype=np.int64)
+                for i in range(n):
+                    D[:, i] = (idx // self._places[i]) % p
+                self._digits = D
         return self._digits
 
     def encode(self, coords: np.ndarray) -> np.ndarray:
@@ -52,40 +73,63 @@ class Box:
         p = self.field.p
         return tuple(int(index // pl) % p for pl in self._places)
 
-    def add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Pointwise group addition of two index arrays."""
-        D = self.digits()
-        return self.encode(D[a] + D[b])
-
-    def translate(self, indices: np.ndarray, h: Point) -> np.ndarray:
-        D = self.digits()
-        hv = np.array(h, dtype=np.int64) % self.field.p
-        return self.encode(D[indices] + hv)
-
     def eval_poly(self, P: MultiPoly, indices: np.ndarray | None = None) -> np.ndarray:
-        """Values of P at the given indices (default: the whole box)."""
+        """Values of P at the given indices (default: the whole box).
+
+        The whole box takes the transform unless n = 1.  One matmul step on
+        entries below p stays exact in int64 only while p^3 < 2^63, which any
+        box with n >= 2 that fits in memory satisfies.
+        """
+        if indices is None and self.n != 1 and self.field.p**3 < 2**63:
+            return self._eval_transform(P)
+        return self._eval_terms(P, self.digits() if indices is None else self.digits()[indices])
+
+    def _eval_transform(self, P: MultiPoly) -> np.ndarray:
         p = self.field.p
-        D = self.digits() if indices is None else self.digits()[indices]
+        terms = P.terms
+        if any(e >= p for mono in terms for e in mono):
+            terms = P.function_reduce().terms  # x^p = x as functions
+        T = np.zeros(self.size, dtype=np.int64)
+        if not terms:
+            return T
+        T[self.encode(list(terms))] = list(terms.values())  # exponents < p index like points
+        bound = p - 1  # largest possible entry of T; reduce mod p only before int64 would overflow
+        for i in range(self.n):
+            E = sorted({mono[i] for mono in terms})  # T is zero at every other exponent of x_i
+            if bound * (p - 1) * len(E) >= 2**63:
+                T, bound = T % p, p - 1
+            T = T.reshape(p**i, p, -1)
+            T = np.matmul(_powers(p, E), T if len(E) == p else T[:, E, :])
+            bound *= (p - 1) * len(E)
+        return T.reshape(self.size) % p
+
+    def _eval_terms(self, P: MultiPoly, D: np.ndarray) -> np.ndarray:
+        """Term-by-term values of P at the points whose coordinates are D's rows."""
+        p = self.field.p
         m = D.shape[0]
         out = np.zeros(m, dtype=np.int64)
+        # keep a power only if another term uses it too: a dense univariate
+        # then holds one column at a time, not one per term
+        uses = collections.Counter((i, e) for mono in P.terms for i, e in enumerate(mono) if e)
         pow_cache: dict[tuple[int, int], np.ndarray] = {}
         for mono, c in P.terms.items():
             t = np.full(m, c, dtype=np.int64)
             for i, e in enumerate(mono):
                 if e:
                     key = (i, e)
-                    if key not in pow_cache:
-                        col = D[:, i]
+                    acc = pow_cache.get(key)
+                    if acc is None:
                         acc = np.ones(m, dtype=np.int64)
-                        base = col % p
+                        base = D[:, i] % p
                         ee = e
                         while ee:
                             if ee & 1:
                                 acc = (acc * base) % p
                             base = (base * base) % p
                             ee >>= 1
-                        pow_cache[key] = acc
-                    t = (t * pow_cache[key]) % p
+                        if uses[key] > 1:
+                            pow_cache[key] = acc
+                    t = (t * acc) % p
             out = (out + t) % p
         return out
 

@@ -84,20 +84,17 @@ def enumerate_points(
     budget: Budget | None = None,
     ctx: ParallelContext = SERIAL,
 ) -> VarietyPoints:
-    """All x in k^n with P_i(x) = 0 for every member of the family."""
+    """All x in k^n with P_i(x) = 0 for every member of the family.
+
+    One whole-box evaluation per member; ctx is accepted for a uniform
+    signature and not used.
+    """
     bx = box(family.field, family.n)
     (budget or Budget()).charge(bx.size * family.c, "variety point enumeration")
-
-    def chunk(lo: int, hi: int):
-        idxs = np.arange(lo, hi, dtype=np.int64)
-        good = np.ones(hi - lo, dtype=bool)
-        for P in family:
-            good &= bx.eval_poly(P, idxs) == 0
-        return idxs[good]
-
-    parts = ctx.map_chunks(chunk, bx.size)
-    idx = np.concatenate(parts) if parts else np.array([], dtype=np.int64)
-    return VarietyPoints(family, idx)
+    good = np.ones(bx.size, dtype=bool)
+    for P in family:
+        good &= bx.eval_poly(P) == 0
+    return VarietyPoints(family, np.flatnonzero(good))
 
 
 def slice_variety(X: VarietyPoints, functional: Hyperplane, levels) -> VarietyPoints:

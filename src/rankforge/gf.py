@@ -55,14 +55,8 @@ class PrimeField:
 
     # -- element handling ---------------------------------------------------
 
-    def elem(self, x: int) -> FieldElem:
-        return x % self.p
-
     def elements(self) -> range:
         return range(self.p)
-
-    def units(self) -> range:
-        return range(1, self.p)
 
     # -- arithmetic ----------------------------------------------------------
 

@@ -373,9 +373,6 @@ class PolyFamily:
                 out = out + P.scale(a)
         return out
 
-    def to_json_list(self) -> list[dict]:
-        return [P.to_json_dict() for P in self.polys]
-
 
 # ---------------------------------------------------------------------------
 # Multilinear forms (d-fold differences)

@@ -139,10 +139,6 @@ def _normalized_vectors(q: int, length: int):
             yield tuple(vec)
 
 
-def _count_normalized(q: int, length: int) -> int:
-    return (q**length - 1) // (q - 1) if q > 1 else length
-
-
 def _poly_from_vec(field: PrimeField, n: int, monos, vec) -> MultiPoly:
     return MultiPoly(field, n, {m: c for m, c in zip(monos, vec) if c})
 

@@ -1,0 +1,135 @@
+"""Whole-box evaluation: the tensor-product transform against independent
+oracles, its routing and memory at large p and n <= 1, and the shared digit
+table."""
+
+import itertools
+import threading
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from rankforge import (
+    Budget,
+    BudgetExceededError,
+    MultiPoly,
+    PolyFamily,
+    PrimeField,
+    histogram_of_poly,
+    value_distribution,
+)
+from rankforge import domain
+from rankforge.domain import Box
+
+
+@st.composite
+def polys(draw):
+    """A random polynomial with exponents up to 2p + 1, so e >= p occurs."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 11]))
+    n = draw(st.integers(0, 4 if p <= 7 else 3))
+    monos = st.tuples(*[st.integers(0, 2 * p + 1)] * n)
+    terms = draw(st.dictionaries(monos, st.integers(-p, 3 * p), max_size=40))
+    return MultiPoly(PrimeField(p), n, terms)
+
+
+@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(polys())
+def test_whole_box_eval_matches_pointwise_and_indexed(P):
+    p, n = P.field.p, P.n
+    bx = Box(P.field, n)
+    oracle = [P.eval(pt) for pt in itertools.product(range(p), repeat=n)]
+    whole = bx.eval_poly(P)
+    assert whole.tolist() == oracle
+    assert np.array_equal(whole, bx.eval_poly(P, np.arange(bx.size, dtype=np.int64)))
+    # the transform itself, also at n = 1, where eval_poly takes the term loop
+    assert bx._eval_transform(P).tolist() == oracle
+
+
+def test_transform_builds_only_the_powers_that_occur(monkeypatch):
+    built = []
+    powers = domain._powers
+    monkeypatch.setattr(domain, "_powers", lambda p, E: built.append(E) or powers(p, E))
+    F = PrimeField(1009)
+    bx = Box(F, 2)
+    P = MultiPoly(F, 2, {(1000, 0): 2, (3, 0): 1, (3, 5): 4, (0, 2017): 1})
+    whole = bx.eval_poly(P)
+    # x_1^2017 is x_1^1 as a function; a 1009 x 1009 table would be 10^6 entries per axis
+    assert built == [[0, 3, 1000], [0, 1, 5]]
+    assert np.array_equal(whole, bx.eval_poly(P, np.arange(bx.size, dtype=np.int64)))
+
+
+@pytest.fixture
+def no_power_table(monkeypatch):
+    def refuse(p, E):
+        raise AssertionError(f"built a {p}x{len(E)} power table")
+
+    monkeypatch.setattr(domain, "_powers", refuse)
+
+
+def test_large_p_univariate_never_builds_a_power_table(no_power_table):
+    F = PrimeField(10007)
+    # x^2 + 3x + 1: 1 + (p - 1)/2 values are hit, each nonzero square twice
+    P = MultiPoly(F, 1, {(2,): 1, (1,): 3, (0,): 1})
+    hist = histogram_of_poly(P)
+    assert hist.domain_size == 10007
+    assert sorted(set(hist.counts)) == [0, 1, 2]
+    assert hist.counts.count(1) == 1 and hist.counts.count(2) == (10007 - 1) // 2
+
+
+def test_dense_univariate_large_p_keeps_memory_near_the_box(no_power_table):
+    p = 10007
+    F = PrimeField(p)
+    # sum of x^(2j), j = 0..(p-1)/2: (x^(p+1) - 1)/(x^2 - 1) = 1 unless x = +-1,
+    # where it is the number of terms
+    terms = (p + 1) // 2
+    P = MultiPoly(F, 1, {(e,): 1 for e in range(0, p, 2)})
+    tracemalloc.start()
+    try:
+        hist = histogram_of_poly(P)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert hist.counts[1] == p - 2 and hist.counts[terms] == 2
+    # a few p-long columns, not a p x p table (800 MB) or one column per term (400 MB)
+    assert peak < 64 * p * 8
+
+
+def test_n0_whole_box_never_builds_a_power_table(no_power_table):
+    p = 2147483647
+    F = PrimeField(p)
+    P = MultiPoly(F, 0, {(): p - 5})
+    assert domain.box(F, 0).eval_poly(P).tolist() == [p - 5]
+    assert histogram_of_poly(MultiPoly(PrimeField(7), 0, {(): 3})).counts == (0, 0, 0, 1, 0, 0, 0)
+    # the histogram itself would need p bins: refused before they are allocated
+    with pytest.raises(BudgetExceededError):
+        histogram_of_poly(P)
+
+
+def test_value_distribution_charges_its_bins():
+    F2 = PrimeField(2)
+    fam = PolyFamily([MultiPoly.variable(F2, 1, 0)] * 40)
+    # 2 points * 40 members is cheap, but 2^40 bins are not
+    with pytest.raises(BudgetExceededError):
+        value_distribution(fam)
+    with pytest.raises(BudgetExceededError):
+        value_distribution(PolyFamily([MultiPoly.variable(F2, 1, 0)] * 3), Budget(7))
+    assert value_distribution(PolyFamily([MultiPoly.variable(F2, 1, 0)] * 3), Budget(8)).counts == (1, 0, 0, 0, 0, 0, 0, 1)
+
+
+def test_digit_table_built_once_under_threads():
+    bx = Box(PrimeField(2), 16)
+    start = threading.Barrier(2)
+    tables = []
+
+    def build():
+        start.wait()
+        tables.append(bx.digits())
+
+    threads = [threading.Thread(target=build) for _ in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert len(tables) == 2 and tables[0] is tables[1]
