@@ -218,40 +218,32 @@ def gowers_norm_direct(
     budget: Budget | None = None,
     ctx: ParallelContext = SERIAL,
 ) -> DirectGowersValue:
-    """U_d norm power straight from the definition, enumerating (x, v_1..v_d).
+    """U_d norm power straight from the definition: d multiplicative
+    derivatives F <- F(x, h_1..h_k) - F(x + h_{k+1}, h_1..h_k) of P's values
+    (taken at indices, sharing no route with gowers_norm's transform) leave the
+    signed cube sum over (x, h_1..h_d), whose histogram gives the value.
 
     Cross-validation path; also runs for d < deg P (experimental), where the
-    value may be a genuinely irrational cyclotomic number.
+    value may be a genuinely irrational cyclotomic number.  ctx is accepted
+    for a uniform signature and not used.
     """
     field = P.field
     p = field.p
     n = P.n
-    N = n * (d + 1)
-    (budget or Budget()).charge(p**N * (1 << d), "direct Gowers enumeration")
-    bbig = box(field, N)
-
-    sign_of = [(-1) ** bin(omega).count("1") for omega in range(1 << d)]
-
-    def chunk(lo: int, hi: int):
-        D = bbig.digits()[lo:hi]
-        x = D[:, :n]
-        total = np.zeros(hi - lo, dtype=np.int64)
-        bsmall = box(field, n)
-        for omega in range(1 << d):
-            coords = x.copy()
-            for k in range(d):
-                if omega >> k & 1:
-                    coords = coords + D[:, (k + 1) * n : (k + 2) * n]
-            coords %= p
-            vals = bsmall.eval_poly(P, bsmall.encode(coords))
-            total = (total + sign_of[omega] * vals) % p
-        return np.bincount(total, minlength=p)
-
-    parts = ctx.map_chunks(chunk, bbig.size)
-    counts = np.zeros(p, dtype=np.int64)
-    for part in parts:
-        counts += part
-    hist = CharHistogram.from_counts(p, counts)
+    (budget or Budget()).charge(p ** (n * (d + 1)) * (1 << d), "direct Gowers enumeration")
+    bx = box(field, n)
+    F = bx.eval_poly(P, np.arange(bx.size))[:, None]  # rows x, columns (h_1..h_k)
+    if d:  # the p^(2n)-entry addition table is within the charge only for d >= 1
+        D = bx.digits()
+        add = np.zeros((bx.size, bx.size), dtype=np.int64)  # add[x, h] = index of x + h
+        for i in range(n):
+            add += (D[:, i, None] + D[None, :, i]) % p * p ** (n - 1 - i)
+        for _ in range(d):
+            G = F[add]  # G[x, h, :] = F[x + h, :]
+            np.subtract(F[:, None, :], G, out=G)
+            G %= p
+            F = G.reshape(bx.size, -1)
+    hist = CharHistogram.from_counts(p, np.bincount(F.ravel(), minlength=p))
     val = hist.char_sum_rational()
     if val is not None:
         val = Fraction(val, hist.domain_size)

@@ -127,8 +127,8 @@ def parse_poly_arg(arg: str) -> MultiPoly:
     return fam.polys[0]
 
 
-def parse_hyperplane(arg: str, n: int):
-    """Format: \"c1,c2,...,cn:b\"."""
+def parse_hyperplane(arg: str, field: PrimeField, n: int):
+    """Format: \"c1,c2,...,cn:b\", with some c_i nonzero mod p."""
     from .geometry import Hyperplane
 
     try:
@@ -139,4 +139,6 @@ def parse_hyperplane(arg: str, n: int):
         raise InputError(f"bad hyperplane spec {arg!r}; expected c1,..,cn:b") from exc
     if len(coeffs) != n:
         raise InputError(f"hyperplane has {len(coeffs)} coefficients, expected {n}")
+    if all(c % field.p == 0 for c in coeffs):
+        raise InputError(f"hyperplane {arg!r} has no nonzero coefficient mod {field.p}")
     return Hyperplane(coeffs, b)

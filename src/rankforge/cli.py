@@ -266,7 +266,7 @@ def cmd_points(args) -> int:
 def cmd_subspaces(args) -> int:
     fam = catalog.parse_family_arg(args.family)
     X = enumerate_points(fam, Budget(args.budget))
-    within = catalog.parse_hyperplane(args.hyperplane, fam.n) if args.hyperplane else None
+    within = catalog.parse_hyperplane(args.hyperplane, fam.field, fam.n) if args.hyperplane else None
     subs = enumerate_subspaces_in(X, args.m, within=within, budget=Budget(args.budget))
     _emit(
         args,
@@ -281,7 +281,7 @@ def cmd_subspaces(args) -> int:
 def cmd_census(args) -> int:
     fam = catalog.parse_family_arg(args.family)
     X = enumerate_points(fam, Budget(args.budget))
-    W = catalog.parse_hyperplane(args.hyperplane, fam.n)
+    W = catalog.parse_hyperplane(args.hyperplane, fam.field, fam.n)
     cen = census_extension(X, W, args.m, Budget(args.budget))
     ratio = _frac(cen.ratio) if cen.ratio is not None else "undefined/empty"
     _emit(

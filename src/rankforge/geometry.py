@@ -5,6 +5,10 @@ Affine subspaces are stored in a canonical form (reduced-echelon direction
 basis, base point with zeroed pivot coordinates), so two parameterizations
 of the same point set compare equal.  Subspace scans iterate over canonical
 representatives only, one per subspace, never over raw (point, tuple) pairs.
+
+The extension census reads the section of each (m+1)-subspace by a
+hyperplane off its canonical form (`_section`) instead of listing its
+m-subspaces.
 """
 
 from __future__ import annotations
@@ -35,8 +39,8 @@ class Hyperplane:
         return vals == self.b % bx.field.p
 
     def values(self, bx: Box) -> np.ndarray:
-        c = np.array(self.coeffs, dtype=np.int64) % bx.field.p
-        return (bx.digits() @ c) % bx.field.p
+        form = {tuple(int(i == j) for j in range(bx.n)): c for i, c in enumerate(self.coeffs)}
+        return bx.eval_poly(MultiPoly(bx.field, bx.n, form))
 
 
 class VarietyPoints:
@@ -221,7 +225,6 @@ def enumerate_subspaces_in(
 
     out: list[AffineSubspace] = []
     params = np.array(list(itertools.product(range(p), repeat=m)), dtype=np.int64)
-    digits = bx.digits()
     for B, pivots in _rref_direction_bases(field, n, m):
         span = (params @ B) % p  # (p^m, n) offsets
         free_cols = [j for j in range(n) if j not in pivots]
@@ -243,20 +246,27 @@ def enumerate_subspaces_in(
     return out
 
 
-def _sub_subspaces(field: PrimeField, M: AffineSubspace, m: int):
-    """All m-dimensional affine subspaces of the (m+k)-dimensional M."""
-    p = field.p
-    dim = M.dim
-    B = np.array(M.basis, dtype=np.int64).reshape(dim, M.n)
-    base = np.array(M.base, dtype=np.int64)
-    seen: set[AffineSubspace] = set()
-    for C, _ in _rref_direction_bases(field, dim, m):
-        dirs = (C @ B) % p
-        for t in itertools.product(range(p), repeat=dim):
-            pt = (base + np.array(t, dtype=np.int64) @ B) % p
-            L = AffineSubspace.from_span(field, pt, dirs)
-            seen.add(L)
-    return seen
+def _section(M: AffineSubspace, coeffs, level: int) -> AffineSubspace | None:
+    """M cap {x : sum_i coeffs[i] x_i = level} in canonical form, or None when
+    that functional l is constant on M.  With row_j the last basis row where l
+    is nonzero, the other rows become row_i - (l(row_i)/l(row_j)) row_j and the
+    base moves along row_j onto the level.  Only rows before j change, and not
+    on a pivot, so the form stays canonical with no rref_mod call.
+    """
+    p = M.field.p
+    ls = [sum(a * x for a, x in zip(coeffs, row)) % p for row in M.basis]
+    j = max((i for i, v in enumerate(ls) if v), default=None)
+    if j is None:
+        return None
+    inv, row_j = pow(ls[j], -1, p), M.basis[j]
+    t = (level - sum(a * x for a, x in zip(coeffs, M.base))) * inv
+    base = tuple((x + t * r) % p for x, r in zip(M.base, row_j))
+    basis = tuple(
+        tuple((x - ls[i] * inv * r) % p for x, r in zip(row, row_j))
+        for i, row in enumerate(M.basis)
+        if i != j
+    )
+    return AffineSubspace(M.field, base, basis)
 
 
 # ---------------------------------------------------------------------------
@@ -291,16 +301,8 @@ def census_extension(
     budget = budget or Budget()
     Z = enumerate_subspaces_in(X, m, within=W, budget=budget)
     bigger = enumerate_subspaces_in(X, m + 1, budget=budget)
-    w_ind = W.indicator(X.box)
-    extendable: set[AffineSubspace] = set()
-    for M in bigger:
-        pts = M.points(X.box)
-        if w_ind[pts].all():
-            continue  # M lies inside W, does not count as leaving it
-        for L in _sub_subspaces(X.field, M, m):
-            Lpts = L.points(X.box)
-            if w_ind[Lpts].all():
-                extendable.add(L)
+    # an M that leaves W meets it in one m-subspace or not at all
+    extendable = {_section(M, W.coeffs, W.b) for M in bigger}
     Y = tuple(L for L in Z if L not in extendable)
     return SubspaceCensus(m, tuple(Z), Y)
 
@@ -322,17 +324,12 @@ def line_plane_extension_fraction(
     if not Ls:
         return None
     bigger = enumerate_subspaces_in(X, m + 1, budget=budget)
-    vals = level.values(X.box)
-    zero_ind = vals == 0
-    level_ind = vals == b % p
-    good: set[AffineSubspace] = set()
-    for M in bigger:
-        pts = M.points(X.box)
-        if not zero_ind[pts].any():
-            continue
-        for L in _sub_subspaces(X.field, M, m):
-            if level_ind[L.points(X.box)].all():
-                good.add(L)
+    # l not constant on M: M meets the zero level, and level b in one m-subspace
+    good = {_section(M, l_coeffs, b) for M in bigger}
+    if b % p == 0:  # an M inside the zero level extends every m-subspace it holds
+        zero = level.indicator(X.box)
+        inside = [M for M in bigger if zero[M.points(X.box)].all()]
+        good.update(L for L in Ls if any(M.contains_subspace(L) for M in inside))
     hits = sum(1 for L in Ls if L in good)
     return Fraction(hits, len(Ls))
 

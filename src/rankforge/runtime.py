@@ -6,7 +6,8 @@ rather than start a computation they cannot finish.
 
 ParallelContext maps a function over index chunks.  Results are merged in
 chunk order, never completion order, so the output is bit-identical no
-matter how many workers run or how they are scheduled.
+matter how many workers run or how they are scheduled.  No library path
+calls map_chunks now; the class stays for callers that pass it as `ctx`.
 """
 
 from __future__ import annotations

@@ -167,3 +167,33 @@ def test_irrational_magnitude_is_stored_not_faked():
     assert b.mag_sq is None
     assert list(b.histogram.counts) == [1, 3, 0, 0, 0, 0, 3]
     assert b.float_view > 0
+
+
+def _direct_histogram_oracle(P, d):
+    """Counts of sum_omega (-1)^|omega| P(x + omega.h) over every (x, h_1..h_d),
+    evaluated point by point."""
+    p, n = P.field.p, P.n
+    counts = [0] * p
+    for pt in itertools.product(range(p), repeat=n * (d + 1)):
+        x, hs = pt[:n], [pt[(k + 1) * n : (k + 2) * n] for k in range(d)]
+        total = 0
+        for omega in itertools.product((0, 1), repeat=d):
+            y = [(xi + sum(w * h[i] for w, h in zip(omega, hs))) % p for i, xi in enumerate(x)]
+            total += (-1) ** sum(omega) * P.eval(y)
+        counts[total % p] += 1
+    return counts
+
+
+def test_gowers_direct_histogram_matches_definition():
+    # the iterated-difference path against the cube sum, also below the degree
+    rng = random.Random(7)
+    cases = [
+        (F2, 3, 3, 0), (F2, 3, 3, 1), (F2, 3, 3, 2), (F2, 2, 2, 3),
+        (F3, 2, 3, 0), (F3, 2, 3, 1), (F3, 2, 3, 2), (F3, 2, 2, 2),
+        (F5, 1, 4, 0), (F5, 1, 4, 1), (F5, 1, 4, 2), (F5, 2, 3, 1),
+    ]
+    for field, n, deg, d in cases:
+        P = random_poly(field, n, deg, rng)
+        res = gowers_norm_direct(P, d)
+        assert list(res.histogram.counts) == _direct_histogram_oracle(P, d)
+        assert res.histogram.domain_size == field.p ** (n * (d + 1))

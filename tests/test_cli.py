@@ -11,6 +11,7 @@ from rankforge.catalog import (
 )
 from rankforge.cli import main
 from rankforge.errors import InputError
+from rankforge.gf import PrimeField
 
 
 def run_cli(capsys, *argv):
@@ -43,9 +44,11 @@ def test_parse_errors():
     with pytest.raises(InputError):
         parse_poly_arg('{"q": 5, "n":')
     with pytest.raises(InputError):
-        parse_hyperplane("1,2", 2)
+        parse_hyperplane("1,2", PrimeField(3), 2)
     with pytest.raises(InputError):
-        parse_hyperplane("1:0", 2)
+        parse_hyperplane("1:0", PrimeField(3), 2)
+    with pytest.raises(InputError):
+        parse_hyperplane("3,0:1", PrimeField(3), 2)  # zero functional mod 3
 
 
 def test_cli_gowers(capsys):
@@ -107,6 +110,15 @@ def test_cli_census_and_points(capsys):
     code, out, _ = run_cli(capsys, "points", "--family", "counterexample")
     assert code == 0
     assert json.loads(out)["count"] == 13
+
+
+def test_cli_census_rejects_zero_functional(capsys):
+    for spec in ("0,0,0,0:0", "3,0,-6,0:1"):
+        code, out, err = run_cli(
+            capsys, "census", "--family", "xn:d=2,n=2,q=3", "--m", "1", "--hyperplane", spec
+        )
+        assert code == 2 and out == ""
+        assert "nonzero" in err
 
 
 def test_cli_equidist_csv(capsys):

@@ -5,9 +5,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from rankforge import MultiPoly, PolyFamily, PrimeField, restrict
+from rankforge import MultiPoly, PolyFamily, PrimeField, random_poly, restrict
+from rankforge.domain import box
 from rankforge.geometry import (
     AffineSubspace,
+    _section,
     Hyperplane,
     VarietyPoints,
     census_extension,
@@ -233,3 +235,84 @@ def test_line_plane_extension_fraction_hyperplane_self():
     fam = PolyFamily([MultiPoly.variable(F3, 4, 0)])
     X = enumerate_points(fam)
     assert line_plane_extension_fraction(X, (1, 0, 0, 0), 0, 1) == 1
+
+
+def _random_small_varieties(seed, count):
+    """Random small varieties over F_2 and F_3 with n in {3, 4}, each with a random
+    nonzero functional: quadrics, pairs of quadrics, and products of two
+    affine linear forms or quadrics in fewer variables (rich in lines and planes)."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        field = rng.choice((F2, F3))
+        n = rng.randint(3, 4)
+        kind = rng.randrange(4)
+        if kind == 0:
+            polys = [random_poly(field, n, 2, rng)]
+        elif kind == 1:
+            polys = [random_poly(field, n, 2, rng) for _ in range(2)]
+        elif kind == 2:
+            l1, l2 = (random_poly(field, n, 1, rng) for _ in range(2))
+            polys = [l1 * l2]
+        else:
+            k = rng.randint(1, n - 1)
+            Q = random_poly(field, k, 2, rng)
+            polys = [MultiPoly(field, n, {e + (0,) * (n - k): c for e, c in Q.terms.items()})]
+        coeffs = tuple(rng.randrange(field.p) for _ in range(n))
+        if any(coeffs):
+            out.append((enumerate_points(PolyFamily(polys)), coeffs))
+    return out
+
+
+def test_census_extension_matches_brute_force():
+    # Y by definition: no (m+1)-subspace of X that leaves W contains L
+    for X, coeffs in _random_small_varieties(11, 30):
+        for b in range(X.field.p):  # b != 0: a W that misses the origin
+            W = Hyperplane(coeffs, b)
+            w_ind = W.indicator(X.box)
+            for m in (0, 1):
+                cen = census_extension(X, W, m)
+                leaving = [M for M in enumerate_subspaces_in(X, m + 1) if not w_ind[M.points(X.box)].all()]
+                Z = enumerate_subspaces_in(X, m, within=W)
+                Y = [L for L in Z if not any(M.contains_subspace(L) for M in leaving)]
+                assert list(cen.Z) == Z
+                assert list(cen.Y) == Y
+
+
+def test_line_plane_extension_fraction_matches_brute_force():
+    # hits by definition: some (m+1)-subspace of X meeting the zero level contains L
+    for X, coeffs in _random_small_varieties(12, 30):
+        vals = Hyperplane(coeffs, 0).values(X.box)
+        for b in range(X.field.p):
+            for m in (0, 1):
+                Ls = enumerate_subspaces_in(X, m, within=Hyperplane(coeffs, b))
+                meeting = [M for M in enumerate_subspaces_in(X, m + 1) if (vals[M.points(X.box)] == 0).any()]
+                hits = sum(1 for L in Ls if any(M.contains_subspace(L) for M in meeting))
+                expected = Fraction(hits, len(Ls)) if Ls else None
+                assert line_plane_extension_fraction(X, coeffs, b, m) == expected
+
+
+def test_section_is_canonical_and_exact():
+    rng = random.Random(3)
+    for _ in range(300):
+        field = rng.choice((F2, F3, F5))
+        p = field.p
+        n = rng.randint(1, 4)
+        k = rng.randint(0, n)
+        M = AffineSubspace.from_span(
+            field,
+            [rng.randrange(p) for _ in range(n)],
+            [[rng.randrange(p) for _ in range(n)] for _ in range(k)],
+        )
+        coeffs = [rng.randrange(p) for _ in range(n)]
+        level = rng.randrange(p)
+        bx = box(field, n)
+        vals = np.array([bx.point_of(int(i)) for i in M.points(bx)]).reshape(-1, n) @ coeffs % p
+        assert list(Hyperplane(tuple(coeffs), 0).values(bx)[M.points(bx)]) == list(vals)
+        S = _section(M, coeffs, level)
+        if S is None:
+            assert (vals == vals[0]).all()  # l constant on M
+            continue
+        assert S == AffineSubspace.from_span(field, S.base, S.basis)
+        assert S.dim == M.dim - 1
+        assert sorted(S.points(bx)) == sorted(M.points(bx)[vals == level])
