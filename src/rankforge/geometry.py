@@ -402,17 +402,22 @@ def kappa_fibers(
     bx = box(field, n)
     vals = [bx.eval_poly(P) for P in family]
     mbox = box(field, m)
-    phibox = box(field, n * ncols)
-    D = phibox.digits()  # rows: [A | b] flattened row-major per output coord
 
-    # value of phi(t) for each parameter point t, as box indices
+    # The map index is [A | b] flattened row-major in base p, so its base-p^ncols
+    # digit i is the row of output coordinate i, and phi(t)_i = row . (t, 1)
+    # is read off a table over the p^ncols rows; no digit table of the maps.
+    sub = p**ncols
+    row_digits = np.arange(sub, dtype=np.int64)[:, None] // p ** np.arange(ncols - 1, -1, -1) % p
+    params = np.array([t + ((1,) if not linear_only else ()) for t in itertools.product(range(p), repeat=m)], dtype=np.int64)
+    table = row_digits @ params.reshape(mbox.size, ncols).T % p  # (row, t) -> coordinate
+    maps = np.arange(total_maps, dtype=np.int64)
+    idx = np.zeros((total_maps, mbox.size), dtype=np.int64)  # box index of phi(t)
+    for i in range(n):
+        idx += table[maps // sub ** (n - 1 - i) % sub] * p ** (n - 1 - i)
+
     keys = np.zeros((total_maps, family.c * mbox.size), dtype=np.int64)
-    for ti, t in enumerate(itertools.product(range(p), repeat=m)):
-        tv = np.array(t + ((1,) if not linear_only else ()), dtype=np.int64)
-        coords = (D.reshape(total_maps, n, ncols) @ tv) % p
-        idx = bx.encode(coords)
-        for ci in range(family.c):
-            keys[:, ci * mbox.size + ti] = vals[ci][idx]
+    for ci in range(family.c):
+        keys[:, ci * mbox.size : (ci + 1) * mbox.size] = vals[ci][idx]
 
     fibers: dict = {}
     for row in map(tuple, keys):

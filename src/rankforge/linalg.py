@@ -1,20 +1,39 @@
 """Exact dense linear algebra over F_p on int64 numpy arrays.
 
 All entries stay in [0, p) between operations; p < 2^31 keeps every
-intermediate product inside int64, so results are exact.  Elimination is
-plain Gauss-Jordan with the first nonzero entry as pivot, which makes every
-routine deterministic.
+intermediate product inside int64, so results are exact.  `rref_mod` has two
+routes, and neither changes a result, because the reduced row echelon form
+of a matrix is unique: R, its pivots and rank, `nullspace_mod`,
+`solve_mod`'s solution (free variables 0) and its dual certificate (a row of
+the RREF of [A | b | I]) do not depend on how they were eliminated.
+
+- Plain Gauss-Jordan, one pivot column at a time with the first nonzero
+  entry as pivot, for small matrices and for primes too large for the other
+  route.
+- Column panels, when both sides exceed `PANEL` and (PANEL+1)(p-1)^2 < 2^53:
+  eliminating a copy of the narrow panel (by the same route, `SUBPANEL`
+  columns at a time) finds its pivot columns C and pivot rows S, and one
+  float64 matmul then clears the panel from every other row,
+  M_i <- M_i - M_iC * (M_SC^-1 * M_S) mod p.  An updated entry is M_i's
+  entry plus at most PANEL products below (p-1)^2, so float64 holds it
+  exactly and reduces it once (the delayed reduction of FFLAS-FFPACK, Dumas,
+  Giorgi & Pernet 2008).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, VerificationError
 
 # Row-operation tracking for infeasibility certificates is quadratic in the
 # row count; above this many rows we skip the certificate.
 CERTIFICATE_ROW_LIMIT = 4096
+
+# Column widths of the blocked route: panels, and the subpanels that find
+# each panel's pivots.
+PANEL = 64
+SUBPANEL = 8
 
 
 def as_mod_array(A, p: int) -> np.ndarray:
@@ -24,9 +43,12 @@ def as_mod_array(A, p: int) -> np.ndarray:
     return M
 
 
-def rref_mod(A, p: int) -> tuple[np.ndarray, list[int], int]:
-    """Reduced row echelon form; returns (R, pivot_columns, rank)."""
-    M = as_mod_array(A, p).copy()
+def _gauss_jordan(M: np.ndarray, p: int, order: np.ndarray | None = None) -> list[int]:
+    """Reduce M to RREF in place; return the pivot columns.
+
+    `order`, when given, has one entry per row and is permuted with the rows,
+    so afterwards order[j] says where row j came from.
+    """
     rows, cols = M.shape
     pivots: list[int] = []
     r = 0
@@ -39,6 +61,8 @@ def rref_mod(A, p: int) -> tuple[np.ndarray, list[int], int]:
         i = r + int(nz[0])
         if i != r:
             M[[r, i]] = M[[i, r]]
+            if order is not None:
+                order[[r, i]] = order[[i, r]]
         inv = pow(int(M[r, c]), p - 2, p)
         M[r] = (M[r] * inv) % p
         col = M[:, c].copy()
@@ -48,7 +72,68 @@ def rref_mod(A, p: int) -> tuple[np.ndarray, list[int], int]:
             M[touched] = (M[touched] - np.outer(col[touched], M[r])) % p
         pivots.append(c)
         r += 1
-    return M, pivots, r
+    return pivots
+
+
+def _gauss_jordan_panels(M: np.ndarray, p: int, width: int = PANEL, order: np.ndarray | None = None) -> list[int]:
+    """Reduce M to RREF in place, `width` columns at a time; return the pivots.
+
+    Rows above r hold the pivots found so far; rows from r on are zero left
+    of the current panel.  A panel's own pivots are found the same way,
+    SUBPANEL columns at a time.  Besides M, one (rows, cols) float64 array
+    is held while a panel is cleared.  `order` is tracked as in
+    `_gauss_jordan`.
+    """
+    rows, cols = M.shape
+    pivots: list[int] = []
+    r = 0
+    for c0 in range(0, cols, width):
+        if r == rows:
+            break
+        panel = M[r:, c0 : c0 + width].copy()
+        came_from = np.arange(r, rows)
+        if width > SUBPANEL and min(panel.shape) > SUBPANEL:
+            found = _gauss_jordan_panels(panel, p, SUBPANEL, came_from)
+        else:
+            found = _gauss_jordan(panel, p, came_from)
+        if not found:
+            continue
+        k = len(found)
+        S = came_from[:k]
+        C = [c0 + j for j in found]
+        square = np.concatenate([M[np.ix_(S, C)], np.eye(k, dtype=np.int64)], axis=1)
+        _gauss_jordan(square, p)
+        inverse = square[:, k:].astype(np.float64)  # M_SC^-1
+        U = np.fmod(inverse @ M[S, c0:].astype(np.float64), p).astype(np.int64)  # the new pivot rows
+        # M_i - M_iC U as M_i + M_iC (-U mod p): a nonnegative float sum
+        T = M[:, C].astype(np.float64) @ (-U % p).astype(np.float64)
+        np.add(T, M[:, c0:], out=T)
+        np.fmod(T, p, out=T)
+        M[:, c0:] = T
+        del T
+        # pivot rows go to r..r+k-1; rows sitting there move to the slots S frees
+        slots = set(range(r, r + k))
+        picked = set(S.tolist())
+        src, dst = sorted(slots - picked), sorted(picked - slots)
+        M[dst] = M[src]
+        M[r : r + k, c0:] = U
+        if order is not None:
+            origin = order[S]
+            order[dst] = order[src]
+            order[r : r + k] = origin
+        pivots += C
+        r += k
+    return pivots
+
+
+def rref_mod(A, p: int) -> tuple[np.ndarray, list[int], int]:
+    """Reduced row echelon form; returns (R, pivot_columns, rank)."""
+    M = as_mod_array(A, p)
+    if min(M.shape) > PANEL and (PANEL + 1) * (p - 1) ** 2 < 2**53:
+        pivots = _gauss_jordan_panels(M, p)
+    else:
+        pivots = _gauss_jordan(M, p)
+    return M, pivots, len(pivots)
 
 
 def rank_mod(A, p: int) -> int:
@@ -108,6 +193,21 @@ def solve_mod(A, b, p: int, want_certificate: bool = True):
         if c < cols:
             x[c] = R[j, cols]
     return x, None
+
+
+def check_dual_certificate(A, b, y, p: int) -> None:
+    """Raise VerificationError unless y.A = 0 and y.b != 0 mod p."""
+    M = as_mod_array(A, p)
+    yv = np.asarray(y, dtype=np.int64).reshape(1, -1) % p
+    bv = np.asarray(b, dtype=np.int64).reshape(-1, 1) % p
+    if yv.shape[1] != M.shape[0] or bv.shape[0] != M.shape[0]:
+        raise VerificationError("dual certificate has the wrong length")
+    if M.shape[0] * (p - 1) ** 2 >= 2**63:  # int64 dot products could overflow
+        M, yv, bv = M.astype(object), yv.astype(object), bv.astype(object)
+    if np.any((yv @ M) % p):
+        raise VerificationError("dual certificate: y.A != 0 mod p")
+    if not (yv @ bv)[0, 0] % p:
+        raise VerificationError("dual certificate: y.b = 0 mod p")
 
 
 def row_space_contains(A, v, p: int) -> bool:

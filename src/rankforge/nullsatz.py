@@ -18,7 +18,7 @@ import numpy as np
 from .errors import InputError, VerificationError
 from .geometry import VarietyPoints, enumerate_points
 from .gf import PrimeField
-from .linalg import nullspace_mod, rank_mod, rref_mod, solve_mod
+from .linalg import check_dual_certificate, rank_mod, solve_mod
 from .poly import MultiPoly, PolyFamily
 from .runtime import Budget
 
@@ -111,6 +111,8 @@ def ideal_membership(
 
     x, dual = solve_mod(A, b, p)
     if x is None:
+        if dual is not None:
+            check_dual_certificate(A, b, dual, p)
         return MembershipResult(None, dual, cofactor_caps)
     cofactors = []
     col = 0

@@ -9,6 +9,14 @@ run r = 1, 2, ... and each r is either refuted exhaustively, witnessed by a
 certificate, or abandoned on budget; the three outcomes are reported
 separately.
 
+For a given r the search wants the first Q tuple, in
+`itertools.combinations` order, whose column blocks span P's coefficient
+vector.  `_SpanSearch` walks the tuples depth-first and shares each
+prefix's echelon basis (bit-packed over F_2) among all tuples that extend
+it, so most tuples cost one block's reduction and no solve; only the hit is
+solved, by `solve_mod` on the concatenated blocks, so the certificate is the
+one a solve per tuple would give.
+
 The rank of a nonzero polynomial of degree <= 1 is an infinite sentinel
 (such polynomials admit no factors of lower degree), never a large integer.
 """
@@ -190,6 +198,7 @@ def schmidt_rank(P: MultiPoly, r_max: int, budget: Budget | None = None) -> Rank
                     B[row_of[prod], j] = (B[row_of[prod], j] + c) % q
         blocks.append(B)
 
+    search = _SpanSearch(blocks, target, q)
     per_r: list[tuple[int, str]] = []
     for r in range(1, r_max + 1):
         tuples = math.comb(len(qvecs), r)
@@ -201,9 +210,15 @@ def schmidt_rank(P: MultiPoly, r_max: int, budget: Budget | None = None) -> Rank
             # partial answers are honest: "rank <= r-1: no, r: abandoned"
             per_r.append((r, "budget"))
             return RankResult(None, r_max=r_max, exceeded_at=r, per_r=tuple(per_r))
-        found = _search_products(field, n, r, qvecs, blocks, target, factor_monos)
-        if found is not None:
-            cert = found
+        hit = search.first(r)
+        if hit is not None:
+            combo, x = hit
+            pairs = []
+            for slot, i in enumerate(combo):
+                Q = _poly_from_vec(field, n, factor_monos, qvecs[i])
+                R = _poly_from_vec(field, n, factor_monos, x[slot * M : (slot + 1) * M])
+                pairs.append((Q, R))
+            cert = RankCertificate("schmidt", tuple(pairs), f"exhausted r<{r}")
             cert.verify_schmidt(P)
             per_r.append((r, "found"))
             return RankResult(r, r_max=r_max, certificate=cert, per_r=tuple(per_r))
@@ -211,21 +226,94 @@ def schmidt_rank(P: MultiPoly, r_max: int, budget: Budget | None = None) -> Rank
     return RankResult(None, r_max=r_max, per_r=tuple(per_r))
 
 
-def _search_products(field, n, r, qvecs, blocks, target, factor_monos):
-    q = field.p
-    M = len(factor_monos)
-    for combo in itertools.combinations(range(len(qvecs)), r):
-        A = np.concatenate([blocks[i] for i in combo], axis=1)
-        x, _ = solve_mod(A, target, q, want_certificate=False)
-        if x is None:
-            continue
-        pairs = []
-        for slot, i in enumerate(combo):
-            Q = _poly_from_vec(field, n, factor_monos, qvecs[i])
-            R = _poly_from_vec(field, n, factor_monos, x[slot * M : (slot + 1) * M])
-            pairs.append((Q, R))
-        return RankCertificate("schmidt", tuple(pairs), f"exhausted r<{r}")
-    return None
+class _SpanSearch:
+    """The first r-combination of column blocks whose span holds a target.
+
+    Combinations come in `itertools.combinations` order.  Each block's
+    column space is packed once, when the walk first reaches it, as an
+    echelon basis: over F_2 each vector is a Python int (bit i = row i)
+    reduced by XOR, over odd p a list of ints.  `first(r)` walks the
+    combinations depth-first, keeping the prefix's echelon basis and the
+    target reduced against it, so a node reduces only its newest block's
+    columns.  On a hit it runs `solve_mod` on [blocks...] exactly as a plain
+    loop over the combinations would, so the solution is the same.
+    """
+
+    def __init__(self, blocks: list[np.ndarray], target: np.ndarray, p: int):
+        self.blocks = blocks
+        self.target = target
+        self.p = p
+        self.zero = self._pack(np.zeros_like(target))
+        self.packed: list[list | None] = [None] * len(blocks)
+
+    def _column_basis(self, i: int) -> list:
+        """Block i's column space as echelon vectors, packed on first use."""
+        if self.packed[i] is None:
+            basis: list = []
+            for column in self.blocks[i].T:
+                self._insert(basis, self._pack(column))
+            self.packed[i] = [vec for _, vec in basis]
+        return self.packed[i]
+
+    def _pack(self, column):
+        if self.p == 2:
+            return sum(1 << i for i, c in enumerate(column.tolist()) if c)
+        return [int(c) % self.p for c in column.tolist()]
+
+    def _reduce(self, v, basis, start=0):
+        """v minus its components along basis[start:] (pairs (pivot, vector))."""
+        p = self.p
+        if p == 2:
+            for pivot, w in basis[start:]:
+                if v & pivot:
+                    v ^= w
+            return v
+        for pivot, w in basis[start:]:
+            c = v[pivot]
+            if c:
+                v = [(a - c * b) % p for a, b in zip(v, w)]
+        return v
+
+    def _insert(self, basis, v) -> None:
+        """Add v to the echelon basis unless it already lies in its span."""
+        v = self._reduce(v, basis)
+        if self.p == 2:
+            if v:
+                basis.append((v & -v, v))
+            return
+        pivot = next((i for i, c in enumerate(v) if c), None)
+        if pivot is not None:
+            inv = pow(v[pivot], self.p - 2, self.p)
+            basis.append((pivot, [c * inv % self.p for c in v]))
+
+    def first(self, r: int):
+        """(combination, solution x) for the first hit, or None."""
+        n = len(self.packed)
+        basis: list = []
+
+        def visit(prefix: tuple, start: int, t):
+            depth = len(prefix) + 1
+            for i in range(start, n - r + depth):
+                mark = len(basis)
+                for v in self._column_basis(i):
+                    self._insert(basis, v)
+                rest = self._reduce(t, basis, mark)
+                if rest == self.zero:
+                    # every completion of this prefix hits; the first is in order
+                    return prefix + tuple(range(i, i + r - depth + 1))
+                if depth < r:
+                    hit = visit(prefix + (i,), i + 1, rest)
+                    if hit is not None:
+                        return hit
+                del basis[mark:]
+            return None
+
+        combo = visit((), 0, self._pack(self.target))
+        if combo is None:
+            return None
+        A = np.concatenate([self.blocks[i] for i in combo], axis=1)
+        x, _ = solve_mod(A, self.target, self.p, want_certificate=False)
+        return combo, x
 
 
 # ---------------------------------------------------------------------------
@@ -309,6 +397,7 @@ def partition_rank(
                 B[row_of[prod], j] = (B[row_of[prod], j] + c) % q
         blocks_arr.append((Jset, Q, B, monos_r))
 
+    search = _SpanSearch([b[2] for b in blocks_arr], target, q)
     per_r: list[tuple[int, str]] = []
     for r in range(1, r_max + 1):
         tuples = math.comb(len(blocks_arr), r)
@@ -319,11 +408,9 @@ def partition_rank(
                 raise
             per_r.append((r, "budget"))
             return RankResult(None, r_max=r_max, exceeded_at=r, per_r=tuple(per_r), exhaustive=exhaustive)
-        for combo in itertools.combinations(range(len(blocks_arr)), r):
-            A = np.concatenate([blocks_arr[i][2] for i in combo], axis=1)
-            x, _ = solve_mod(A, target, q, want_certificate=False)
-            if x is None:
-                continue
+        hit = search.first(r)
+        if hit is not None:
+            combo, x = hit
             pairs = []
             pos = 0
             for i in combo:

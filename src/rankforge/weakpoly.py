@@ -26,7 +26,7 @@ import numpy as np
 from .domain import box
 from .errors import InputError, VerificationError
 from .gf import PrimeField
-from .linalg import nullspace_mod, rank_mod, rref_mod, row_space_leq, solve_mod
+from .linalg import check_dual_certificate, nullspace_mod, rank_mod, rref_mod, row_space_leq, solve_mod
 from .poly import MultiPoly, interpolate_grid, vandermonde_inverse
 from .geometry import AffineSubspace, Hyperplane, VarietyPoints, enumerate_points, enumerate_subspaces_in, slice_variety
 from .runtime import Budget
@@ -265,6 +265,8 @@ def extend_by_solve(f: FunctionOnX, a: int, budget: Budget | None = None) -> Ext
     ).T  # (|X|, #monos)
     x, cert = solve_mod(A, f.values, field.p)
     if x is None:
+        if cert is not None:
+            check_dual_certificate(A, f.values, cert, field.p)
         return ExtensionResult(None, cert)
     P = MultiPoly(field, X.n, {m: int(c) for m, c in zip(monos, x) if c})
     if not np.array_equal(X.box.eval_poly(P, X.indices), f.values):

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from rankforge import MultiPoly, PolyFamily, PrimeField, random_poly, restrict
-from rankforge.domain import box
+from rankforge.domain import Box, box
+from rankforge.explicit import ExplicitVariety
 from rankforge.geometry import (
     AffineSubspace,
     _section,
@@ -179,6 +180,54 @@ def test_kappa_explicit_family_all_targets():
     assert stats.total_targets == 27
     assert stats.universal
     assert stats.mass() == 3 ** (4 * 2)
+
+
+def kappa_fibers_by_digit_table(family, m, linear_only=False):
+    """The fiber keys as kappa_fibers computed them from the maps' digit table."""
+    field, p, n = family.field, family.field.p, family.n
+    ncols = m + (0 if linear_only else 1)
+    total_maps = p ** (n * ncols)
+    bx = box(field, n)
+    vals = [bx.eval_poly(P) for P in family]
+    mbox = box(field, m)
+    D = Box(field, n * ncols).digits()  # a fresh box: nothing stays cached
+    keys = np.zeros((total_maps, family.c * mbox.size), dtype=np.int64)
+    for ti, t in enumerate(itertools.product(range(p), repeat=m)):
+        tv = np.array(t + ((1,) if not linear_only else ()), dtype=np.int64)
+        idx = bx.encode((D.reshape(total_maps, n, ncols) @ tv) % p)
+        for ci in range(family.c):
+            keys[:, ci * mbox.size + ti] = vals[ci][idx]
+    fibers = {}
+    for row in map(tuple, keys):
+        fibers[row] = fibers.get(row, 0) + 1
+    return fibers
+
+
+@pytest.mark.parametrize(
+    "family, m, linear_only",
+    [
+        (PolyFamily([ExplicitVariety(2, 2, F3).polynomial()]), 1, False),
+        (PolyFamily([ExplicitVariety(2, 3, F3).polynomial()]), 1, False),
+        (PolyFamily([ExplicitVariety(2, 2, F3).polynomial()]), 2, True),
+        (PolyFamily([poly_of(F3, 2, [(1, (1, 1))]), poly_of(F3, 2, [(2, (2, 0))])]), 1, False),
+        (PolyFamily([poly_of(F5, 2, [(1, (1, 1)), (3, (0, 0))])]), 0, False),
+        (PolyFamily([poly_of(F2, 3, [(1, (1, 1, 1))])]), 0, True),
+    ],
+)
+def test_kappa_fibers_match_digit_table_and_build_none(monkeypatch, family, m, linear_only):
+    built = []
+    digits = Box.digits
+
+    def spy(bx):
+        built.append(bx.n)
+        return digits(bx)
+
+    monkeypatch.setattr(Box, "digits", spy)
+    stats = kappa_fibers(family, m, linear_only=linear_only)
+    assert family.n * (m + (0 if linear_only else 1)) not in built
+    expect = kappa_fibers_by_digit_table(family, m, linear_only)
+    assert list(stats.fibers.items()) == list(expect.items())  # counts and first-seen order
+    assert stats.mass() == stats.total_maps
 
 
 def test_kappa_homogeneous_linear_maps():

@@ -1,8 +1,22 @@
+"""Exact linear algebra mod p: both RREF routes against sympy's DomainMatrix,
+dual certificates, and the memory of the panel route."""
+
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+from sympy import GF
+from sympy.polys.matrices import DomainMatrix
 
-from rankforge.errors import InputError
+from rankforge import linalg
+from rankforge.errors import InputError, VerificationError
 from rankforge.linalg import (
+    PANEL,
+    as_mod_array,
+    check_dual_certificate,
     inv_mod,
     nullspace_mod,
     rank_mod,
@@ -80,3 +94,116 @@ def test_random_solve_consistency():
             x, cert = solve_mod(A, b, p)
             assert x is not None
             assert np.array_equal((A @ x) % p, b)
+
+
+def random_matrix(seed: int, p: int, rows: int, cols: int, rank: int, zero_cols: int, repeats: int) -> np.ndarray:
+    """A rows x cols matrix of rank <= `rank`, with some zero columns and repeated rows."""
+    rng = np.random.RandomState(seed)
+    dtype = np.int64 if rank * (p - 1) ** 2 < 2**63 else object
+    A = (rng.randint(0, p, (rows, rank)).astype(dtype) @ rng.randint(0, p, (rank, cols)).astype(dtype)) % p
+    A = A.astype(np.int64)
+    A[:, rng.choice(cols, min(zero_cols, cols), replace=False)] = 0
+    for _ in range(repeats):
+        A[rng.randint(rows)] = A[rng.randint(rows)]
+    return A
+
+
+def sympy_rref(A: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    K = GF(p, symmetric=False)
+    rows, cols = A.shape
+    R, pivots = DomainMatrix([[K(int(x)) for x in row] for row in A], (rows, cols), K).rref()
+    dense = np.zeros((rows, cols), dtype=np.int64)
+    for i, row in enumerate(R.to_list()):
+        dense[i] = [K.to_int(x) % p for x in row]
+    return dense, list(pivots)
+
+
+@st.composite
+def matrices(draw):
+    p = draw(st.sampled_from([2, 3, 7, 101, 2147483647]))
+    rows = draw(st.integers(1, PANEL + 16))
+    cols = draw(st.integers(1, PANEL + 16))
+    rank = draw(st.integers(0, min(rows, cols)))
+    zero_cols = draw(st.integers(0, 4))
+    repeats = draw(st.integers(0, 6))
+    seed = draw(st.integers(0, 2**31 - 1))
+    return p, random_matrix(seed, p, rows, cols, rank, zero_cols, repeats)
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(matrices())
+@example((7, random_matrix(1, 7, 70, 75, 70, 3, 4)))  # panel route
+@example((2, random_matrix(2, 2, 80, 66, 50, 2, 6)))  # panel route over F_2
+@example((101, random_matrix(3, 101, 66, 80, 30, 0, 0)))  # panel route, rank deficient
+@example((3, random_matrix(4, 3, 12, 9, 5, 2, 3)))  # plain route
+@example((2147483647, random_matrix(5, 2147483647, 70, 70, 65, 1, 2)))  # large p: plain route
+@example((11771657, random_matrix(6, 11771657, 70, 72, 70, 1, 2)))  # largest prime the panel route takes
+def test_rref_matches_sympy(case):
+    p, A = case
+    before = A.copy()
+    panels = linalg._gauss_jordan_panels
+    with mock.patch.object(linalg, "_gauss_jordan_panels", wraps=panels) as spy:
+        R, pivots, rank = rref_mod(A, p)
+    assert np.array_equal(A, before)  # eliminated a copy
+    assert spy.called == (min(A.shape) > PANEL and (PANEL + 1) * (p - 1) ** 2 < 2**53)
+    expect, expect_pivots = sympy_rref(A, p)
+    assert R.dtype == np.int64 and R.shape == A.shape
+    assert np.array_equal(R, expect)
+    assert pivots == expect_pivots and rank == len(expect_pivots)
+
+
+def test_panel_route_dual_certificate_on_tall_infeasible_system():
+    p = 7
+    A = random_matrix(11, p, 100, 70, 50, 2, 10)
+    b = (A @ np.random.RandomState(12).randint(0, p, 70)) % p
+    b[0] = (b[0] + 1) % p  # leave the column space
+    with mock.patch.object(linalg, "_gauss_jordan_panels", wraps=linalg._gauss_jordan_panels) as spy:
+        x, y = solve_mod(A, b, p)
+    assert spy.called and x is None
+    assert np.all((y @ A) % p == 0) and int(y @ b) % p != 0
+    check_dual_certificate(A, b, y, p)
+    # the certificate is a row of the (unique) RREF of [A | b | I]
+    R, pivots = sympy_rref(np.concatenate([A, b[:, None], np.eye(100, dtype=np.int64)], axis=1), p)
+    j = pivots.index(70)
+    assert np.array_equal(y, R[j, 71:])
+
+
+def test_check_dual_certificate_rejects_bad_certificates():
+    A = np.array([[1], [1]], dtype=np.int64)
+    b = np.array([1, 2], dtype=np.int64)
+    check_dual_certificate(A, b, np.array([1, 4]), 5)
+    with pytest.raises(VerificationError):
+        check_dual_certificate(A, b, np.array([1, 1]), 5)  # y.A != 0
+    with pytest.raises(VerificationError):
+        check_dual_certificate(A, np.array([1, 1]), np.array([1, 4]), 5)  # y.b = 0
+    with pytest.raises(VerificationError):
+        check_dual_certificate(A, b, np.array([1, 4, 0]), 5)
+    # near 2^31 the dot products leave int64 and are taken exactly
+    p = 2147483647
+    A = np.full((4, 1), p - 1, dtype=np.int64)
+    y = np.array([p - 1, p - 1, 1, 1], dtype=np.int64)
+    check_dual_certificate(A, np.array([1, 0, 0, 0]), y, p)
+    with pytest.raises(VerificationError):
+        check_dual_certificate(A, np.array([1, 0, 0, 0]), np.array([p - 1, p - 1, p - 1, 1]), p)
+
+
+def test_panel_route_peak_memory_not_above_plain_loop():
+    p = 7
+    A = random_matrix(21, p, 4160, 385, PANEL + 6, 0, 0)  # two panels hold pivots
+
+    def traced(fn):
+        tracemalloc.start()
+        try:
+            out = fn()
+            return out, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def plain():
+        M = as_mod_array(A, p)
+        return M, linalg._gauss_jordan(M, p)
+
+    (R, pivots, _), blocked = traced(lambda: rref_mod(A, p))
+    (M, loop_pivots), loop = traced(plain)
+    assert blocked <= loop
+    assert np.array_equal(R, M) and pivots == loop_pivots

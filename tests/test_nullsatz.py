@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from rankforge import InputError, MultiPoly, PolyFamily, PrimeField, random_poly
+from rankforge import InputError, MultiPoly, PolyFamily, PrimeField, VerificationError, random_poly
 from rankforge.explicit import ExplicitVariety
 from rankforge.nullsatz import (
     formal_monomials,
@@ -34,6 +34,25 @@ def test_nonreduced_obstruction():
         res = ideal_membership(MultiPoly.variable(F5, 1, 0), fam, cap)
         assert not res.member
         assert res.dual_certificate is not None
+
+
+@pytest.mark.parametrize("break_it", ["kernel", "pairing"])
+def test_membership_checks_its_dual_certificate(monkeypatch, break_it):
+    from rankforge import linalg, nullsatz
+
+    def bogus_solve(A, b, p, want_certificate=True):
+        x, y = linalg.solve_mod(A, b, p, want_certificate)
+        assert x is None
+        if break_it == "kernel":  # y.A != 0
+            y = (y + 1) % p
+        else:  # y.A = 0 but y.b = 0
+            y = 0 * y
+        return None, y
+
+    fam = PolyFamily([poly_of(F5, 1, [(1, (2,))])])
+    monkeypatch.setattr(nullsatz, "solve_mod", bogus_solve)
+    with pytest.raises(VerificationError, match="y.A != 0" if break_it == "kernel" else "y.b = 0"):
+        ideal_membership(MultiPoly.variable(F5, 1, 0), fam, 2)
 
 
 def test_membership_with_certificate():

@@ -1,9 +1,13 @@
+import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from rankforge import AffineMap, MultiPoly, PolyFamily, PrimeField, multilinear_form, random_poly
+from rankforge import AffineMap, Budget, BudgetExceededError, MultiPoly, PolyFamily, PrimeField, multilinear_form, random_poly
+from rankforge import rank
+from rankforge.linalg import solve_mod
 from rankforge.poly import MultilinearForm
 from rankforge.rank import (
     check_rank_axioms,
@@ -205,3 +209,89 @@ def test_partial_budget_answer_is_honest():
     # nothing affordable at all: refuse up front
     with pytest.raises(BudgetExceededError):
         schmidt_rank(P, 2, Budget(10))
+
+
+# ---------------------------------------------------------------------------
+# The prefix-shared search against the loop it replaced
+# ---------------------------------------------------------------------------
+
+
+def loop_search(order=lambda combos: combos):
+    """`_SpanSearch.first` as a plain loop: one solve_mod per combination."""
+
+    def first(self, r):
+        for combo in order(itertools.combinations(range(len(self.blocks)), r)):
+            A = np.concatenate([self.blocks[i] for i in combo], axis=1)
+            x, _ = solve_mod(A, self.target, self.p, want_certificate=False)
+            if x is not None:
+                return combo, x
+        return None
+
+    return first
+
+
+def random_multilinear(field, dims, rng):
+    offs = [sum(dims[:b]) for b in range(len(dims))]
+    terms = {}
+    for pick in itertools.product(*[range(d) for d in dims]):
+        if rng.random() < 0.5:
+            e = [0] * sum(dims)
+            for b, v in enumerate(pick):
+                e[offs[b] + v] = 1
+            terms[tuple(e)] = rng.randrange(1, field.p)
+    return MultilinearForm.from_tensor_poly(MultiPoly(field, sum(dims), terms), dims)
+
+
+def rank_cases():
+    """(label, thunk) pairs; the per-search budget cap keeps the plain loop short."""
+    rng = random.Random(20)
+    cases = []
+    for k in range(30):
+        p = (2, 3, 5)[k % 3]
+        d = 2 + k % 2
+        n = rng.randint(1, 4 if d == 2 else 2)
+        P = random_poly(PrimeField(p), n, d, rng)
+        for limit in (10**5, 2000):  # 2000 starves most searches after r = 1
+            cases.append((f"schmidt F_{p} n={n} d={d} {P} limit {limit}", lambda P=P, L=limit: schmidt_rank(P, 3, Budget(L))))
+    for k in range(20):
+        field = (F2, F3)[k % 2]
+        dims = rng.choice(((2, 2), (2, 3), (3, 3), (2, 2, 2), (1, 2, 2)))
+        T = random_multilinear(field, dims, rng)
+        cases.append((f"partition {dims} {T.poly}", lambda T=T: partition_rank(T, 3, Budget(10**5))))
+        if len(set(dims)) == 1:
+            dictionary = invariant_factor_dictionary(T)
+            cases.append(
+                (f"dictionary {dims} {T.poly}", lambda T=T, D=dictionary: partition_rank(T, 3, Budget(10**5), factor_dictionary=D))
+            )
+    return cases
+
+
+def outcome(thunk):
+    try:
+        res = thunk()
+    except BudgetExceededError as exc:
+        return ("refused", str(exc))
+    pairs = None
+    if res.certificate is not None:  # term order too, not just dict equality
+        pairs = [[list(f.terms.items()) if isinstance(f, MultiPoly) else f for f in e] for e in res.certificate.pairs]
+    return res, pairs
+
+
+def test_span_search_matches_plain_loop(monkeypatch):
+    cases = rank_cases()
+    fast = [outcome(thunk) for _, thunk in cases]
+    monkeypatch.setattr(rank._SpanSearch, "first", loop_search())
+    for (label, thunk), got in zip(cases, fast):
+        assert got == outcome(thunk), label
+    decided = [o for o in fast if o[0] != "refused" and o[0].certificate is not None]
+    assert len(decided) >= 20 and any(o[0].value >= 2 for o in decided)
+    assert any(o[0] != "refused" and o[0].exceeded_at for o in fast)
+    assert any(o[0] == "refused" for o in fast)
+
+
+def test_plain_loop_reference_sees_the_search_order(monkeypatch):
+    """The comparison above fails for a search that visits combinations in another order."""
+    cases = rank_cases()
+    fast = [outcome(thunk) for _, thunk in cases]
+    monkeypatch.setattr(rank._SpanSearch, "first", loop_search(lambda combos: reversed(list(combos))))
+    assert any(got != outcome(thunk) for (_, thunk), got in zip(cases, fast))

@@ -154,6 +154,26 @@ def test_extend_by_solve_counterexample_infeasible():
         assert int(y @ vals) % 5 == 0
 
 
+@pytest.mark.parametrize("break_it", ["kernel", "pairing"])
+def test_extend_by_solve_checks_its_dual_certificate(monkeypatch, break_it):
+    from rankforge import linalg, weakpoly
+
+    def bogus_solve(A, b, p, want_certificate=True):
+        x, y = linalg.solve_mod(A, b, p, want_certificate)
+        assert x is None
+        if break_it == "kernel":  # y.A != 0
+            y = (y + 1) % p
+        else:  # y.A = 0 but y.b = 0
+            y = np.zeros_like(y)
+        return None, y
+
+    X = counterexample_variety()
+    f = counterexample_function(X)
+    monkeypatch.setattr(weakpoly, "solve_mod", bogus_solve)
+    with pytest.raises(VerificationError, match="y.A != 0" if break_it == "kernel" else "y.b = 0"):
+        extend_by_solve(f, 1)
+
+
 def test_extend_by_solve_feasible_and_reverified():
     X = counterexample_variety()
     F0 = poly_of(F5, 2, [(1, (1, 0)), (4, (0, 1))])
