@@ -65,7 +65,7 @@ def searches(reps: int) -> dict:
         batch = []
 
         def recording(self, r):
-            batch.append((self.blocks, self.target, self.p, r))
+            batch.append(([self.block(i) for i in range(self.count)], self.target, self.p, r))
             return first(self, r)
 
         rank._SpanSearch.first = recording
@@ -76,7 +76,7 @@ def searches(reps: int) -> dict:
 
         def shared():
             # a fresh search per call, so block packing is timed too
-            return [first(rank._SpanSearch(B, t, p), r) for B, t, p, r in batch]
+            return [first(rank._SpanSearch(B, len(B), lambda block: block, t, p), r) for B, t, p, r in batch]
 
         def plain(tried=None):
             return [plain_search(B, t, p, r, tried) for B, t, p, r in batch]

@@ -11,12 +11,18 @@ The d-fold finite difference of a degree-d polynomial yields its symmetric
 multilinear form (`multilinear_form`).  The sign convention is the product of
 difference operators D_{h_1} ... D_{h_d} P with D_h P(x) = P(x+h) - P(x);
 `alternating_sum_eval` computes the signed cube sum, which equals (-1)^d
-times the form.
+times the form.  The form is read off in closed form, by the polarization
+identity: c x^m becomes sum multinom(m; a_0, ..., a_d) x^{a_0} h_1^{a_1} ...
+h_d^{a_d} mod p over a_0 + ... + a_d = m with a_1, ..., a_d nonzero, which
+for deg m = d is c * prod(m_i!) on each arrangement of m's variables over
+the d blocks.  Below the degree (d < deg P) a surviving x term raises
+VerificationError and a surviving non-multilinear term raises InputError.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -406,12 +412,11 @@ class MultilinearForm:
         return self.poly.field
 
     def block_offsets(self) -> tuple[int, ...]:
-        offs = []
-        acc = 0
-        for dim in self.block_dims:
-            offs.append(acc)
-            acc += dim
-        return tuple(offs)
+        return tuple(itertools.accumulate(self.block_dims, initial=0))[:-1]
+
+    def block_degrees(self, mono: Monomial) -> tuple[int, ...]:
+        """The degree of a monomial in each block's variables."""
+        return tuple(sum(mono[o : o + dim]) for o, dim in zip(self.block_offsets(), self.block_dims))
 
     def is_zero(self) -> bool:
         return self.poly.is_zero()
@@ -430,70 +435,60 @@ class MultilinearForm:
         return MultilinearForm(tuple(block_dims), P)
 
 
-def _embed(P: MultiPoly, total: int, offset: int) -> MultiPoly:
-    terms = {}
-    for mono, c in P.terms.items():
-        e = [0] * total
-        e[offset : offset + len(mono)] = mono
-        terms[tuple(e)] = c
-    return MultiPoly(P.field, total, terms)
+def _arrangements(mono: Monomial):
+    """Every way to give each of sum(mono) blocks one of mono's variables, as the
+    concatenated block exponents; variable i goes to exactly mono[i] blocks."""
+    if not any(mono):
+        yield ()
+        return
+    for i, e in enumerate(mono):
+        if e:
+            unit = (0,) * i + (1,) + (0,) * (len(mono) - i - 1)
+            for rest in _arrangements(mono[:i] + (e - 1,) + mono[i + 1 :]):
+                yield unit + rest
 
 
-def _shift_x_by_block(Q: MultiPoly, n: int, block_offset: int) -> MultiPoly:
-    """Substitute x_i -> x_i + y_i where x is vars [0,n) and y is the block at
-    block_offset; Q lives in a ring already containing both."""
-    field = Q.field
-    N = Q.n
-    out: dict[Monomial, int] = {}
-    cache: dict[tuple[int, int], MultiPoly] = {}
-
-    def binom_pow(i: int, e: int) -> MultiPoly:
-        # (x_i + y_i)^e expanded in the big ring
-        key = (i, e)
-        if key not in cache:
-            base = MultiPoly.variable(field, N, i) + MultiPoly.variable(field, N, block_offset + i)
-            cache[key] = base.pow(e)
-        return cache[key]
-
-    result = MultiPoly.zero(field, N)
-    for mono, c in Q.terms.items():
-        rest = list(mono)
-        factor = MultiPoly.constant(field, N, c)
-        for i in range(n):
-            e = mono[i]
-            if e:
-                rest[i] = 0
-                factor = factor * binom_pow(i, e)
-        fixed = tuple(rest)
-        shifted = MultiPoly(field, N, {tuple(a + b for a, b in zip(fixed, m)): v for m, v in factor.terms.items()})
-        result = result + shifted
-    return result
+def _splits(mono: Monomial, d: int):
+    """Every split mono = a_0 + a_1 + ... + a_d with a_1, ..., a_d nonzero, as
+    (a_0, a_1, ..., a_d concatenated, the multinomial coefficient)."""
+    if d == 0:
+        yield mono, 1
+        return
+    for a in itertools.product(*(range(e + 1) for e in mono)):
+        if any(a):
+            ways = math.prod(math.comb(e, b) for e, b in zip(mono, a))
+            for head, m in _splits(tuple(e - b for e, b in zip(mono, a)), d - 1):
+                yield head + a, ways * m
 
 
 def multilinear_form(P: MultiPoly, d: int | None = None) -> MultilinearForm:
     """The order-d symmetric multilinear form D_{h_1} ... D_{h_d} P.
 
-    d defaults to the formal degree of P and must be at least 1.  The base
-    point cancels symbolically; if any x-dependence survives the differences
-    something is deeply wrong and we raise.
+    d defaults to the formal degree of P and must be at least 1.  The terms
+    come from the closed form in the module docstring; distinct terms of P
+    give distinct exponent tuples, so none are merged.
     """
     if d is None:
         d = P.degree()
     if d < 1:
         raise InputError("multilinear form requires order d >= 1")
     n = P.n
-    N = (d + 1) * n
-    Q = _embed(P, N, 0)
-    for k in range(1, d + 1):
-        Q = _shift_x_by_block(Q, n, k * n) - Q
-    # drop the x block; it must be gone
+    p = P.field.p
     terms: dict[Monomial, int] = {}
-    for mono, c in Q.terms.items():
-        if any(mono[:n]):
-            raise VerificationError("base point failed to cancel in multilinear form")
-        terms[mono[n:]] = c
-    form_poly = MultiPoly(P.field, d * n, terms)
-    return MultilinearForm((n,) * d, form_poly)
+    for mono, c in P.terms.items():
+        deg = sum(mono)
+        if deg == d:
+            coeff = c * math.prod(map(math.factorial, mono)) % p
+            if coeff:
+                terms.update(dict.fromkeys(_arrangements(mono), coeff))
+        elif deg > d:
+            for split, multinom in _splits(mono, d):
+                coeff = c * multinom % p
+                if coeff:
+                    if any(split[:n]):
+                        raise VerificationError("base point failed to cancel in multilinear form")
+                    terms[split[n:]] = coeff
+    return MultilinearForm((n,) * d, MultiPoly(P.field, d * n, terms))
 
 
 def alternating_sum_eval(P: MultiPoly, x: Sequence[int], hs: Sequence[Sequence[int]]) -> FieldElem:

@@ -9,13 +9,18 @@ run r = 1, 2, ... and each r is either refuted exhaustively, witnessed by a
 certificate, or abandoned on budget; the three outcomes are reported
 separately.
 
-For a given r the search wants the first Q tuple, in
+Schmidt and partition rank run the same driver, `_rank_search`.  The
+caller supplies the target, the candidate count (by formula), the widest R
+side and a lazy sequence of Q candidates; the driver charges the
+budget for r before it builds anything, so a refused search allocates no
+candidate block.  For a given r the search wants the first Q tuple, in
 `itertools.combinations` order, whose column blocks span P's coefficient
-vector.  `_SpanSearch` walks the tuples depth-first and shares each
-prefix's echelon basis (bit-packed over F_2) among all tuples that extend
-it, so most tuples cost one block's reduction and no solve; only the hit is
-solved, by `solve_mod` on the concatenated blocks, so the certificate is the
-one a solve per tuple would give.
+vector.  `_SpanSearch` reads candidates only as far as its walk reaches,
+walks the tuples depth-first and shares each prefix's echelon basis
+(bit-packed over F_2) among all tuples that extend it, so most tuples cost
+one block's reduction and no solve; only the hit is solved, by `solve_mod`
+on its rebuilt blocks, so the certificate is the one a solve per tuple
+would give, and only the hit's Q and R become polynomials.
 
 The rank of a nonzero polynomial of degree <= 1 is an infinite sentinel
 (such polynomials admit no factors of lower degree), never a large integer.
@@ -85,18 +90,13 @@ class RankCertificate:
             raise VerificationError("certificate does not re-expand to the polynomial")
 
     def verify_partition(self, T: MultilinearForm) -> None:
-        dims = T.block_dims
-        offs = T.block_offsets()
         for J, Q, R in self.pairs:
             J = frozenset(J)
             if not J or J == frozenset(range(T.d)):
                 raise VerificationError("bipartition must be proper and nonempty")
-            for poly, blocks in ((Q, J), (R, frozenset(range(T.d)) - J)):
-                for mono in poly.terms:
-                    for b in range(T.d):
-                        deg_b = sum(mono[offs[b] : offs[b] + dims[b]])
-                        if deg_b != (1 if b in blocks else 0):
-                            raise VerificationError("factor not multilinear on its blocks")
+            for poly, side in ((Q, J), (R, frozenset(range(T.d)) - J)):
+                if any(T.block_degrees(mono) != tuple(int(b in side) for b in range(T.d)) for mono in poly.terms):
+                    raise VerificationError("factor not multilinear on its blocks")
         if self.expand(T.field, T.poly.n) != T.poly:
             raise VerificationError("certificate does not re-expand to the tensor")
 
@@ -147,110 +147,104 @@ def _normalized_vectors(q: int, length: int):
             yield tuple(vec)
 
 
-def _poly_from_vec(field: PrimeField, n: int, monos, vec) -> MultiPoly:
-    return MultiPoly(field, n, {m: c for m, c in zip(monos, vec) if c})
-
-
 # ---------------------------------------------------------------------------
-# Schmidt rank
+# The search driver
 # ---------------------------------------------------------------------------
 
 
-def schmidt_rank(P: MultiPoly, r_max: int, budget: Budget | None = None) -> RankResult:
-    """Minimal r with P = sum of r products of strictly lower-degree factors.
+def _product_block(row_of: dict, q_terms: list, monos_r: list) -> np.ndarray:
+    """Column j holds the coefficients of Q * monos_r[j] over row_of."""
+    B = np.zeros((len(row_of), len(monos_r)), dtype=np.int64)
+    for j, mono_r in enumerate(monos_r):
+        for mono_q, c in q_terms:
+            B[row_of[tuple(a + b for a, b in zip(mono_q, mono_r))], j] = c
+    return B
 
-    Exhaustive for each r <= r_max; formal polynomial identity (no reduction
-    by the field equation).
+
+def _rank_search(
+    kind: str, P: MultiPoly, row_of: dict, candidates, count: int, width: int, r_max: int, budget: Budget, verify,
+    exhaustive: bool = True,
+) -> RankResult:
+    """Minimal r with P = sum of r products Q_j R_j, Q_j drawn from candidates.
+
+    `candidates` lazily yields `count` triples (J, Q's (monomial, coefficient)
+    terms, R's monomials); R is solved for, so it is at most `width` wide.
+    Each r is charged comb(count, r) * rows * width * r before the search
+    reads a candidate, and only the hit's factors become polynomials.
     """
-    budget = budget or Budget()
-    if P.is_zero():
-        return RankResult(0, r_max=r_max, certificate=RankCertificate("schmidt", ()))
-    d = P.degree()
-    if d <= 1:
-        return RankResult(None, infinite=True, r_max=r_max)
-    field = P.field
-    q = field.p
-    n = P.n
-
-    factor_monos = _monomials_upto(n, d - 1)
-    M = len(factor_monos)
-    product_monos = _monomials_upto(n, 2 * (d - 1))
-    row_of = {m: i for i, m in enumerate(product_monos)}
-    rows = len(product_monos)
-    for m in P.terms:
-        if m not in row_of:
-            # degree-d monomial beyond factor products: impossible already
-            return RankResult(None, r_max=r_max, per_r=tuple((r, "no") for r in range(1, r_max + 1)))
-
-    target = np.zeros(rows, dtype=np.int64)
+    target = np.zeros(len(row_of), dtype=np.int64)
     for m, c in P.terms.items():
         target[row_of[m]] = c
-
-    # Per-Q block of columns: coefficients of Q * (each factor monomial).
-    qvecs = list(_normalized_vectors(q, M))
-    blocks: list[np.ndarray] = []
-    for vec in qvecs:
-        B = np.zeros((rows, M), dtype=np.int64)
-        for j, mono_r in enumerate(factor_monos):
-            for mono_q, c in zip(factor_monos, vec):
-                if c:
-                    prod = tuple(a + b for a, b in zip(mono_q, mono_r))
-                    B[row_of[prod], j] = (B[row_of[prod], j] + c) % q
-        blocks.append(B)
-
-    search = _SpanSearch(blocks, target, q)
+    search = _SpanSearch(candidates, count, lambda cand: _product_block(row_of, cand[1], cand[2]), target, P.field.p)
     per_r: list[tuple[int, str]] = []
     for r in range(1, r_max + 1):
-        tuples = math.comb(len(qvecs), r)
         try:
-            budget.charge(tuples * rows * M * r, f"schmidt rank search at r={r}")
+            budget.charge(math.comb(count, r) * len(row_of) * width * r, f"{kind} rank search at r={r}")
         except BudgetExceededError:
             if not per_r:
                 raise
             # partial answers are honest: "rank <= r-1: no, r: abandoned"
             per_r.append((r, "budget"))
-            return RankResult(None, r_max=r_max, exceeded_at=r, per_r=tuple(per_r))
+            return RankResult(None, r_max=r_max, exceeded_at=r, per_r=tuple(per_r), exhaustive=exhaustive)
         hit = search.first(r)
-        if hit is not None:
-            combo, x = hit
-            pairs = []
-            for slot, i in enumerate(combo):
-                Q = _poly_from_vec(field, n, factor_monos, qvecs[i])
-                R = _poly_from_vec(field, n, factor_monos, x[slot * M : (slot + 1) * M])
-                pairs.append((Q, R))
-            cert = RankCertificate("schmidt", tuple(pairs), f"exhausted r<{r}")
-            cert.verify_schmidt(P)
-            per_r.append((r, "found"))
-            return RankResult(r, r_max=r_max, certificate=cert, per_r=tuple(per_r))
-        per_r.append((r, "no"))
-    return RankResult(None, r_max=r_max, per_r=tuple(per_r))
+        if hit is None:
+            per_r.append((r, "no"))
+            continue
+        combo, x = hit
+        pairs = []
+        pos = 0
+        for i in combo:
+            J, q_terms, monos_r = search.candidate(i)
+            Q = MultiPoly(P.field, P.n, dict(q_terms))
+            R = MultiPoly(P.field, P.n, {m: c for m, c in zip(monos_r, x[pos : pos + len(monos_r)]) if c})
+            pairs.append((Q, R) if J is None else (tuple(sorted(J)), Q, R))
+            pos += len(monos_r)
+        cert = RankCertificate(kind, tuple(pairs), f"exhausted r<{r}" if exhaustive else "dictionary search")
+        verify(cert)
+        per_r.append((r, "found"))
+        return RankResult(r, r_max=r_max, certificate=cert, per_r=tuple(per_r), exhaustive=exhaustive)
+    return RankResult(None, r_max=r_max, per_r=tuple(per_r), exhaustive=exhaustive)
 
 
 class _SpanSearch:
-    """The first r-combination of column blocks whose span holds a target.
+    """The first r-combination of candidate column blocks whose span holds a target.
 
-    Combinations come in `itertools.combinations` order.  Each block's
-    column space is packed once, when the walk first reaches it, as an
-    echelon basis: over F_2 each vector is a Python int (bit i = row i)
-    reduced by XOR, over odd p a list of ints.  `first(r)` walks the
+    Combinations come in `itertools.combinations` order.  Candidates are read
+    from their iterator only as far as the walk reaches, and each block's
+    column space is packed once, on first use, as an echelon basis: over F_2
+    each vector is a Python int (bit i = row i) reduced by XOR, over odd p a
+    list of ints; the numpy block itself is not kept.  `first(r)` walks the
     combinations depth-first, keeping the prefix's echelon basis and the
     target reduced against it, so a node reduces only its newest block's
-    columns.  On a hit it runs `solve_mod` on [blocks...] exactly as a plain
-    loop over the combinations would, so the solution is the same.
+    columns.  On a hit it rebuilds the hit's blocks and runs `solve_mod` on
+    [blocks...] exactly as a plain loop over the combinations would, so the
+    solution is the same.
     """
 
-    def __init__(self, blocks: list[np.ndarray], target: np.ndarray, p: int):
-        self.blocks = blocks
+    def __init__(self, candidates, count: int, build, target: np.ndarray, p: int):
+        self.candidates = iter(candidates)
+        self.count = count
+        self.build = build
         self.target = target
         self.p = p
         self.zero = self._pack(np.zeros_like(target))
-        self.packed: list[list | None] = [None] * len(blocks)
+        self.read: list = []
+        self.packed: dict[int, list] = {}
+
+    def candidate(self, i: int):
+        """Candidate i, reading the iterator up to it."""
+        while len(self.read) <= i:
+            self.read.append(next(self.candidates))
+        return self.read[i]
+
+    def block(self, i: int) -> np.ndarray:
+        return self.build(self.candidate(i))
 
     def _column_basis(self, i: int) -> list:
         """Block i's column space as echelon vectors, packed on first use."""
-        if self.packed[i] is None:
+        if i not in self.packed:
             basis: list = []
-            for column in self.blocks[i].T:
+            for column in self.block(i).T:
                 self._insert(basis, self._pack(column))
             self.packed[i] = [vec for _, vec in basis]
         return self.packed[i]
@@ -288,7 +282,7 @@ class _SpanSearch:
 
     def first(self, r: int):
         """(combination, solution x) for the first hit, or None."""
-        n = len(self.packed)
+        n = self.count
         basis: list = []
 
         def visit(prefix: tuple, start: int, t):
@@ -311,9 +305,36 @@ class _SpanSearch:
         combo = visit((), 0, self._pack(self.target))
         if combo is None:
             return None
-        A = np.concatenate([self.blocks[i] for i in combo], axis=1)
+        A = np.concatenate([self.block(i) for i in combo], axis=1)
         x, _ = solve_mod(A, self.target, self.p, want_certificate=False)
         return combo, x
+
+
+# ---------------------------------------------------------------------------
+# Schmidt rank
+# ---------------------------------------------------------------------------
+
+
+def schmidt_rank(P: MultiPoly, r_max: int, budget: Budget | None = None) -> RankResult:
+    """Minimal r with P = sum of r products of strictly lower-degree factors.
+
+    Exhaustive for each r <= r_max; formal polynomial identity (no reduction
+    by the field equation).
+    """
+    budget = budget or Budget()
+    if P.is_zero():
+        return RankResult(0, r_max=r_max, certificate=RankCertificate("schmidt", ()))
+    d = P.degree()
+    if d <= 1:
+        return RankResult(None, infinite=True, r_max=r_max)
+    q = P.field.p
+    factor_monos = _monomials_upto(P.n, d - 1)
+    M = len(factor_monos)
+    # degree <= 2(d-1) covers every monomial of P, since d >= 2
+    row_of = {m: i for i, m in enumerate(_monomials_upto(P.n, 2 * (d - 1)))}
+    candidates = ((None, [(m, c) for m, c in zip(factor_monos, vec) if c], factor_monos) for vec in _normalized_vectors(q, M))
+    count = (q**M - 1) // (q - 1)  # normalized vectors of length M
+    return _rank_search("schmidt", P, row_of, candidates, count, M, r_max, budget, lambda cert: cert.verify_schmidt(P))
 
 
 # ---------------------------------------------------------------------------
@@ -345,86 +366,59 @@ def partition_rank(
 
     Exhaustive unless a factor dictionary restricts the Q side, in which case
     the result is an upper-bound search only (exhaustive=False): a found
-    certificate is still valid, but "not found" decides nothing.
+    certificate is still valid, but "not found" decides nothing.  Each
+    dictionary entry (J, Q) needs a proper nonempty block set J and a Q in
+    T's ring that is multilinear on exactly J's blocks, else InputError.
     """
     budget = budget or Budget()
     if T.is_zero():
         return RankResult(0, r_max=r_max, certificate=RankCertificate("partition", ()))
-    field = T.field
-    q = field.p
+    q = T.field.p
     d = T.d
     if d < 2:
         raise InputError("partition rank needs at least two blocks")
     dims = T.block_dims
     offs = T.block_offsets()
-    total_vars = sum(dims)
-
-    tensor_monos = _block_monomials(dims, offs, frozenset(range(d)))
-    row_of = {m: i for i, m in enumerate(tensor_monos)}
-    rows = len(tensor_monos)
-    target = np.zeros(rows, dtype=np.int64)
-    for m, c in T.poly.terms.items():
-        target[row_of[m]] = c
-
-    # Candidate (J, Q) pairs; J always contains block 0 so each unordered
-    # bipartition appears once.
-    candidates: list[tuple[frozenset, MultiPoly]] = []
-    exhaustive = factor_dictionary is None
-    if factor_dictionary is not None:
-        candidates = [(frozenset(J), Q) for J, Q in factor_dictionary]
-    else:
-        blocks_all = frozenset(range(d))
-        for size in range(1, d):
-            for J in itertools.combinations(range(1, d), size - 1):
-                Jset = frozenset((0,) + J)
-                if Jset == blocks_all:
-                    continue
-                monos_q = _block_monomials(dims, offs, Jset)
-                for vec in _normalized_vectors(q, len(monos_q)):
-                    Q = MultiPoly(field, total_vars, {m: c for m, c in zip(monos_q, vec) if c})
-                    candidates.append((Jset, Q))
-
-    # Precompute the column block for each candidate.
-    blocks_arr: list[tuple[frozenset, MultiPoly, np.ndarray, list]] = []
     all_blocks = frozenset(range(d))
-    for Jset, Q in candidates:
-        comp = all_blocks - Jset
-        monos_r = _block_monomials(dims, offs, comp)
-        B = np.zeros((rows, len(monos_r)), dtype=np.int64)
-        for j, mono_r in enumerate(monos_r):
-            for mono_q, c in Q.terms.items():
-                prod = tuple(a + b for a, b in zip(mono_q, mono_r))
-                B[row_of[prod], j] = (B[row_of[prod], j] + c) % q
-        blocks_arr.append((Jset, Q, B, monos_r))
+    if factor_dictionary is None:
+        # J always contains block 0, so each unordered bipartition appears once
+        splits = [frozenset((0,) + J) for size in range(1, d) for J in itertools.combinations(range(1, d), size - 1)]
+        q_sides = {J: _block_monomials(dims, offs, J) for J in splits}
+        q_factors = (
+            (J, [(m, c) for m, c in zip(q_sides[J], vec) if c])
+            for J in splits
+            for vec in _normalized_vectors(q, len(q_sides[J]))
+        )
+        count = sum((q ** len(monos) - 1) // (q - 1) for monos in q_sides.values())
+    else:
+        entries = [_dictionary_entry(T, entry) for entry in factor_dictionary]
+        splits = {J for J, _ in entries}
+        q_factors = ((J, list(Q.terms.items())) for J, Q in entries)
+        count = len(entries)
+    r_sides = {J: _block_monomials(dims, offs, all_blocks - J) for J in splits}
+    row_of = {m: i for i, m in enumerate(_block_monomials(dims, offs, all_blocks))}
+    candidates = ((J, q_terms, r_sides[J]) for J, q_terms in q_factors)
+    width = max(map(len, r_sides.values()), default=0)
+    return _rank_search(
+        "partition", T.poly, row_of, candidates, count, width, r_max, budget,
+        lambda cert: cert.verify_partition(T), exhaustive=factor_dictionary is None,
+    )
 
-    search = _SpanSearch([b[2] for b in blocks_arr], target, q)
-    per_r: list[tuple[int, str]] = []
-    for r in range(1, r_max + 1):
-        tuples = math.comb(len(blocks_arr), r)
-        try:
-            budget.charge(tuples * rows * max(len(b[3]) for b in blocks_arr) * r, f"partition rank search at r={r}")
-        except BudgetExceededError:
-            if not per_r:
-                raise
-            per_r.append((r, "budget"))
-            return RankResult(None, r_max=r_max, exceeded_at=r, per_r=tuple(per_r), exhaustive=exhaustive)
-        hit = search.first(r)
-        if hit is not None:
-            combo, x = hit
-            pairs = []
-            pos = 0
-            for i in combo:
-                Jset, Q, B, monos_r = blocks_arr[i]
-                width = len(monos_r)
-                R = MultiPoly(field, total_vars, {m: int(c) for m, c in zip(monos_r, x[pos : pos + width]) if c})
-                pairs.append((tuple(sorted(Jset)), Q, R))
-                pos += width
-            cert = RankCertificate("partition", tuple(pairs), f"exhausted r<{r}" if exhaustive else "dictionary search")
-            cert.verify_partition(T)
-            per_r.append((r, "found"))
-            return RankResult(r if exhaustive else r, r_max=r_max, certificate=cert, per_r=tuple(per_r), exhaustive=exhaustive)
-        per_r.append((r, "no"))
-    return RankResult(None, r_max=r_max, per_r=tuple(per_r), exhaustive=exhaustive)
+
+def _dictionary_entry(T: MultilinearForm, entry) -> tuple[frozenset, MultiPoly]:
+    """(J, Q) from a factor dictionary entry, or InputError if it is malformed."""
+    try:
+        J, Q = entry
+        J = frozenset(J)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"dictionary entry is not a (block set, factor) pair: {exc}") from exc
+    if not J or not J < frozenset(range(T.d)):
+        raise InputError(f"dictionary block set {set(J)} is not a proper nonempty subset of the {T.d} blocks")
+    if not isinstance(Q, MultiPoly) or Q.field != T.field or Q.n != T.poly.n:
+        raise InputError(f"dictionary factor for blocks {sorted(J)} is not a polynomial in the tensor's {T.poly.n} variables")
+    if any(T.block_degrees(mono) != tuple(int(b in J) for b in range(T.d)) for mono in Q.terms):
+        raise InputError(f"dictionary factor for blocks {sorted(J)} is not multilinear on exactly those blocks")
+    return J, Q
 
 
 def invariant_factor_dictionary(T: MultilinearForm) -> list[tuple[frozenset, MultiPoly]]:
@@ -637,8 +631,6 @@ def check_rank_axioms(
     invertible affine substitution, and the partition/Schmidt sandwich on the
     difference form.  Budget refusals surface as "untested", never failures.
     """
-    from .errors import BudgetExceededError
-
     budget = budget or Budget()
     checks: list[AxiomCheck] = []
 

@@ -8,6 +8,7 @@ from rankforge import (
     AffineMap,
     InputError,
     MultiPoly,
+    MultilinearForm,
     PolyFamily,
     PrimeField,
     alternating_sum_eval,
@@ -17,6 +18,7 @@ from rankforge import (
     random_poly,
     restrict,
 )
+from rankforge.errors import VerificationError
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -73,6 +75,101 @@ def test_multilinear_form_extra_order_kills():
 
 def test_multilinear_form_char2_square():
     assert multilinear_form(poly_of(F2, 1, [(1, (2,))]), 2).is_zero()
+
+
+def test_multilinear_form_cancels_mod_p_below_the_degree():
+    # x^3 over F_3 at d = 2: every multinomial 3, 3, 6 vanishes mod 3
+    assert multilinear_form(poly_of(F3, 1, [(1, (3,))]), 2).is_zero()
+    # x^2 over F_2 at d = 1: 2xh cancels, h^2 survives and is not linear in h
+    with pytest.raises(InputError, match="not multilinear"):
+        multilinear_form(poly_of(F2, 1, [(1, (2,))]), 1)
+    with pytest.raises(VerificationError, match="base point"):
+        multilinear_form(poly_of(F5, 1, [(1, (2,))]), 1)
+
+
+# The symbolic construction the closed form replaced: d rounds of
+# x -> x + h_k in (d+1)*n variables, then the x block must be gone.
+
+
+def _embed(P, total, offset):
+    terms = {}
+    for mono, c in P.terms.items():
+        e = [0] * total
+        e[offset : offset + len(mono)] = mono
+        terms[tuple(e)] = c
+    return MultiPoly(P.field, total, terms)
+
+
+def _shift_x_by_block(Q, n, block_offset):
+    field, N = Q.field, Q.n
+    result = MultiPoly.zero(field, N)
+    for mono, c in Q.terms.items():
+        rest = list(mono)
+        factor = MultiPoly.constant(field, N, c)
+        for i in range(n):
+            if mono[i]:
+                rest[i] = 0
+                base = MultiPoly.variable(field, N, i) + MultiPoly.variable(field, N, block_offset + i)
+                factor = factor * base.pow(mono[i])
+        result = result + MultiPoly(field, N, {tuple(a + b for a, b in zip(rest, m)): v for m, v in factor.terms.items()})
+    return result
+
+
+def substitution_form(P, d=None):
+    if d is None:
+        d = P.degree()
+    if d < 1:
+        raise InputError("multilinear form requires order d >= 1")
+    n = P.n
+    Q = _embed(P, (d + 1) * n, 0)
+    for k in range(1, d + 1):
+        Q = _shift_x_by_block(Q, n, k * n) - Q
+    terms = {}
+    for mono, c in Q.terms.items():
+        if any(mono[:n]):
+            raise VerificationError("base point failed to cancel in multilinear form")
+        terms[mono[n:]] = c
+    return MultilinearForm((n,) * d, MultiPoly(P.field, d * n, terms))
+
+
+def small_poly(data, p, n):
+    """Up to five terms of degree <= 4, exponents >= p included."""
+    monos = st.lists(st.integers(0, 4), min_size=n, max_size=n).filter(lambda e: sum(e) <= 4)
+    terms = data.draw(st.lists(st.tuples(st.integers(0, p - 1), monos), max_size=5))
+    return MultiPoly.from_terms(PrimeField(p), n, [(c, tuple(e)) for c, e in terms])
+
+
+def form_outcome(fn, P, d):
+    try:
+        form = fn(P, d)
+    except (InputError, VerificationError) as exc:
+        return type(exc), str(exc)
+    return form.block_dims, form.poly.terms
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_multilinear_form_matches_substitution(data):
+    p = data.draw(st.sampled_from([2, 3, 5, 7]))
+    P = small_poly(data, p, data.draw(st.integers(0, 3)))
+    d = data.draw(st.sampled_from([None, 1, 2, 3, 4]))
+    assert form_outcome(multilinear_form, P, d) == form_outcome(substitution_form, P, d)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_multilinear_form_matches_cube_sum(data):
+    p = data.draw(st.sampled_from([2, 3, 5, 7]))
+    n = data.draw(st.integers(1, 3))
+    P = small_poly(data, p, n)
+    d = P.degree()
+    if d < 1:
+        return
+    form = multilinear_form(P)
+    point = st.lists(st.integers(0, p - 1), min_size=n, max_size=n)
+    x = data.draw(point)
+    hs = [data.draw(point) for _ in range(d)]
+    assert alternating_sum_eval(P, x, hs) == (-1) ** d * form.eval(hs) % p
 
 
 def test_alternating_sum_examples():

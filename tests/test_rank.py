@@ -1,11 +1,12 @@
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from rankforge import AffineMap, Budget, BudgetExceededError, MultiPoly, PolyFamily, PrimeField, multilinear_form, random_poly
+from rankforge import AffineMap, Budget, BudgetExceededError, InputError, MultiPoly, PolyFamily, PrimeField, multilinear_form, random_poly
 from rankforge import rank
 from rankforge.linalg import solve_mod
 from rankforge.poly import MultilinearForm
@@ -220,8 +221,8 @@ def loop_search(order=lambda combos: combos):
     """`_SpanSearch.first` as a plain loop: one solve_mod per combination."""
 
     def first(self, r):
-        for combo in order(itertools.combinations(range(len(self.blocks)), r)):
-            A = np.concatenate([self.blocks[i] for i in combo], axis=1)
+        for combo in order(itertools.combinations(range(self.count), r)):
+            A = np.concatenate([self.block(i) for i in combo], axis=1)
             x, _ = solve_mod(A, self.target, self.p, want_certificate=False)
             if x is not None:
                 return combo, x
@@ -263,6 +264,12 @@ def rank_cases():
             cases.append(
                 (f"dictionary {dims} {T.poly}", lambda T=T, D=dictionary: partition_rank(T, 3, Budget(10**5), factor_dictionary=D))
             )
+    # a dictionary whose first entry already hits: the search stops reading there
+    T = bilinear(F3, 2, 2, {(0, 0): 1, (0, 1): 2})
+    x0, h0 = MultiPoly.variable(F3, 4, 0), MultiPoly.variable(F3, 4, 2)
+    early = [(frozenset({0}), x0)] + [(frozenset({0}), x0 + MultiPoly.variable(F3, 4, 1).scale(c)) for c in (1, 2)]
+    early += [(frozenset({1}), h0)]
+    cases.append(("dictionary early hit", lambda: partition_rank(T, 2, Budget(10**5), factor_dictionary=early)))
     return cases
 
 
@@ -295,3 +302,83 @@ def test_plain_loop_reference_sees_the_search_order(monkeypatch):
     fast = [outcome(thunk) for _, thunk in cases]
     monkeypatch.setattr(rank._SpanSearch, "first", loop_search(lambda combos: reversed(list(combos))))
     assert any(got != outcome(thunk) for (_, thunk), got in zip(cases, fast))
+
+
+def test_search_reads_candidates_lazily(monkeypatch):
+    """A hit at r = 1 stops the walk: later candidates are never read."""
+    searches = []
+    init = rank._SpanSearch.__init__
+
+    def recording(self, *args):
+        init(self, *args)
+        searches.append(self)
+
+    monkeypatch.setattr(rank._SpanSearch, "__init__", recording)
+    label, thunk = rank_cases()[-1]
+    assert label == "dictionary early hit"
+    res = thunk()
+    assert res.value == 1 and not res.exhaustive
+    assert [len(s.read) for s in searches] == [1] and searches[0].count == 4
+    res = schmidt_rank(poly_of(F3, 3, [(1, (1, 1, 0))]), 2)
+    assert res.value == 1 and len(searches[1].read) < searches[1].count
+
+
+def dense_trilinear(field, n):
+    """Every x_i y_j z_k, each with coefficient 1."""
+    terms = {}
+    for i, j, k in itertools.product(range(n), repeat=3):
+        e = [0] * (3 * n)
+        e[i] = e[n + j] = e[2 * n + k] = 1
+        terms[tuple(e)] = 1
+    return MultilinearForm.from_tensor_poly(MultiPoly(field, 3 * n, terms), (n, n, n))
+
+
+@pytest.mark.parametrize(
+    "label, thunk",
+    [
+        ("schmidt F_5^2 cubic", lambda: schmidt_rank(random_poly(PrimeField(5), 2, 3, random.Random(0)), 2, Budget(10**5))),
+        ("partition F_3 dense (3, 3, 3)", lambda: partition_rank(dense_trilinear(F3, 3), 2, Budget(10**5))),
+        ("schmidt F_3^3 cubic", lambda: schmidt_rank(random_poly(F3, 3, 3, random.Random(0)), 2, Budget(10**7))),
+    ],
+)
+def test_refusal_at_r1_allocates_nothing(label, thunk):
+    """The r = 1 charge comes before any candidate block is built."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError, match="rank search at r=1"):
+            thunk()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, label
+
+
+def test_empty_factor_dictionary_decides_nothing():
+    T = bilinear(F3, 2, 2, {(0, 0): 1, (1, 1): 1})
+    res = partition_rank(T, 3, Budget(0), factor_dictionary=[])  # every r charges 0
+    assert res.value is None and not res.exhaustive and not res.decided
+    assert res.per_r == ((1, "no"), (2, "no"), (3, "no"))
+
+
+X0, X1, H0 = (MultiPoly.variable(F3, 4, i) for i in (0, 1, 2))
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        pytest.param((frozenset({0}), X0 * X1), id="not multilinear on J"),
+        pytest.param((frozenset({0}), H0), id="on the other block"),
+        pytest.param((frozenset({0}), MultiPoly.constant(F3, 4, 1)), id="constant"),
+        pytest.param((frozenset({0}), MultiPoly.variable(F3, 2, 0)), id="wrong arity"),
+        pytest.param((frozenset({0}), MultiPoly.variable(F2, 4, 0)), id="wrong field"),
+        pytest.param((frozenset({0, 1}), X0 * H0), id="J is every block"),
+        pytest.param((frozenset(), MultiPoly.constant(F3, 4, 1)), id="J is empty"),
+        pytest.param((frozenset({2}), X0), id="J outside the blocks"),
+        pytest.param((frozenset({0}),), id="not a pair"),
+        pytest.param((0, X0), id="J not a set"),
+    ],
+)
+def test_malformed_factor_dictionary_entry(entry):
+    T = bilinear(F3, 2, 2, {(0, 0): 1, (1, 1): 1})
+    with pytest.raises(InputError):
+        partition_rank(T, 3, factor_dictionary=[(frozenset({0}), X0), entry])
