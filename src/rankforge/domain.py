@@ -11,10 +11,10 @@ tensor of shape (p,)*n in the same row-major order, and multiplying axis i by
 the Vandermonde columns V[x, e] = x^e for the exponents e of x_i that occur in
 P turns exponents into coordinates (over F_2 this is the fast Moebius
 transform).  That takes sum_i k_i * p^n multiply-adds, k_i <= p the number
-of distinct exponents of x_i in P, and builds no digit table.  At given
-indices, and over the whole box when n = 1 (where the p x k_0 Vandermonde
-block can be p times the box), it evaluates term by term on rows of the
-cached (p^n, n) digit table.
+of distinct exponents of x_i in P, and builds no digit table.  Over the whole
+box when n = 1, where the p x k_0 Vandermonde block can be p times the box,
+it runs Horner's rule over P's exponents on the p field elements.  At given
+indices it evaluates term by term on rows of the cached (p^n, n) digit table.
 """
 
 from __future__ import annotations
@@ -32,6 +32,18 @@ from .poly import MultiPoly, Point
 def _powers(p: int, exps: list[int]) -> np.ndarray:
     """p x len(exps) matrix V[x, j] = x^exps[j] mod p, with 0^0 = 1."""
     return np.array([[pow(x, e, p) for e in exps] for x in range(p)], dtype=np.int64)
+
+
+def _pow_mod(x: np.ndarray, e: int, p: int) -> np.ndarray:
+    """x^e mod p elementwise (e >= 1) by square-and-multiply."""
+    acc = np.ones(len(x), dtype=np.int64)
+    base = x % p
+    while e:
+        if e & 1:
+            acc = (acc * base) % p
+        base = (base * base) % p
+        e >>= 1
+    return acc
 
 
 class Box:
@@ -66,6 +78,10 @@ class Box:
         """Map an (..., n) coordinate array to point indices."""
         return (np.asarray(coords, dtype=np.int64) % self.field.p) @ self._places
 
+    def decode(self, indices: np.ndarray) -> np.ndarray:
+        """Map an array of point indices to an (..., n) coordinate array."""
+        return np.asarray(indices, dtype=np.int64)[..., None] // self._places % self.field.p
+
     def index_of(self, point: Point) -> int:
         return int(sum(int(x) % self.field.p * pl for x, pl in zip(point, self._places)))
 
@@ -76,13 +92,34 @@ class Box:
     def eval_poly(self, P: MultiPoly, indices: np.ndarray | None = None) -> np.ndarray:
         """Values of P at the given indices (default: the whole box).
 
-        The whole box takes the transform unless n = 1.  One matmul step on
-        entries below p stays exact in int64 only while p^3 < 2^63, which any
-        box with n >= 2 that fits in memory satisfies.
+        The whole box takes Horner's rule when n = 1 and the transform
+        otherwise.  One matmul step on entries below p stays exact in int64
+        only while p^3 < 2^63, which any box with n >= 2 that fits in memory
+        satisfies.
         """
-        if indices is None and self.n != 1 and self.field.p**3 < 2**63:
+        if indices is None and self.n == 1:
+            return self._eval_horner(P)
+        if indices is None and self.field.p**3 < 2**63:
             return self._eval_transform(P)
         return self._eval_terms(P, self.digits() if indices is None else self.digits()[indices])
+
+    def _eval_horner(self, P: MultiPoly) -> np.ndarray:
+        """Values of a univariate P at x = 0, ..., p-1 by Horner's rule over its
+        exponents e_1 > ... > e_r: ((c_1 x^(e_1-e_2) + c_2) x^(e_2-e_3) + ...) x^e_r.
+        A gap's power x^g is reused while the gap repeats, so a dense P holds
+        a few p-long columns and takes one multiply-add per term."""
+        p = self.field.p
+        x = np.arange(p, dtype=np.int64)
+        exps = sorted((e for (e,) in P.terms), reverse=True)
+        out = np.zeros(p, dtype=np.int64)
+        gap, xg = 0, None
+        for e, f in zip(exps, exps[1:] + [0]):
+            out = (out + P.terms[(e,)]) % p
+            if e > f:
+                if e - f != gap:
+                    gap, xg = e - f, _pow_mod(x, e - f, p)
+                out = (out * xg) % p
+        return out
 
     def _eval_transform(self, P: MultiPoly) -> np.ndarray:
         p = self.field.p
@@ -119,14 +156,7 @@ class Box:
                     key = (i, e)
                     acc = pow_cache.get(key)
                     if acc is None:
-                        acc = np.ones(m, dtype=np.int64)
-                        base = D[:, i] % p
-                        ee = e
-                        while ee:
-                            if ee & 1:
-                                acc = (acc * base) % p
-                            base = (base * base) % p
-                            ee >>= 1
+                        acc = _pow_mod(D[:, i], e, p)
                         if uses[key] > 1:
                             pow_cache[key] = acc
                     t = (t * acc) % p

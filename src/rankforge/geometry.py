@@ -3,12 +3,19 @@ censuses, and fiber statistics of polynomial composition with affine maps.
 
 Affine subspaces are stored in a canonical form (reduced-echelon direction
 basis, base point with zeroed pivot coordinates), so two parameterizations
-of the same point set compare equal.  Subspace scans iterate over canonical
-representatives only, one per subspace, never over raw (point, tuple) pairs.
+of the same point set compare equal.  The subspaces inside a point set are
+grown from its points one dimension at a time (`_grow`): a canonical k-flat
+comes from exactly one canonical (k-1)-flat of the set, by one new row whose
+pivot follows the old ones, and only its new points are tested.  Nothing
+scans the subspaces of k^n, and nothing needs deduplication.
 
-The extension census reads the section of each (m+1)-subspace by a
-hyperplane off its canonical form (`_section`) instead of listing its
+The extension census grows once to dimension m+1, reads the m-subspaces in
+the hyperplane off level m, and reads the section of each (m+1)-subspace by
+the hyperplane off its canonical form (`_section`) instead of listing its
 m-subspaces.
+
+Composition fibers are counted by one sort of the maps' value tuples, each
+packed into a base-p integer when that fits in int64.
 """
 
 from __future__ import annotations
@@ -169,28 +176,6 @@ class AffineSubspace:
         return rank_mod(stacked, p) == rank_mod(B, p)
 
 
-def _rref_direction_bases(field: PrimeField, n: int, m: int):
-    """Every m-dimensional linear subspace of k^n, one RREF basis each."""
-    p = field.p
-    if m == 0:
-        yield np.zeros((0, n), dtype=np.int64), ()
-        return
-    for pivots in itertools.combinations(range(n), m):
-        free_cells = [
-            (i, j)
-            for i in range(m)
-            for j in range(n)
-            if j > pivots[i] and j not in pivots
-        ]
-        for fill in itertools.product(range(p), repeat=len(free_cells)):
-            B = np.zeros((m, n), dtype=np.int64)
-            for i, pc in enumerate(pivots):
-                B[i, pc] = 1
-            for (i, j), v in zip(free_cells, fill):
-                B[i, j] = v
-            yield B, pivots
-
-
 def count_affine_subspaces(field: PrimeField, n: int, m: int) -> int:
     """Number of m-dimensional affine subspaces of k^n."""
     p = field.p
@@ -200,6 +185,142 @@ def count_affine_subspaces(field: PrimeField, n: int, m: int) -> int:
     return gb * p ** (n - m)
 
 
+# Largest block of points (bytes) that one growth step builds at once;
+# (parent, row) pairs are taken in chunks that keep under it.  It stays below
+# the C allocator's usual 128 KB mmap threshold: with 256 KB blocks a growth
+# left about 0.3 MB of heap resident after it returned.
+_CHUNK_BYTES = 2**16
+
+
+def _pivots(bx: Box, rows: np.ndarray) -> np.ndarray:
+    """Pivot column of each (nonzero) row, given by its box index: a row
+    with d base-p digits has its leading entry at column n - d."""
+    p, n = bx.field.p, bx.n
+    return n - 1 - np.searchsorted(p ** np.arange(1, n + 1, dtype=np.int64), rows, side="right")
+
+
+@dataclass(frozen=True)
+class _Flats:
+    """k-flats of a box in canonical form, one per entry, each held as box
+    indices: its base point (N,) and its RREF basis rows (N, k).  Index
+    order is lexicographic order of the coordinates."""
+
+    box: Box
+    base: np.ndarray
+    rows: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.base)
+
+    def inside(self, coeffs, level: int) -> np.ndarray:
+        """Mask of the flats inside {x : sum_i coeffs[i] x_i = level}."""
+        p = self.box.field.p
+        l = np.array([int(c) % p for c in coeffs], dtype=np.int64)
+
+        def values(idx):
+            return (self.box.decode(idx) * l % p).sum(axis=-1) % p
+
+        return (values(self.base) == level % p) & ~values(self.rows).any(axis=1)
+
+    def subspaces(self, keep=slice(None)) -> list[AffineSubspace]:
+        """The flats (those that keep selects) in (pivots, basis, base) order,
+        the order of a scan over pivot sets, then RREF fillings, then bases,
+        each lexicographic."""
+        bx = self.box
+        base, rows = self.base[keep], self.rows[keep]
+        order = np.lexsort(np.concatenate([_pivots(bx, rows), rows, base[:, None]], axis=1).T[::-1])
+        return [
+            AffineSubspace(bx.field, tuple(b), tuple(map(tuple, r)))
+            for b, r in zip(bx.decode(base[order]).tolist(), bx.decode(rows[order]).tolist())
+        ]
+
+
+def _grow(X: VarietyPoints, within: Hyperplane | None, budget: Budget):
+    """Yield the canonical k-flats inside X (and within the hyperplane, when
+    given) for k = 0, 1, 2, ...; the generator ends after an empty level.
+
+    A canonical k-flat (base, rows r_1..r_k) arises once, from the (k-1)-flat
+    (base, r_1..r_{k-1}): that one is canonical, lies in X, has its last
+    pivot before the pivot c of r_k, and is zero at column c in its base and
+    in every row.  So level k extends each such parent S' by rows b that are
+    zero before c, 1 at c and free after it, and tests only the new points
+    S' + t*b, t = 1..p-1.  The point base + b must itself be allowed, so the
+    b's of a parent are read off the allowed points that agree with its base
+    before c and are 1 at c: one index range of the sorted allowed points.
+    Level 0 is charged as the p^n box; level k, before it is built, as its
+    (parent, b) pairs times the p^k points of each candidate (the parent's
+    p^(k-1) rebuilt, the p^(k-1)(p-1) new ones tested), which also covers
+    the k+1 indices each kept flat stores.
+    """
+    bx = X.box
+    budget.charge(bx.size, "subspace enumeration")
+    allowed = X.indicator if within is None else X.indicator & within.indicator(bx)
+    pts = np.flatnonzero(allowed)
+    level = _Flats(bx, pts, np.zeros((len(pts), 0), dtype=np.int64))
+    while True:
+        yield level
+        if not len(level):
+            return
+        level = _extend(level, allowed, pts, budget)
+
+
+def _extend(level: _Flats, allowed: np.ndarray, pts: np.ndarray, budget: Budget) -> _Flats:
+    """The canonical (k+1)-flats inside the allowed points (indicator, and its
+    sorted indices pts), each from the one canonical k-flat in level it
+    extends (see _grow)."""
+    bx = level.box
+    p, n = bx.field.p, bx.n
+    N, k = level.rows.shape
+    places = p ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    last = _pivots(bx, level.rows[:, -1]) if k else np.full(N, -1)
+
+    def candidates(c: int):
+        """The parents that extend at column c and, for each, the range
+        start + [0, count) of pts that give its rows b."""
+        sel = np.flatnonzero((last < c) & (level.base // places[c] % p == 0) & ~(level.rows // places[c] % p).any(axis=1))
+        lo = level.base[sel] // (p * places[c]) * (p * places[c]) + places[c]  # the base before c, then 1
+        start = np.searchsorted(pts, lo)
+        return sel, start, np.searchsorted(pts, lo + places[c]) - start
+
+    s = p**k  # points of a parent
+    # candidates(c) runs again when column c is built, so no column's arrays
+    # (up to N words each) are held across all n columns
+    budget.charge(sum(int(candidates(c)[2].sum()) for c in range(n)) * s * p, "subspace enumeration")
+    params = np.arange(s, dtype=np.int64)[:, None] // p ** np.arange(k - 1, -1, -1, dtype=np.int64) % p  # (s, k)
+    t = np.arange(1, p, dtype=np.int64)[:, None, None]
+    cap = max(1, _CHUNK_BYTES // (p * s * max(n, 1) * 8))  # (parent, b) pairs per chunk
+    bases, rows = [np.zeros(0, dtype=np.int64)], [np.zeros((0, k + 1), dtype=np.int64)]
+    for c in range(n):
+        sel, start, counts = candidates(c)
+        ends = np.cumsum(counts)
+        before = ends - counts  # pairs of the parents ahead of each
+        i = 0
+        while i < len(sel):
+            j = max(i + 1, int(np.searchsorted(ends, before[i] + cap, side="right")))
+            par = np.repeat(sel[i:j], counts[i:j])
+            y = pts[np.repeat(start[i:j] - before[i:j], counts[i:j]) + np.arange(before[i], ends[j - 1])]
+            base = bx.decode(level.base[par])
+            b = (bx.decode(y) - base) % p
+            old = (base[:, None] + params @ bx.decode(level.rows[par])) % p  # (pairs, s, n)
+            ok = allowed[(old[:, None] + t * b[:, None, None]) % p @ places].all(axis=(1, 2))
+            bases.append(level.base[par[ok]])
+            rows.append(np.concatenate([level.rows[par[ok]], (b[ok] @ places)[:, None]], axis=1))
+            i = j
+    return _Flats(bx, np.concatenate(bases), np.concatenate(rows))
+
+
+def _level(X: VarietyPoints, levels, m: int) -> _Flats:
+    """The m-flats from a _grow generator over X (an empty level if growth
+    stops first).  No m-flat fits in k^n when m > n: then nothing is grown."""
+    if m < 0:
+        raise InputError(f"subspace dimension must be >= 0, got {m}")
+    if m > X.n:
+        return _Flats(X.box, np.zeros(0, dtype=np.int64), np.zeros((0, m), dtype=np.int64))
+    for k, flats in enumerate(levels):
+        if k == m or not len(flats):
+            return flats
+
+
 def enumerate_subspaces_in(
     X: VarietyPoints,
     m: int,
@@ -207,43 +328,8 @@ def enumerate_subspaces_in(
     budget: Budget | None = None,
 ) -> list[AffineSubspace]:
     """All m-dimensional affine subspaces fully contained in X (and in the
-    hyperplane, when given).  Canonical, deduplicated by construction."""
-    field = X.field
-    p = field.p
-    n = X.n
-    bx = X.box
-    candidates = count_affine_subspaces(field, n, m)
-    (budget or Budget()).charge(candidates * p**m, "subspace enumeration")
-
-    allowed = X.indicator
-    if within is not None:
-        allowed = allowed & within.indicator(bx)
-
-    if m == 0:
-        idxs = np.nonzero(allowed)[0]
-        return [AffineSubspace(field, bx.point_of(int(i)), ()) for i in idxs]
-
-    out: list[AffineSubspace] = []
-    params = np.array(list(itertools.product(range(p), repeat=m)), dtype=np.int64)
-    for B, pivots in _rref_direction_bases(field, n, m):
-        span = (params @ B) % p  # (p^m, n) offsets
-        free_cols = [j for j in range(n) if j not in pivots]
-        base_choices = itertools.product(range(p), repeat=len(free_cols))
-        bases = np.zeros((p ** len(free_cols), n), dtype=np.int64)
-        for r, vals in enumerate(base_choices):
-            for j, v in zip(free_cols, vals):
-                bases[r, j] = v
-        pts = bx.encode(bases[:, None, :] + span[None, :, :])  # (nbases, p^m)
-        ok = allowed[pts].all(axis=1)
-        for r in np.nonzero(ok)[0]:
-            out.append(
-                AffineSubspace(
-                    field,
-                    tuple(int(v) for v in bases[r]),
-                    tuple(tuple(int(v) for v in row) for row in B),
-                )
-            )
-    return out
+    hyperplane, when given), canonical, in (pivots, basis, base) order."""
+    return _level(X, _grow(X, within, budget or Budget()), m).subspaces()
 
 
 def _section(M: AffineSubspace, coeffs, level: int) -> AffineSubspace | None:
@@ -290,6 +376,18 @@ class SubspaceCensus:
         return Fraction(len(self.Y), len(self.Z))
 
 
+def _slice_and_extensions(X: VarietyPoints, coeffs, level: int, m: int, budget: Budget | None):
+    """The m-subspaces of X inside {x : sum_i coeffs[i] x_i = level}, in
+    (pivots, basis, base) order, and all (m+1)-subspaces of X (None, and not
+    grown, when the first list is empty).  One growth inside X gives both:
+    the first are the m-flats with l(base) = level and l(rows) = 0."""
+    levels = _grow(X, None, budget or Budget())
+    flats = _level(X, levels, m)
+    Ls = flats.subspaces(flats.inside(coeffs, level))
+    bigger = next(levels, None) if Ls else None
+    return Ls, bigger
+
+
 def census_extension(
     X: VarietyPoints,
     W: Hyperplane,
@@ -298,11 +396,9 @@ def census_extension(
 ) -> SubspaceCensus:
     """Classify m-subspaces of X cap W by extendability to an (m+1)-subspace
     of X that leaves W."""
-    budget = budget or Budget()
-    Z = enumerate_subspaces_in(X, m, within=W, budget=budget)
-    bigger = enumerate_subspaces_in(X, m + 1, budget=budget)
+    Z, bigger = _slice_and_extensions(X, W.coeffs, W.b, m, budget)
     # an M that leaves W meets it in one m-subspace or not at all
-    extendable = {_section(M, W.coeffs, W.b) for M in bigger}
+    extendable = {_section(M, W.coeffs, W.b) for M in bigger.subspaces()} if bigger else set()
     Y = tuple(L for L in Z if L not in extendable)
     return SubspaceCensus(m, tuple(Z), Y)
 
@@ -317,18 +413,14 @@ def line_plane_extension_fraction(
     """Fraction of m-subspaces of the level-b slice of X that extend to an
     (m+1)-subspace of X meeting the zero slice.  None when there are no
     m-subspaces at that level."""
-    budget = budget or Budget()
     p = X.field.p
-    level = Hyperplane(tuple(l_coeffs), b)
-    Ls = enumerate_subspaces_in(X, m, within=level, budget=budget)
+    Ls, bigger = _slice_and_extensions(X, l_coeffs, b, m, budget)
     if not Ls:
         return None
-    bigger = enumerate_subspaces_in(X, m + 1, budget=budget)
     # l not constant on M: M meets the zero level, and level b in one m-subspace
-    good = {_section(M, l_coeffs, b) for M in bigger}
-    if b % p == 0:  # an M inside the zero level extends every m-subspace it holds
-        zero = level.indicator(X.box)
-        inside = [M for M in bigger if zero[M.points(X.box)].all()]
+    good = {_section(M, l_coeffs, b) for M in bigger.subspaces()} if bigger else set()
+    if bigger and b % p == 0:  # an M inside the zero level extends every m-subspace it holds
+        inside = bigger.subspaces(bigger.inside(l_coeffs, 0))
         good.update(L for L in Ls if any(M.contains_subspace(L) for M in inside))
     hits = sum(1 for L in Ls if L in good)
     return Fraction(hits, len(Ls))
@@ -397,11 +489,11 @@ def kappa_fibers(
     n = family.n
     ncols = m + (0 if linear_only else 1)
     total_maps = p ** (n * ncols)
-    (budget or Budget()).charge(total_maps * p**m, "affine composition fibers")
+    mbox = box(field, m)
+    (budget or Budget()).charge(total_maps * family.c * mbox.size, "affine composition fibers")
 
     bx = box(field, n)
     vals = [bx.eval_poly(P) for P in family]
-    mbox = box(field, m)
 
     # The map index is [A | b] flattened row-major in base p, so its base-p^ncols
     # digit i is the row of output coordinate i, and phi(t)_i = row . (t, 1)
@@ -414,14 +506,26 @@ def kappa_fibers(
     idx = np.zeros((total_maps, mbox.size), dtype=np.int64)  # box index of phi(t)
     for i in range(n):
         idx += table[maps // sub ** (n - 1 - i) % sub] * p ** (n - 1 - i)
+    columns = [(ci, t) for ci in range(family.c) for t in range(mbox.size)]  # key order
 
-    keys = np.zeros((total_maps, family.c * mbox.size), dtype=np.int64)
-    for ci in range(family.c):
-        keys[:, ci * mbox.size : (ci + 1) * mbox.size] = vals[ci][idx]
+    def keys_at(rows) -> np.ndarray:
+        keys = np.empty((len(rows), len(columns)), dtype=np.int64)
+        for j, (ci, t) in enumerate(columns):
+            keys[:, j] = vals[ci][idx[rows, t]]
+        return keys
 
-    fibers: dict = {}
-    for row in map(tuple, keys):
-        fibers[row] = fibers.get(row, 0) + 1
+    if p ** len(columns) < 2**63:
+        # a key's base-p digits as one integer: one sort finds every fiber
+        code = np.zeros(total_maps, dtype=np.int64)
+        for ci, t in columns:
+            code = code * p + vals[ci][idx[:, t]]
+        _, first, counts = np.unique(code, return_index=True, return_counts=True)
+        seen = np.argsort(first)  # fibers in the order their first map comes
+        fibers = dict(zip(map(tuple, keys_at(first[seen])), counts[seen].tolist()))
+    else:
+        fibers = {}
+        for row in map(tuple, keys_at(maps)):
+            fibers[row] = fibers.get(row, 0) + 1
 
     total_targets = 1
     for d in family.degrees:

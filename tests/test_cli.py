@@ -112,6 +112,18 @@ def test_cli_census_and_points(capsys):
     assert json.loads(out)["count"] == 13
 
 
+def test_cli_census_reads_large_coefficients_mod_p(capsys):
+    # 3 * 2^62 + 1 and 2^62 + 2 are 1 and 0 mod 3, past int64 and near 2^62
+    outs = []
+    for spec in ("1,0,0,0:0", f"{3 * 2**62 + 1},{2**62 + 2},0,0:{3 * 2**70}"):
+        code, out, _ = run_cli(
+            capsys, "census", "--family", "xn:d=2,n=2,q=3", "--m", "1", "--hyperplane", spec
+        )
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
+
+
 def test_cli_census_rejects_zero_functional(capsys):
     for spec in ("0,0,0,0:0", "3,0,-6,0:1"):
         code, out, err = run_cli(

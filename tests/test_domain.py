@@ -43,8 +43,20 @@ def test_whole_box_eval_matches_pointwise_and_indexed(P):
     whole = bx.eval_poly(P)
     assert whole.tolist() == oracle
     assert np.array_equal(whole, bx.eval_poly(P, np.arange(bx.size, dtype=np.int64)))
-    # the transform itself, also at n = 1, where eval_poly takes the term loop
+    # the transform itself, also at n = 1, where eval_poly takes Horner's rule
     assert bx._eval_transform(P).tolist() == oracle
+
+
+@pytest.mark.parametrize("p", [257, 10007])
+def test_univariate_horner_matches_term_loop(p):
+    # exponents past p, repeated and distinct gaps, a constant term or none
+    rng = np.random.default_rng(p)
+    bx = Box(PrimeField(p), 1)
+    for size in (1, 2, 7, 40):
+        exps = rng.choice(3 * p, size=size, replace=False)
+        P = MultiPoly(bx.field, 1, {(int(e),): int(c) for e, c in zip(exps, rng.integers(1, p, size=size))})
+        assert np.array_equal(bx.eval_poly(P), bx._eval_terms(P, bx.digits()))
+    assert not bx.eval_poly(MultiPoly.zero(bx.field, 1)).any()
 
 
 def test_transform_builds_only_the_powers_that_occur(monkeypatch):

@@ -4,9 +4,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from rankforge import MultiPoly, PolyFamily, PrimeField, random_poly, restrict
+from rankforge import Budget, BudgetExceededError, MultiPoly, PolyFamily, PrimeField, random_poly, restrict
 from rankforge.domain import Box, box
+from rankforge.errors import InputError
 from rankforge.explicit import ExplicitVariety
 from rankforge.geometry import (
     AffineSubspace,
@@ -79,6 +82,161 @@ def test_every_returned_subspace_lies_in_variety():
     X = enumerate_points(quadric_f3())
     for L in enumerate_subspaces_in(X, 1):
         assert X.indicator[L.points(X.box)].all()
+
+
+def _rref_direction_bases(field, n, m):
+    """Every m-dimensional linear subspace of k^n, one RREF basis each."""
+    p = field.p
+    if m == 0:
+        yield np.zeros((0, n), dtype=np.int64), ()
+        return
+    for pivots in itertools.combinations(range(n), m):
+        free_cells = [(i, j) for i in range(m) for j in range(n) if j > pivots[i] and j not in pivots]
+        for fill in itertools.product(range(p), repeat=len(free_cells)):
+            B = np.zeros((m, n), dtype=np.int64)
+            for i, pc in enumerate(pivots):
+                B[i, pc] = 1
+            for (i, j), v in zip(free_cells, fill):
+                B[i, j] = v
+            yield B, pivots
+
+
+def scan_subspaces_in(X, m, within=None):
+    """The m-subspaces inside X (and within) by testing every canonical affine
+    subspace of k^n, in scan order: pivot sets, then RREF fillings, then bases."""
+    field, p, n, bx = X.field, X.field.p, X.n, X.box
+    allowed = X.indicator if within is None else X.indicator & within.indicator(bx)
+    if m == 0:
+        return [AffineSubspace(field, bx.point_of(int(i)), ()) for i in np.nonzero(allowed)[0]]
+    out = []
+    params = np.array(list(itertools.product(range(p), repeat=m)), dtype=np.int64)
+    for B, pivots in _rref_direction_bases(field, n, m):
+        span = (params @ B) % p
+        free_cols = [j for j in range(n) if j not in pivots]
+        bases = np.zeros((p ** len(free_cols), n), dtype=np.int64)
+        for r, vals in enumerate(itertools.product(range(p), repeat=len(free_cols))):
+            bases[r, free_cols] = vals
+        ok = allowed[bx.encode(bases[:, None, :] + span[None, :, :])].all(axis=1)
+        for r in np.nonzero(ok)[0]:
+            out.append(AffineSubspace(field, tuple(int(v) for v in bases[r]), tuple(tuple(int(v) for v in row) for row in B)))
+    return out
+
+
+@st.composite
+def point_sets(draw):
+    """(X, hyperplane or None, m): X a random point set of F_p^n, rich in flats
+    (dense random subsets, unions of two hyperplanes, quadrics in fewer
+    variables, unions of random flats) or poor in them (random quadrics, the
+    empty set).  Shapes come
+    from a drawn seed, so n, m and the kind of X are spread evenly."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    field = rng.choice((F2, F3, F5))
+    n = rng.randint(0, 5 if field.p == 2 else 4)
+    m = rng.randint(0, min(3, n + 1))  # m = n + 1 > n: nothing to find
+    kinds = ("dense", "flats", "empty", "two hyperplanes", "low-rank quadric", "quadric")
+    kind = rng.choice(kinds[:3] if n == 0 else kinds)
+    zero = PolyFamily([MultiPoly.zero(field, n)])
+    bx = box(field, n)
+    if kind == "dense":
+        keep = rng.choice((0.8, 0.95, 1.0))
+        X = VarietyPoints(zero, [i for i in range(bx.size) if rng.random() < keep])
+    elif kind == "flats":  # a few random flats and points
+        flats = [
+            AffineSubspace.from_span(field, [rng.randrange(field.p) for _ in range(n)], [[rng.randrange(field.p) for _ in range(n)] for _ in range(rng.randint(0, min(n, 3)))])
+            for _ in range(rng.randint(1, 4))
+        ]
+        X = VarietyPoints(zero, np.unique(np.concatenate([F.points(bx) for F in flats] + [[rng.randrange(bx.size) for _ in range(3)]])))
+    elif kind == "empty":
+        X = VarietyPoints(zero, [])
+    elif kind == "two hyperplanes":
+        X = enumerate_points(PolyFamily([random_poly(field, n, 1, rng) * random_poly(field, n, 1, rng)]))
+    elif kind == "low-rank quadric":
+        k = rng.randint(1, n)
+        Q = random_poly(field, k, 2, rng)
+        X = enumerate_points(PolyFamily([MultiPoly(field, n, {e + (0,) * (n - k): c for e, c in Q.terms.items()})]))
+    else:
+        X = enumerate_points(PolyFamily([random_poly(field, n, 2, rng)]))
+    coeffs = tuple(rng.randrange(field.p) for _ in range(n))
+    within = Hyperplane(coeffs, rng.randrange(field.p)) if any(coeffs) and rng.random() < 0.5 else None
+    return X, within, m
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(point_sets())
+def test_growth_matches_scan(case):
+    X, within, m = case
+    assert enumerate_subspaces_in(X, m, within=within) == scan_subspaces_in(X, m, within)
+
+
+@pytest.mark.parametrize(
+    "X, m",
+    [
+        (VarietyPoints(PolyFamily([MultiPoly.zero(F3, 0)]), [0]), 0),  # n = 0: the one point
+        (VarietyPoints(PolyFamily([MultiPoly.zero(F3, 0)]), [0]), 1),
+        (VarietyPoints(PolyFamily([MultiPoly.zero(F3, 0)]), []), 0),
+        (VarietyPoints(PolyFamily([MultiPoly.zero(F2, 3)]), range(8)), 3),  # all of k^n
+        (VarietyPoints(PolyFamily([MultiPoly.zero(F2, 3)]), range(8)), 4),  # m > n
+        (VarietyPoints(PolyFamily([MultiPoly.zero(F5, 2)]), []), 1),  # empty X
+    ],
+)
+def test_growth_edges(X, m):
+    found = enumerate_subspaces_in(X, m)
+    assert found == scan_subspaces_in(X, m)
+    assert len(found) == (count_affine_subspaces(X.field, X.n, m) if len(X) == X.box.size and m <= X.n else 0)
+
+
+def test_negative_dimension_is_an_input_error():
+    with pytest.raises(InputError):
+        enumerate_subspaces_in(enumerate_points(xy_f3()), -1)
+
+
+def _recording_budget(charges, limit=10**8):
+    class Recording(Budget):
+        def charge(self, estimate, what=""):
+            charges.append(estimate)
+            super().charge(estimate, what)
+
+    return Recording(limit)
+
+
+def test_growth_charges_each_level_before_building_it():
+    # level 0 costs the box; level k costs, for every (k-1)-flat S' of X and
+    # column c past its last pivot where S' is zero, each allowed point y that
+    # agrees with the base of S' before c and is 1 at c (the row b = y - base)
+    # times the p^k points of S' + span(b)
+    X = enumerate_points(quadric_f3())
+    p, n = 3, X.n
+    points = [X.box.point_of(int(i)) for i in X.indices]
+    expected = [p**n]
+    for k in (1, 2):
+        total = 0
+        for S in scan_subspaces_in(X, k - 1):
+            last = S.basis[-1].index(1) if S.basis else -1
+            for c in range(last + 1, n):
+                if S.base[c] == 0 and all(row[c] == 0 for row in S.basis):
+                    total += sum(1 for y in points if y[:c] == S.base[:c] and y[c] == 1) * p**k
+        expected.append(total)
+    charges = []
+    assert enumerate_subspaces_in(X, 2, budget=_recording_budget(charges)) == scan_subspaces_in(X, 2)
+    assert charges == expected
+    with pytest.raises(BudgetExceededError):
+        enumerate_subspaces_in(X, 2, budget=Budget(max(expected) - 1))
+
+
+def test_growth_in_all_of_k_n_charges_every_level():
+    # X = k^n: level k holds every k-flat of k^n, each made from one pair, so
+    # reaching m = n charges every level below it; m = n + 1 grows nothing
+    full = VarietyPoints(PolyFamily([MultiPoly.zero(F3, 4)]), range(81))
+    charges = []
+    assert enumerate_subspaces_in(full, 4, budget=_recording_budget(charges)) == scan_subspaces_in(full, 4)
+    assert charges == [81] + [count_affine_subspaces(F3, 4, k) * 3**k for k in range(1, 5)]
+    charges.clear()
+    assert enumerate_subspaces_in(full, 5, budget=_recording_budget(charges)) == []
+    assert census_extension(full, Hyperplane((1, 0, 0, 0), 0), 5, budget=_recording_budget(charges)).Z == ()
+    assert charges == []
+    # a level past the budget is refused before it is built
+    with pytest.raises(BudgetExceededError):
+        enumerate_subspaces_in(full, 4, budget=Budget(count_affine_subspaces(F3, 4, 2) * 9 - 1))
 
 
 def test_line_count_in_full_space():
@@ -230,6 +388,34 @@ def test_kappa_fibers_match_digit_table_and_build_none(monkeypatch, family, m, l
     assert stats.mass() == stats.total_maps
 
 
+def test_kappa_code_path_matches_dict_fallback(monkeypatch):
+    # over F_3 with m = 1 a key has 3c digits: 3^39 < 2^63 <= 3^42, so 13
+    # members take the integer codes and 14 (the 13 and a copy of the first)
+    # the dict loop; the 14-member keys are the 13-member keys plus the
+    # first member's 3 values, in the same first-seen order
+    rng = random.Random(5)
+    polys = [random_poly(F3, 2, 2, rng) for _ in range(13)]
+    sorts = []
+    unique = np.unique
+    monkeypatch.setattr(np, "unique", lambda *a, **k: sorts.append(1) or unique(*a, **k))
+    coded = kappa_fibers(PolyFamily(polys), 1)
+    assert sorts == [1]
+    looped = kappa_fibers(PolyFamily(polys + polys[:1]), 1)
+    assert sorts == [1]
+    assert list(looped.fibers.items()) == [(key + key[:3], count) for key, count in coded.fibers.items()]
+    assert list(coded.fibers.items()) == list(kappa_fibers_by_digit_table(PolyFamily(polys), 1).items())
+    assert list(coded.fibers) != sorted(coded.fibers)  # first-seen order is not the sorted order here
+
+
+def test_kappa_charges_every_member_of_the_family():
+    # total_maps * c * p^m: the key (or code) work grows with the family size c
+    fam = PolyFamily(list(quadric_f3().polys) * 2)
+    need = 3 ** (4 * 2) * 2 * 3
+    assert kappa_fibers(fam, 1, budget=Budget(need)).mass() == 3 ** (4 * 2)
+    with pytest.raises(BudgetExceededError):
+        kappa_fibers(fam, 1, budget=Budget(need - 1))
+
+
 def test_kappa_homogeneous_linear_maps():
     stats = kappa_fibers(quadric_f3(), 1, linear_only=True)
     assert stats.mass() == 3**4
@@ -321,8 +507,8 @@ def test_census_extension_matches_brute_force():
             w_ind = W.indicator(X.box)
             for m in (0, 1):
                 cen = census_extension(X, W, m)
-                leaving = [M for M in enumerate_subspaces_in(X, m + 1) if not w_ind[M.points(X.box)].all()]
-                Z = enumerate_subspaces_in(X, m, within=W)
+                leaving = [M for M in scan_subspaces_in(X, m + 1) if not w_ind[M.points(X.box)].all()]
+                Z = scan_subspaces_in(X, m, W)
                 Y = [L for L in Z if not any(M.contains_subspace(L) for M in leaving)]
                 assert list(cen.Z) == Z
                 assert list(cen.Y) == Y
@@ -334,11 +520,27 @@ def test_line_plane_extension_fraction_matches_brute_force():
         vals = Hyperplane(coeffs, 0).values(X.box)
         for b in range(X.field.p):
             for m in (0, 1):
-                Ls = enumerate_subspaces_in(X, m, within=Hyperplane(coeffs, b))
-                meeting = [M for M in enumerate_subspaces_in(X, m + 1) if (vals[M.points(X.box)] == 0).any()]
+                Ls = scan_subspaces_in(X, m, Hyperplane(coeffs, b))
+                meeting = [M for M in scan_subspaces_in(X, m + 1) if (vals[M.points(X.box)] == 0).any()]
                 hits = sum(1 for L in Ls if any(M.contains_subspace(L) for M in meeting))
                 expected = Fraction(hits, len(Ls)) if Ls else None
                 assert line_plane_extension_fraction(X, coeffs, b, m) == expected
+
+
+def test_census_reduces_large_hyperplane_coefficients():
+    # coefficients past int64 (and near 2^62, where an int64 dot product
+    # wraps) act through their residues mod p
+    big = 2**62
+    for X, coeffs in _random_small_varieties(13, 12):
+        p = X.field.p
+        lifted = tuple(c + p * (big // p + i) for i, c in enumerate(coeffs))
+        huge = tuple(c + p**41 for c in coeffs)
+        for b in range(p):
+            for m in (0, 1):
+                cen = census_extension(X, Hyperplane(coeffs, b), m)
+                for cs in (lifted, huge):
+                    assert census_extension(X, Hyperplane(cs, b + p * big), m) == cen
+                    assert line_plane_extension_fraction(X, cs, b - p * big, m) == line_plane_extension_fraction(X, coeffs, b, m)
 
 
 def test_section_is_canonical_and_exact():

@@ -5,10 +5,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rankforge import AffineMap, Budget, BudgetExceededError, InputError, MultiPoly, PolyFamily, PrimeField, multilinear_form, random_poly
 from rankforge import rank
-from rankforge.linalg import solve_mod
+from rankforge.linalg import rank_mod, solve_mod
 from rankforge.poly import MultilinearForm
 from rankforge.rank import (
     check_rank_axioms,
@@ -88,20 +90,16 @@ def test_partition_rank_examples():
     assert partition_rank(Z, 2).value == 0
 
 
-def test_partition_rank_equals_matrix_rank_bilinear():
-    import numpy as np
-
-    from rankforge.linalg import rank_mod
-
-    rng = random.Random(4)
-    for _ in range(25):
-        n1, n2 = rng.choice(((2, 2), (2, 3), (3, 3)))
-        entries = {(i, j): rng.randrange(2) for i in range(n1) for j in range(n2)}
-        M = np.array([[entries[(i, j)] for j in range(n2)] for i in range(n1)], dtype=np.int64)
-        T = bilinear(F2, n1, n2, {k: v for k, v in entries.items() if v})
-        expect = rank_mod(M, 2)
-        got = partition_rank(T, min(n1, n2), budget=None).value
-        assert got == expect if expect > 0 else got == 0
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_partition_rank_equals_matrix_rank_bilinear(data):
+    # a bilinear form x^T M y has partition rank rank(M): its only
+    # bipartition is ({x}, {y}), so each factor pair is one rank-one matrix
+    p = data.draw(st.sampled_from([2, 3, 5]))
+    n1, n2 = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    M = np.array(data.draw(st.lists(st.integers(0, p - 1), min_size=n1 * n2, max_size=n1 * n2)), dtype=np.int64).reshape(n1, n2)
+    T = bilinear(PrimeField(p), n1, n2, {(i, j): int(M[i, j]) for i in range(n1) for j in range(n2) if M[i, j]})
+    assert partition_rank(T, min(n1, n2)).value == rank_mod(M, p)
 
 
 def test_nc_rank_of_x1x2():
