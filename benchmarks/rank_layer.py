@@ -151,8 +151,8 @@ def _eager_block(row_of: dict, q_terms, monos_r, q: int) -> np.ndarray:
 
 def eager_schmidt(P: MultiPoly, *rest, **kwargs) -> list[np.ndarray]:
     d, q = P.degree(), P.field.p
-    factor_monos = rank._monomials_upto(P.n, d - 1)
-    row_of = {m: i for i, m in enumerate(rank._monomials_upto(P.n, 2 * (d - 1)))}
+    factor_monos = poly.monomials(P.n, d - 1)
+    row_of = {m: i for i, m in enumerate(poly.monomials(P.n, 2 * (d - 1)))}
     qvecs = list(rank._normalized_vectors(q, len(factor_monos)))
     return [_eager_block(row_of, [(m, c) for m, c in zip(factor_monos, vec) if c], factor_monos, q) for vec in qvecs]
 

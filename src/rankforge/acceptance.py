@@ -34,7 +34,7 @@ from .geometry import (
 from .gf import PrimeField
 from .linalg import rank_mod
 from .nullsatz import ideal_membership, rough_bound_check, vanishing_vs_ideal_dims
-from .poly import AffineMap, MultilinearForm, MultiPoly, PolyFamily, random_poly
+from .poly import AffineMap, MultilinearForm, MultiPoly, PolyFamily, monomials, random_poly
 from .rank import partition_rank, prank_lower_bound_from_bias, schmidt_rank
 from .runtime import Budget, ParallelContext
 from .weakpoly import FunctionOnX, extend_by_solve, star_check, weak_space
@@ -456,34 +456,19 @@ def _rank_steps(A: np.ndarray) -> int:
 def crit_grid_vanishing(budget: Budget, ctx: ParallelContext):
     F7 = PrimeField(7)
     delta = F7.delta_subgroup(6)
-    payload = {}
-    ok = True
-    for N in (1, 2):
-        monos = [m for m in itertools.product(range(5), repeat=N) if sum(m) <= 4]
-        pts = list(itertools.product(delta.elements, repeat=N))
-        A = np.zeros((len(pts), len(monos)), dtype=np.int64)
-        for r, pt in enumerate(pts):
-            for c, m in enumerate(monos):
-                v = 1
-                for x, e in zip(pt, m):
-                    v = v * pow(x, e, 7) % 7
-                A[r, c] = v
+
+    def evaluation_rank(N: int, pts: list) -> list[int]:
+        """[#monomials of degree <= 4 in N variables, rank of their values at pts]."""
+        bx = box(F7, N)
+        A = bx.monomial_matrix(monomials(N, 4), bx.encode(pts))
         budget.charge(_rank_steps(A), "evaluation-matrix rank")
-        rk = rank_mod(A, 7)
-        payload[f"cube_N{N}"] = [len(monos), rk]
-        ok &= rk == len(monos)
+        return [A.shape[1], rank_mod(A, 7)]
+
+    payload = {f"cube_N{N}": evaluation_rank(N, list(itertools.product(delta.elements, repeat=N))) for N in (1, 2)}
     # triangular grid from 5 distinct points, degree <= 4 in 2 variables
     anchors = [0, 1, 2, 3, 4]
-    pts = [(anchors[t1], anchors[t2]) for t1 in range(5) for t2 in range(t1 + 1)]
-    monos = [m for m in itertools.product(range(5), repeat=2) if sum(m) <= 4]
-    A = np.zeros((len(pts), len(monos)), dtype=np.int64)
-    for r, pt in enumerate(pts):
-        for c, m in enumerate(monos):
-            A[r, c] = pow(pt[0], m[0], 7) * pow(pt[1], m[1], 7) % 7
-    budget.charge(_rank_steps(A), "evaluation-matrix rank")
-    rk = rank_mod(A, 7)
-    payload["simplex"] = [len(monos), rk]
-    ok &= rk == len(monos)
+    payload["simplex"] = evaluation_rank(2, [(anchors[t1], anchors[t2]) for t1 in range(5) for t2 in range(t1 + 1)])
+    ok = all(rk == cols for cols, rk in payload.values())
     return ok, f"evaluation ranks {payload}", payload
 
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import InputError
 from .explicit import ExplicitVariety
-from .geometry import VarietyPoints, enumerate_points
+from .geometry import Hyperplane, VarietyPoints, enumerate_points
 from .gf import PrimeField
 from .poly import MultiPoly, PolyFamily
 from .weakpoly import FunctionOnX
@@ -129,8 +129,6 @@ def parse_poly_arg(arg: str) -> MultiPoly:
 
 def parse_hyperplane(arg: str, field: PrimeField, n: int):
     """Format: \"c1,c2,...,cn:b\", with some c_i nonzero mod p."""
-    from .geometry import Hyperplane
-
     try:
         coeff_part, b_part = arg.split(":")
         coeffs = tuple(int(v) for v in coeff_part.split(","))

@@ -14,19 +14,20 @@ transform).  That takes sum_i k_i * p^n multiply-adds, k_i <= p the number
 of distinct exponents of x_i in P, and builds no digit table.  Over the whole
 box when n = 1, where the p x k_0 Vandermonde block can be p times the box,
 it runs Horner's rule over P's exponents on the p field elements.  At given
-indices it evaluates term by term on rows of the cached (p^n, n) digit table.
+indices it decodes their coordinates and evaluates term by term; no digit
+table of the box is kept.  `Box.monomial_matrix` reads the columns x^m of a
+monomial basis off the same decoded coordinates.
 """
 
 from __future__ import annotations
 
 import collections
 import itertools
-import threading
 
 import numpy as np
 
 from .gf import PrimeField
-from .poly import MultiPoly, Point
+from .poly import Monomial, MultiPoly, Point
 
 
 def _powers(p: int, exps: list[int]) -> np.ndarray:
@@ -53,26 +54,14 @@ class Box:
         self.field = field
         self.n = n
         self.size = field.p**n
-        self._digits: np.ndarray | None = None
-        self._digits_lock = threading.Lock()
         self._places = np.array(
             [field.p ** (n - 1 - i) for i in range(n)], dtype=np.int64
         )
 
     def digits(self) -> np.ndarray:
         """(size, n) array of coordinates; row i is the point with index i.
-
-        Built once per box, also when several threads ask for it at once.
-        """
-        with self._digits_lock:
-            if self._digits is None:
-                p, n = self.field.p, self.n
-                idx = np.arange(self.size, dtype=np.int64)
-                D = np.empty((self.size, n), dtype=np.int64)
-                for i in range(n):
-                    D[:, i] = (idx // self._places[i]) % p
-                self._digits = D
-        return self._digits
+        Built afresh on each call."""
+        return self.decode(np.arange(self.size, dtype=np.int64))
 
     def encode(self, coords: np.ndarray) -> np.ndarray:
         """Map an (..., n) coordinate array to point indices."""
@@ -101,7 +90,26 @@ class Box:
             return self._eval_horner(P)
         if indices is None and self.field.p**3 < 2**63:
             return self._eval_transform(P)
-        return self._eval_terms(P, self.digits() if indices is None else self.digits()[indices])
+        return self._eval_terms(P, self.digits() if indices is None else self.decode(indices))
+
+    def monomial_matrix(self, monos: list[Monomial], indices: np.ndarray) -> np.ndarray:
+        """(len(indices), len(monos)) matrix of x^m mod p, 0^0 = 1, at the
+        points with the given indices.
+
+        Formal exponents (>= p) are allowed: x^e = x^((e-1) mod (p-1) + 1)
+        for e >= 1 holds at every x in F_p, so no power above p - 1 is built.
+        """
+        p = self.field.p
+        X = self.decode(indices)
+        E = np.array(monos, dtype=np.int64).reshape(len(monos), self.n)
+        E = np.where(E > 0, (E - 1) % (p - 1) + 1, 0)
+        out = np.ones((len(X), len(monos)), dtype=np.int64)
+        for i in range(self.n):
+            powers = np.ones((len(X), E[:, i].max(initial=0) + 1), dtype=np.int64)
+            for e in range(1, powers.shape[1]):
+                powers[:, e] = powers[:, e - 1] * X[:, i] % p
+            out = out * powers[:, E[:, i]] % p
+        return out
 
     def _eval_horner(self, P: MultiPoly) -> np.ndarray:
         """Values of a univariate P at x = 0, ..., p-1 by Horner's rule over its

@@ -30,7 +30,7 @@ import numpy as np
 
 from .analytic import ExactMagnitude, bias, histogram_of_poly
 from .domain import box
-from .errors import InputError, NotAdmissibleError, VerificationError
+from .errors import BudgetExceededError, InputError, NotAdmissibleError, VerificationError
 from .gf import DeltaSubgroup, PrimeField
 from .geometry import VarietyPoints, enumerate_points
 from .poly import MultiPoly, PolyFamily, interpolate_grid, multilinear_form
@@ -149,8 +149,6 @@ def nc_rank_growth_check(
     """Bias decay table for the family: the diagonal restriction evaluates to
     t^n exactly; the full-domain bias of the difference form must not exceed
     it.  Budget refusal leaves the full column empty, never fails."""
-    from .errors import BudgetExceededError
-
     budget = budget or Budget()
     t = mu_bias(d, field, budget)
     # bias of the product form is real and rational

@@ -29,8 +29,8 @@ import numpy as np
 from .domain import Box, box
 from .errors import InputError, VerificationError
 from .gf import PrimeField
-from .linalg import rref_mod
-from .poly import AffineMap, MultiPoly, Point, PolyFamily, interpolate_grid
+from .linalg import rank_mod, rref_mod
+from .poly import AffineMap, MultiPoly, Point, PolyFamily, interpolate_grid, monomials
 from .runtime import SERIAL, Budget, ParallelContext
 
 
@@ -169,8 +169,6 @@ class AffineSubspace:
         if other.dim > self.dim:
             return False
         B = np.array(self.basis, dtype=np.int64).reshape(self.dim, self.n)
-        from .linalg import rank_mod
-
         base_diff = (np.array(other.base, dtype=np.int64) - np.array(self.base, dtype=np.int64)) % p
         stacked = np.concatenate([B, base_diff[None, :], np.array(other.basis, dtype=np.int64).reshape(other.dim, self.n)])
         return rank_mod(stacked, p) == rank_mod(B, p)
@@ -222,12 +220,15 @@ class _Flats:
 
         return (values(self.base) == level % p) & ~values(self.rows).any(axis=1)
 
-    def subspaces(self, keep=slice(None)) -> list[AffineSubspace]:
+    def subspaces(self, budget: Budget, keep=slice(None)) -> list[AffineSubspace]:
         """The flats (those that keep selects) in (pivots, basis, base) order,
         the order of a scan over pivot sets, then RREF fillings, then bases,
-        each lexicographic."""
+        each lexicographic.  A nonempty list is charged before it is built
+        as the (k+1)(n+1) words of each flat's k+1 coordinate tuples."""
         bx = self.box
         base, rows = self.base[keep], self.rows[keep]
+        if len(base):
+            budget.charge(len(base) * (rows.shape[1] + 1) * (bx.n + 1), "subspace list")
         order = np.lexsort(np.concatenate([_pivots(bx, rows), rows, base[:, None]], axis=1).T[::-1])
         return [
             AffineSubspace(bx.field, tuple(b), tuple(map(tuple, r)))
@@ -329,7 +330,8 @@ def enumerate_subspaces_in(
 ) -> list[AffineSubspace]:
     """All m-dimensional affine subspaces fully contained in X (and in the
     hyperplane, when given), canonical, in (pivots, basis, base) order."""
-    return _level(X, _grow(X, within, budget or Budget()), m).subspaces()
+    budget = budget or Budget()
+    return _level(X, _grow(X, within, budget), m).subspaces(budget)
 
 
 def _section(M: AffineSubspace, coeffs, level: int) -> AffineSubspace | None:
@@ -376,14 +378,14 @@ class SubspaceCensus:
         return Fraction(len(self.Y), len(self.Z))
 
 
-def _slice_and_extensions(X: VarietyPoints, coeffs, level: int, m: int, budget: Budget | None):
+def _slice_and_extensions(X: VarietyPoints, coeffs, level: int, m: int, budget: Budget):
     """The m-subspaces of X inside {x : sum_i coeffs[i] x_i = level}, in
     (pivots, basis, base) order, and all (m+1)-subspaces of X (None, and not
     grown, when the first list is empty).  One growth inside X gives both:
     the first are the m-flats with l(base) = level and l(rows) = 0."""
-    levels = _grow(X, None, budget or Budget())
+    levels = _grow(X, None, budget)
     flats = _level(X, levels, m)
-    Ls = flats.subspaces(flats.inside(coeffs, level))
+    Ls = flats.subspaces(budget, flats.inside(coeffs, level))
     bigger = next(levels, None) if Ls else None
     return Ls, bigger
 
@@ -396,9 +398,10 @@ def census_extension(
 ) -> SubspaceCensus:
     """Classify m-subspaces of X cap W by extendability to an (m+1)-subspace
     of X that leaves W."""
+    budget = budget or Budget()
     Z, bigger = _slice_and_extensions(X, W.coeffs, W.b, m, budget)
     # an M that leaves W meets it in one m-subspace or not at all
-    extendable = {_section(M, W.coeffs, W.b) for M in bigger.subspaces()} if bigger else set()
+    extendable = {_section(M, W.coeffs, W.b) for M in bigger.subspaces(budget)} if bigger else set()
     Y = tuple(L for L in Z if L not in extendable)
     return SubspaceCensus(m, tuple(Z), Y)
 
@@ -414,13 +417,14 @@ def line_plane_extension_fraction(
     (m+1)-subspace of X meeting the zero slice.  None when there are no
     m-subspaces at that level."""
     p = X.field.p
+    budget = budget or Budget()
     Ls, bigger = _slice_and_extensions(X, l_coeffs, b, m, budget)
     if not Ls:
         return None
     # l not constant on M: M meets the zero level, and level b in one m-subspace
-    good = {_section(M, l_coeffs, b) for M in bigger.subspaces()} if bigger else set()
+    good = {_section(M, l_coeffs, b) for M in bigger.subspaces(budget)} if bigger else set()
     if bigger and b % p == 0:  # an M inside the zero level extends every m-subspace it holds
-        inside = bigger.subspaces(bigger.inside(l_coeffs, 0))
+        inside = bigger.subspaces(budget, bigger.inside(l_coeffs, 0))
         good.update(L for L in Ls if any(M.contains_subspace(L) for M in inside))
     hits = sum(1 for L in Ls if L in good)
     return Fraction(hits, len(Ls))
@@ -468,9 +472,7 @@ class FiberStats:
 
 
 def _target_count(field: PrimeField, m: int, d: int) -> int:
-    p = field.p
-    monos = [e for e in itertools.product(range(min(p, d + 1)), repeat=m) if sum(e) <= d]
-    return p ** len(monos)
+    return field.p ** len(monomials(m, d, cap=field.p - 1))
 
 
 def kappa_fibers(
@@ -558,7 +560,7 @@ def missed_targets(family: PolyFamily, stats: FiberStats, cap: int = 100000) -> 
         raise InputError(f"target space too large to list ({stats.total_targets} > {cap})")
     per_i_targets = []
     for d in family.degrees:
-        monos = [e for e in itertools.product(range(min(p, d + 1)), repeat=m) if sum(e) <= d]
+        monos = sorted(monomials(m, d, cap=p - 1))  # lexicographic: the order targets are listed in
         polys = []
         for coeffs in itertools.product(range(p), repeat=len(monos)):
             R = MultiPoly(field, m, {mo: c for mo, c in zip(monos, coeffs) if c})

@@ -10,7 +10,6 @@ out the same points.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,23 +18,8 @@ from .errors import InputError, VerificationError
 from .geometry import VarietyPoints, enumerate_points
 from .gf import PrimeField
 from .linalg import check_dual_certificate, rank_mod, solve_mod
-from .poly import MultiPoly, PolyFamily
+from .poly import MultiPoly, PolyFamily, monomials, product_matrix
 from .runtime import Budget
-
-
-def formal_monomials(n: int, e: int) -> list[tuple[int, ...]]:
-    """All exponent tuples of total degree <= e (no per-variable cap)."""
-    if e < 0:
-        return []
-    monos = []
-    for total in range(e + 1):
-        for combo in itertools.combinations_with_replacement(range(n), total):
-            m = [0] * n
-            for i in combo:
-                m[i] += 1
-            monos.append(tuple(m))
-    monos.sort(key=lambda m: (sum(m), m))
-    return monos
 
 
 @dataclass
@@ -82,29 +66,20 @@ def ideal_membership(
     p = family.field.p
     n = family.n
 
-    col_monos: list[tuple[int, list]] = []
-    for i, cap in enumerate(cofactor_caps):
-        col_monos.append((i, formal_monomials(n, cap)))
+    col_monos = [monomials(n, cap) for cap in cofactor_caps]
 
     # rows: every monomial reachable by a product, plus R's support
     row_set = set(R.terms)
-    for i, monos in col_monos:
+    for P, monos in zip(family.polys, col_monos):
         for m in monos:
-            for mp in family.polys[i].terms:
+            for mp in P.terms:
                 row_set.add(tuple(a + b for a, b in zip(m, mp)))
     rows = sorted(row_set, key=lambda m: (sum(m), m))
     row_of = {m: r for r, m in enumerate(rows)}
-    ncols = sum(len(monos) for _, monos in col_monos)
+    ncols = sum(map(len, col_monos))
     (budget or Budget()).charge(max(len(rows) * max(ncols, 1), 1), "membership solve")
 
-    A = np.zeros((len(rows), ncols), dtype=np.int64)
-    col = 0
-    for i, monos in col_monos:
-        Pi = family.polys[i]
-        for m in monos:
-            for mp, c in Pi.terms.items():
-                A[row_of[tuple(a + b for a, b in zip(m, mp))], col] = c
-            col += 1
+    A = np.hstack([product_matrix(row_of, P.terms.items(), monos) for P, monos in zip(family.polys, col_monos)])
     b = np.zeros(len(rows), dtype=np.int64)
     for m, c in R.terms.items():
         b[row_of[m]] = c
@@ -116,13 +91,9 @@ def ideal_membership(
         return MembershipResult(None, dual, cofactor_caps)
     cofactors = []
     col = 0
-    for i, monos in col_monos:
-        terms = {}
-        for m in monos:
-            if x[col]:
-                terms[m] = int(x[col])
-            col += 1
-        cofactors.append(MultiPoly(family.field, n, terms))
+    for monos in col_monos:
+        cofactors.append(MultiPoly(family.field, n, {m: int(c) for m, c in zip(monos, x[col:]) if c}))
+        col += len(monos)
     cert = MembershipCertificate(tuple(cofactors))
     cert.verify(R, family)
     return MembershipResult(cert, None, cofactor_caps)
@@ -153,12 +124,11 @@ def vanishing_vs_ideal_dims(
     """Compare, inside formal degree <= e: polynomials vanishing on X(F_q)
     against the capped ideal part spanned by monomial multiples of the P_i."""
     budget = budget or Budget()
-    field = family.field
-    p = field.p
+    p = family.field.p
     n = family.n
     if X is None:
         X = enumerate_points(family, budget)
-    monos = formal_monomials(n, e)
+    monos = monomials(n, e)
     row_of = {m: i for i, m in enumerate(monos)}
     budget.charge(max(len(X), 1) * len(monos), "vanishing space evaluation")
 
@@ -166,32 +136,11 @@ def vanishing_vs_ideal_dims(
     if len(X) == 0:
         vanishing_dim = len(monos)
     else:
-        A = np.stack(
-            [X.box.eval_poly(MultiPoly(field, n, {m: 1}), X.indices) for m in monos]
-        ).T
-        vanishing_dim = len(monos) - rank_mod(A, p)
+        vanishing_dim = len(monos) - rank_mod(X.box.monomial_matrix(monos, X.indices), p)
 
-    # capped ideal part inside degree <= e
-    gen_rows = []
-    for i, d in enumerate(family.degrees):
-        Pi = family.polys[i]
-        for m in formal_monomials(n, e - d):
-            row = np.zeros(len(monos), dtype=np.int64)
-            ok = True
-            for mp, c in Pi.terms.items():
-                prod = tuple(a + b for a, b in zip(m, mp))
-                if prod not in row_of:
-                    ok = False
-                    break
-                row[row_of[prod]] = c
-            if not ok:
-                raise VerificationError("generator product escaped the degree window")
-            gen_rows.append(row)
-    if gen_rows:
-        G = np.stack(gen_rows)
-        ideal_dim = rank_mod(G, p)
-    else:
-        ideal_dim = 0
+    # capped ideal part inside degree <= e: columns are the monomial multiples of each P_i
+    G = np.hstack([product_matrix(row_of, P.terms.items(), monomials(n, e - d)) for P, d in zip(family.polys, family.degrees)])
+    ideal_dim = rank_mod(G, p)
     if ideal_dim > vanishing_dim:
         raise VerificationError("ideal part exceeds the vanishing space")
     return DimsReport(e, vanishing_dim, ideal_dim)

@@ -26,8 +26,11 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 from .errors import InputError, VerificationError
 from .gf import FieldElem, PrimeField
+from .linalg import inv_mod, rank_mod
 
 Monomial = tuple[int, ...]
 Point = tuple[int, ...]
@@ -316,6 +319,48 @@ def restrict(P: MultiPoly, phi: AffineMap) -> MultiPoly:
 
 
 # ---------------------------------------------------------------------------
+# Monomial bases and product matrices
+# ---------------------------------------------------------------------------
+
+
+def monomials(n: int, d: int, cap: int | None = None) -> list[Monomial]:
+    """Exponent tuples in n variables of total degree <= d, each exponent at
+    most `cap` when one is given, in graded order: by degree, then
+    lexicographically.  Built from multisets of variables, so the cost is
+    polynomial in n; cap = p - 1 gives the function-reduced monomials."""
+    out: list[Monomial] = []
+    for total in range(d + 1):
+        level = []
+        for combo in itertools.combinations_with_replacement(range(n), total):
+            e = [0] * n
+            for i in combo:
+                e[i] += 1
+            if cap is None or max(e, default=0) <= cap:
+                level.append(tuple(e))
+        out.extend(sorted(level))
+    return out
+
+
+def product_matrix(
+    row_of: Mapping[Monomial, int], terms: Iterable[tuple[Monomial, int]], monos: Sequence[Monomial]
+) -> np.ndarray:
+    """Column j holds the coefficients of Q * x^monos[j] over the rows
+    `row_of`, where Q is given by its (monomial, coefficient) terms.
+
+    Distinct terms of Q stay distinct after the shift, so each entry is set
+    once.  A product outside `row_of` raises VerificationError.
+    """
+    B = np.zeros((len(row_of), len(monos)), dtype=np.int64)
+    try:
+        for j, m in enumerate(monos):
+            for mq, c in terms:
+                B[row_of[tuple(a + b for a, b in zip(mq, m))], j] = c
+    except KeyError:
+        raise VerificationError("generator product escaped the degree window") from None
+    return B
+
+
+# ---------------------------------------------------------------------------
 # Polynomial families
 # ---------------------------------------------------------------------------
 
@@ -359,10 +404,6 @@ class PolyFamily:
         if not monos:
             return 0
         idx = {m: i for i, m in enumerate(monos)}
-        import numpy as np
-
-        from .linalg import rank_mod
-
         A = np.zeros((len(self.polys), len(monos)), dtype=np.int64)
         for r, P in enumerate(self.polys):
             for m, c in P.terms.items():
@@ -516,10 +557,6 @@ def alternating_sum_eval(P: MultiPoly, x: Sequence[int], hs: Sequence[Sequence[i
 
 
 def _vandermonde_inverse(field: PrimeField):
-    import numpy as np
-
-    from .linalg import inv_mod
-
     p = field.p
     V = np.array([[pow(t, e, p) for e in range(p)] for t in range(p)], dtype=np.int64)
     return inv_mod(V, p)
@@ -541,8 +578,6 @@ def interpolate_grid(field: PrimeField, l: int, values: Sequence[int]) -> MultiP
     Values are indexed row-major: point (t_0, ..., t_{l-1}) sits at
     sum_i t_i * q^(l-1-i).  l = 0 is allowed and yields a constant.
     """
-    import numpy as np
-
     p = field.p
     if l == 0:
         if len(values) != 1:
@@ -578,7 +613,7 @@ def interpolate(field: PrimeField, l: int, values: Sequence[int], degree_bound: 
 def random_poly(field: PrimeField, n: int, degree: int, rng, ensure_degree: bool = True) -> MultiPoly:
     """A random reduced polynomial of formal degree exactly `degree` (if possible)."""
     p = field.p
-    monos = [m for m in itertools.product(range(min(p, degree + 1)), repeat=n) if sum(m) <= degree]
+    monos = sorted(monomials(n, degree, cap=p - 1))  # lexicographic: the order coefficients are drawn in
     terms: dict[Monomial, int] = {}
     for m in monos:
         c = rng.randrange(p)

@@ -40,7 +40,7 @@ from .domain import box
 from .errors import BudgetExceededError, InputError, VerificationError
 from .gf import PrimeField
 from .linalg import solve_mod
-from .poly import AffineMap, MultilinearForm, MultiPoly, PolyFamily, multilinear_form
+from .poly import AffineMap, MultilinearForm, MultiPoly, PolyFamily, monomials, multilinear_form, product_matrix
 from .runtime import Budget
 
 
@@ -130,12 +130,6 @@ class RankResult:
 # ---------------------------------------------------------------------------
 
 
-def _monomials_upto(n: int, d: int) -> list[tuple[int, ...]]:
-    monos = [m for m in itertools.product(range(d + 1), repeat=n) if sum(m) <= d]
-    monos.sort(key=lambda m: (sum(m), m))
-    return monos
-
-
 def _normalized_vectors(q: int, length: int):
     """All length-`length` coefficient vectors with first nonzero entry 1,
     in deterministic lexicographic order."""
@@ -152,15 +146,6 @@ def _normalized_vectors(q: int, length: int):
 # ---------------------------------------------------------------------------
 
 
-def _product_block(row_of: dict, q_terms: list, monos_r: list) -> np.ndarray:
-    """Column j holds the coefficients of Q * monos_r[j] over row_of."""
-    B = np.zeros((len(row_of), len(monos_r)), dtype=np.int64)
-    for j, mono_r in enumerate(monos_r):
-        for mono_q, c in q_terms:
-            B[row_of[tuple(a + b for a, b in zip(mono_q, mono_r))], j] = c
-    return B
-
-
 def _rank_search(
     kind: str, P: MultiPoly, row_of: dict, candidates, count: int, width: int, r_max: int, budget: Budget, verify,
     exhaustive: bool = True,
@@ -175,7 +160,7 @@ def _rank_search(
     target = np.zeros(len(row_of), dtype=np.int64)
     for m, c in P.terms.items():
         target[row_of[m]] = c
-    search = _SpanSearch(candidates, count, lambda cand: _product_block(row_of, cand[1], cand[2]), target, P.field.p)
+    search = _SpanSearch(candidates, count, lambda cand: product_matrix(row_of, cand[1], cand[2]), target, P.field.p)
     per_r: list[tuple[int, str]] = []
     for r in range(1, r_max + 1):
         try:
@@ -328,10 +313,10 @@ def schmidt_rank(P: MultiPoly, r_max: int, budget: Budget | None = None) -> Rank
     if d <= 1:
         return RankResult(None, infinite=True, r_max=r_max)
     q = P.field.p
-    factor_monos = _monomials_upto(P.n, d - 1)
+    factor_monos = monomials(P.n, d - 1)
     M = len(factor_monos)
     # degree <= 2(d-1) covers every monomial of P, since d >= 2
-    row_of = {m: i for i, m in enumerate(_monomials_upto(P.n, 2 * (d - 1)))}
+    row_of = {m: i for i, m in enumerate(monomials(P.n, 2 * (d - 1)))}
     candidates = ((None, [(m, c) for m, c in zip(factor_monos, vec) if c], factor_monos) for vec in _normalized_vectors(q, M))
     count = (q**M - 1) // (q - 1)  # normalized vectors of length M
     return _rank_search("schmidt", P, row_of, candidates, count, M, r_max, budget, lambda cert: cert.verify_schmidt(P))

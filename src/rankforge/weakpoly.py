@@ -26,8 +26,8 @@ import numpy as np
 from .domain import box
 from .errors import InputError, VerificationError
 from .gf import PrimeField
-from .linalg import check_dual_certificate, nullspace_mod, rank_mod, rref_mod, row_space_leq, solve_mod
-from .poly import MultiPoly, interpolate_grid, vandermonde_inverse
+from .linalg import check_dual_certificate, inv_mod, nullspace_mod, rank_mod, rref_mod, row_space_contains, row_space_leq, solve_mod
+from .poly import AffineMap, MultiPoly, PolyFamily, monomials, vandermonde_inverse
 from .geometry import AffineSubspace, Hyperplane, VarietyPoints, enumerate_points, enumerate_subspaces_in, slice_variety
 from .runtime import Budget
 
@@ -80,18 +80,6 @@ def local_testing_dimension(field: PrimeField, a: int) -> int:
     p = field.p
     # q - q/p = p - 1 for a prime field
     return max(1, -(-(a + 1) // (p - 1)))
-
-
-def reduced_monomials(field: PrimeField, n: int, a: int) -> list[tuple[int, ...]]:
-    """Function-reduced monomials (per-variable exponent < p) of total degree <= a."""
-    p = field.p
-    monos = [
-        m
-        for m in itertools.product(range(min(p, a + 1)), repeat=n)
-        if sum(m) <= a
-    ]
-    monos.sort(key=lambda m: (sum(m), m))
-    return monos
 
 
 # ---------------------------------------------------------------------------
@@ -154,8 +142,6 @@ class LinearSpaceOfFunctions:
         return self.basis.shape[0]
 
     def contains_function(self, f: FunctionOnX) -> bool:
-        from .linalg import row_space_contains
-
         return row_space_contains(self.basis, f.values, self.X.field.p)
 
     def contains_space(self, other: "LinearSpaceOfFunctions") -> bool:
@@ -199,12 +185,11 @@ def weak_space(
 def restriction_space(X: VarietyPoints, a: int, budget: Budget | None = None) -> LinearSpaceOfFunctions:
     """Span of restrictions to X of global polynomials of degree <= a."""
     field = X.field
-    monos = reduced_monomials(field, X.n, a)
+    monos = monomials(X.n, a, cap=field.p - 1)
     (budget or Budget()).charge(len(X) * len(monos), "restriction space evaluation")
     if len(X) == 0:
         return LinearSpaceOfFunctions(X, np.zeros((0, 0), dtype=np.int64))
-    rows = np.stack([X.box.eval_poly(MultiPoly(field, X.n, {m: 1}), X.indices) for m in monos])
-    R, _, rank = rref_mod(rows, field.p)
+    R, _, rank = rref_mod(X.box.monomial_matrix(monos, X.indices).T, field.p)
     return LinearSpaceOfFunctions(X, R[:rank])
 
 
@@ -256,13 +241,11 @@ def extend_by_solve(f: FunctionOnX, a: int, budget: Budget | None = None) -> Ext
     """
     X = f.X
     field = X.field
-    monos = reduced_monomials(field, X.n, a)
+    monos = monomials(X.n, a, cap=field.p - 1)
     (budget or Budget()).charge(len(X) * len(monos), "extension solve")
     if len(X) == 0:
         return ExtensionResult(MultiPoly.zero(field, X.n), None)
-    A = np.stack(
-        [X.box.eval_poly(MultiPoly(field, X.n, {m: 1}), X.indices) for m in monos]
-    ).T  # (|X|, #monos)
+    A = X.box.monomial_matrix(monos, X.indices)  # (|X|, #monos)
     x, cert = solve_mod(A, f.values, field.p)
     if x is None:
         if cert is not None:
@@ -454,21 +437,19 @@ def flag_extension(
             break
     base_pt = np.array(W.base, dtype=np.int64)
 
-    def local_variety(dim: int) -> VarietyPoints:
+    def local_variety(dim: int) -> FunctionOnX:
+        """f on the points of X in the flag's dim-dimensional member, in its
+        local coordinates t (the point psi(t) = base + sum t_i row_i)."""
         rows = basis_rows + added[: dim - W.dim]
-        from .poly import AffineMap, PolyFamily
-
         cols = [tuple(int(r[i]) for r in rows) for i in range(n)]
         psi = AffineMap.make(field, cols, tuple(int(v) for v in base_pt))
         fam = PolyFamily([P.compose(psi) for P in X.family.polys], X.family.degrees)
         Xi = enumerate_points(fam, budget)
-        return Xi, psi
+        pts = np.array([psi.apply(pt) for pt in Xi.points], dtype=np.int64).reshape(len(Xi), n)
+        return FunctionOnX(Xi, f.values_at_box_indices(X.box.encode(pts)))
 
     # base space
-    X0, psi0 = local_variety(W.dim)
-    f0 = FunctionOnX(X0, f.values_at_box_indices(X.box.encode(
-        np.array([psi0.apply(pt) for pt in X0.points], dtype=np.int64).reshape(len(X0), n)
-    ) if len(X0) else np.array([], dtype=np.int64)))
+    f0 = local_variety(W.dim)
     if base_extension is None:
         res = extend_by_solve(f0, a, budget)
         if not res.feasible:
@@ -476,14 +457,11 @@ def flag_extension(
         R = res.poly
     else:
         R = base_extension
-        if not np.array_equal(X0.box.eval_poly(R, X0.indices), f0.values):
+        if not np.array_equal(f0.X.box.eval_poly(R, f0.X.indices), f0.values):
             raise InputError("supplied base extension disagrees with f on X cap W")
 
     for dim in range(W.dim + 1, n + 1):
-        Xi, psi = local_variety(dim)
-        fi = FunctionOnX(Xi, f.values_at_box_indices(X.box.encode(
-            np.array([psi.apply(pt) for pt in Xi.points], dtype=np.int64).reshape(len(Xi), n)
-        ) if len(Xi) else np.array([], dtype=np.int64)))
+        fi = local_variety(dim)
         # embed R (dim-1 vars) into dim vars via dropping the last coordinate
         R_up = MultiPoly(field, dim, {m + (0,): c for m, c in R.terms.items()})
         g = fi.subtract_poly(R_up)
@@ -496,11 +474,7 @@ def flag_extension(
     # R lives in full-space local coordinates; convert back through psi^{-1}
     rows = basis_rows + added
     B = np.stack(rows)  # n x n, invertible
-    from .linalg import inv_mod
-
     Binv = inv_mod(B.T, p)  # psi(t) = B^T t + base  =>  t = Binv (x - base)
-    from .poly import AffineMap
-
     inv_map = AffineMap.make(
         field,
         [[int(Binv[i, j]) for j in range(n)] for i in range(n)],

@@ -1,9 +1,8 @@
 """Whole-box evaluation: the tensor-product transform against independent
-oracles, its routing and memory at large p and n <= 1, and the shared digit
-table."""
+oracles, its routing and memory at large p and n <= 1, and the monomial
+matrix at given points."""
 
 import itertools
-import threading
 import tracemalloc
 
 import numpy as np
@@ -45,6 +44,20 @@ def test_whole_box_eval_matches_pointwise_and_indexed(P):
     assert np.array_equal(whole, bx.eval_poly(P, np.arange(bx.size, dtype=np.int64)))
     # the transform itself, also at n = 1, where eval_poly takes Horner's rule
     assert bx._eval_transform(P).tolist() == oracle
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_monomial_matrix_matches_pointwise_eval(data):
+    # formal exponents up to 2p + 1, and always the origin, where 0^0 = 1
+    p = data.draw(st.sampled_from([2, 3, 5, 7, 11]))
+    n = data.draw(st.integers(0, 3))
+    bx = Box(PrimeField(p), n)
+    monos = data.draw(st.lists(st.tuples(*[st.integers(0, 2 * p + 1)] * n), max_size=8))
+    idx = [0] + data.draw(st.lists(st.integers(0, bx.size - 1), max_size=20))
+    A = bx.monomial_matrix(monos, np.array(idx, dtype=np.int64))
+    assert A.shape == (len(idx), len(monos))
+    assert A.tolist() == [[MultiPoly(bx.field, n, {m: 1}).eval(bx.point_of(i)) for m in monos] for i in idx]
 
 
 @pytest.mark.parametrize("p", [257, 10007])
@@ -129,19 +142,3 @@ def test_value_distribution_charges_its_bins():
         value_distribution(PolyFamily([MultiPoly.variable(F2, 1, 0)] * 3), Budget(7))
     assert value_distribution(PolyFamily([MultiPoly.variable(F2, 1, 0)] * 3), Budget(8)).counts == (1, 0, 0, 0, 0, 0, 0, 1)
 
-
-def test_digit_table_built_once_under_threads():
-    bx = Box(PrimeField(2), 16)
-    start = threading.Barrier(2)
-    tables = []
-
-    def build():
-        start.wait()
-        tables.append(bx.digits())
-
-    threads = [threading.Thread(target=build) for _ in range(2)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert len(tables) == 2 and tables[0] is tables[1]

@@ -216,9 +216,11 @@ def test_growth_charges_each_level_before_building_it():
                 if S.base[c] == 0 and all(row[c] == 0 for row in S.basis):
                     total += sum(1 for y in points if y[:c] == S.base[:c] and y[c] == 1) * p**k
         expected.append(total)
+    planes = scan_subspaces_in(X, 2)
     charges = []
-    assert enumerate_subspaces_in(X, 2, budget=_recording_budget(charges)) == scan_subspaces_in(X, 2)
-    assert charges == expected
+    assert enumerate_subspaces_in(X, 2, budget=_recording_budget(charges)) == planes
+    # then the list: each plane's 3 coordinate tuples, n + 1 words each
+    assert charges == expected + [len(planes) * 3 * (n + 1)]
     with pytest.raises(BudgetExceededError):
         enumerate_subspaces_in(X, 2, budget=Budget(max(expected) - 1))
 
@@ -229,7 +231,7 @@ def test_growth_in_all_of_k_n_charges_every_level():
     full = VarietyPoints(PolyFamily([MultiPoly.zero(F3, 4)]), range(81))
     charges = []
     assert enumerate_subspaces_in(full, 4, budget=_recording_budget(charges)) == scan_subspaces_in(full, 4)
-    assert charges == [81] + [count_affine_subspaces(F3, 4, k) * 3**k for k in range(1, 5)]
+    assert charges == [81] + [count_affine_subspaces(F3, 4, k) * 3**k for k in range(1, 5)] + [5 * 5]
     charges.clear()
     assert enumerate_subspaces_in(full, 5, budget=_recording_budget(charges)) == []
     assert census_extension(full, Hyperplane((1, 0, 0, 0), 0), 5, budget=_recording_budget(charges)).Z == ()
@@ -237,6 +239,19 @@ def test_growth_in_all_of_k_n_charges_every_level():
     # a level past the budget is refused before it is built
     with pytest.raises(BudgetExceededError):
         enumerate_subspaces_in(full, 4, budget=Budget(count_affine_subspaces(F3, 4, 2) * 9 - 1))
+
+
+def test_subspace_list_is_charged_before_it_is_built():
+    # the lines of F_3^4: growing them is charged 81 and 1080 * 3, listing
+    # them 1080 * 2 * 5 words; a budget between the two refuses the list
+    full = VarietyPoints(PolyFamily([MultiPoly.zero(F3, 4)]), range(81))
+    lines = count_affine_subspaces(F3, 4, 1)
+    charges = []
+    assert len(enumerate_subspaces_in(full, 1, budget=_recording_budget(charges))) == lines
+    assert charges == [81, lines * 3, lines * 2 * 5]
+    with pytest.raises(BudgetExceededError) as refusal:
+        enumerate_subspaces_in(full, 1, budget=Budget(lines * 2 * 5 - 1))
+    assert refusal.value.what == "subspace list"
 
 
 def test_line_count_in_full_space():

@@ -6,11 +6,11 @@ import pytest
 from rankforge import InputError, MultiPoly, PolyFamily, PrimeField, VerificationError, random_poly
 from rankforge.explicit import ExplicitVariety
 from rankforge.nullsatz import (
-    formal_monomials,
     ideal_membership,
     rough_bound_check,
     vanishing_vs_ideal_dims,
 )
+from rankforge.poly import monomials
 
 F3 = PrimeField(3)
 F5 = PrimeField(5)
@@ -23,7 +23,7 @@ def poly_of(field, n, terms):
 
 def test_formal_monomials_are_formal():
     # exponents above the field size are legal in the formal setting
-    monos = formal_monomials(1, 3)
+    monos = monomials(1, 3)
     assert (3,) in monos and len(monos) == 4
 
 

@@ -1,6 +1,9 @@
+import itertools
+import math
 import random
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,6 +22,7 @@ from rankforge import (
     restrict,
 )
 from rankforge.errors import VerificationError
+from rankforge.poly import monomials, product_matrix
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -388,3 +392,50 @@ def test_family_degree_bounds():
 def test_json_roundtrip():
     P = poly_of(F5, 3, [(2, (1, 0, 2)), (4, (0, 0, 0))])
     assert MultiPoly.from_json_dict(P.to_json_dict()) == P
+
+
+# ---------------------------------------------------------------------------
+# The monomial layer against independent oracles
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(0, 4), d=st.integers(-1, 6), cap=st.one_of(st.none(), st.integers(0, 4)))
+def test_monomials_match_filtered_product(n, d, cap):
+    top = d if cap is None else min(d, cap)
+    expect = [m for m in itertools.product(range(max(top, 0) + 1), repeat=n) if sum(m) <= d]
+    assert monomials(n, d, cap) == sorted(expect, key=lambda m: (sum(m), m))
+
+
+@pytest.mark.parametrize("n, d", [(0, 3), (1, 5), (4, 4), (20, 4), (60, 3)])
+def test_monomial_count_is_binomial(n, d):
+    assert len(monomials(n, d)) == math.comb(n + d, d)
+
+
+def sympy_product(Q, m):
+    """The terms of Q * x^m, multiplied by sympy over GF(p)."""
+    p, gens = Q.field.p, sympy.symbols(f"x0:{Q.n}")
+    prod = sympy.Poly.from_dict(dict(Q.terms), *gens, modulus=p) * sympy.Poly.from_dict({m: 1}, *gens, modulus=p)
+    return {e: int(c) % p for e, c in prod.terms() if int(c) % p}
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_product_matrix_matches_multiplication(data):
+    p = data.draw(st.sampled_from([2, 3, 5, 7]))
+    n = data.draw(st.integers(1, 3))
+    Q = small_poly(data, p, n)
+    monos = data.draw(st.lists(st.tuples(*[st.integers(0, 3)] * n), max_size=6))
+    rows = monomials(n, 4 + 3 * n)  # holds every product of a term of Q with a monomial of monos
+    B = product_matrix({m: i for i, m in enumerate(rows)}, Q.terms.items(), monos)
+    assert B.shape == (len(rows), len(monos))
+    for j, m in enumerate(monos):
+        column = {rows[i]: int(c) for i, c in enumerate(B[:, j]) if c}
+        assert column == (Q * MultiPoly(Q.field, n, {m: 1})).terms
+        assert column == sympy_product(Q, m)
+
+
+def test_product_matrix_refuses_a_product_outside_its_rows():
+    row_of = {m: i for i, m in enumerate(monomials(2, 2))}
+    with pytest.raises(VerificationError, match="escaped the degree window"):
+        product_matrix(row_of, [((1, 1), 1)], [(0, 1)])

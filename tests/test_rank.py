@@ -351,6 +351,15 @@ def test_refusal_at_r1_allocates_nothing(label, thunk):
     assert peak < 2**20, label
 
 
+def test_schmidt_rank_of_many_variables_is_refused_before_any_listing():
+    # 231 factor monomials of degree <= 2 in 20 variables: r = 1 alone has
+    # (2^231 - 1) candidates; the monomial lists cost C(24, 4) = 10626 tuples,
+    # not the 5^20 exponent tuples a filtered product would walk first
+    P = random_poly(F2, 20, 3, random.Random(0))
+    with pytest.raises(BudgetExceededError, match="rank search at r=1"):
+        schmidt_rank(P, 2)
+
+
 def test_empty_factor_dictionary_decides_nothing():
     T = bilinear(F3, 2, 2, {(0, 0): 1, (1, 1): 1})
     res = partition_rank(T, 3, Budget(0), factor_dictionary=[])  # every r charges 0
