@@ -176,7 +176,7 @@ def summary(runs: list[dict]) -> dict:
     return out
 
 
-def end_to_end(parent: Path, pairs: int) -> dict:
+def end_to_end(parent: Path, pairs: int, traced_metrics: tuple = TRACED) -> dict:
     result = {}
     for workload in WORKLOADS:
         sides: dict[str, list[dict]] = {"parent": [], "change": []}
@@ -195,7 +195,7 @@ def end_to_end(parent: Path, pairs: int) -> dict:
     traced = {}
     for side, checkout in (("parent", parent), ("change", ROOT)):
         run = run_perfbench(checkout, "acceptance-serial", 1, 1)
-        traced[side] = {"correct": run["correct"], **{k: run[k] for k in TRACED}}
+        traced[side] = {"correct": run["correct"], **{k: run[k] for k in traced_metrics}}
     return {"pairs": result, "traced_acceptance_serial": traced}
 
 

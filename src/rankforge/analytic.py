@@ -25,8 +25,7 @@ import numpy as np
 
 from .domain import box
 from .errors import InputError, VerificationError
-from .gf import PrimeField
-from .poly import MultilinearForm, MultiPoly, PolyFamily, multilinear_form
+from .poly import MultiPoly, PolyFamily, multilinear_form
 from .runtime import SERIAL, Budget, ParallelContext
 
 

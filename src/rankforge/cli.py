@@ -35,20 +35,17 @@ from .explicit import (
     mu_bias,
     nc_rank_growth_check,
     stratify,
-    torus_decompose,
 )
 from .geometry import (
-    Hyperplane,
     census_extension,
     enumerate_points,
     enumerate_subspaces_in,
     kappa_fibers,
-    missed_targets,
     universality_check,
 )
 from .gf import PrimeField
-from .nullsatz import ideal_membership, rough_bound_check, vanishing_vs_ideal_dims
-from .poly import MultilinearForm, MultiPoly, PolyFamily
+from .nullsatz import ideal_membership, vanishing_vs_ideal_dims
+from .poly import MultilinearForm, MultiPoly
 from .rank import family_rank, nc_rank, partition_rank, schmidt_rank
 from .runtime import Budget, ParallelContext
 from .weakpoly import (

@@ -29,7 +29,6 @@ from fractions import Fraction
 import numpy as np
 
 from .analytic import ExactMagnitude, bias, histogram_of_poly
-from .domain import box
 from .errors import BudgetExceededError, InputError, NotAdmissibleError, VerificationError
 from .gf import DeltaSubgroup, PrimeField
 from .geometry import VarietyPoints, enumerate_points

@@ -14,8 +14,9 @@ the hyperplane off level m, and reads the section of each (m+1)-subspace by
 the hyperplane off its canonical form (`_section`) instead of listing its
 m-subspaces.
 
-Composition fibers are counted by one sort of the maps' value tuples, each
-packed into a base-p integer when that fits in int64.
+Composition fibers are counted by sorting the maps' value tuples, each
+packed into a base-p integer when that fits in int64, one chunk of maps at a
+time, and merging the chunks' counts.
 """
 
 from __future__ import annotations
@@ -475,6 +476,16 @@ def _target_count(field: PrimeField, m: int, d: int) -> int:
     return field.p ** len(monomials(m, d, cap=field.p - 1))
 
 
+def _merge_fibers(parts: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Merge (code, first map, count) arrays into one entry per code, with its
+    earliest first map and its total count, in code order."""
+    code, first, counts = (np.concatenate(col) for col in zip(*parts))
+    order = np.lexsort((first, code))
+    code, first, counts = code[order], first[order], counts[order]
+    start = np.flatnonzero(np.r_[True, code[1:] != code[:-1]])
+    return code[start], first[start], np.add.reduceat(counts, start)
+
+
 def kappa_fibers(
     family: PolyFamily,
     m: int,
@@ -485,6 +496,8 @@ def kappa_fibers(
 
     Fiber keys are the tuples of value vectors of P_i o phi on k^m, which are
     in bijection with the reduced target polynomials since deg <= d_i < q.
+    The maps are taken in chunks of about `_CHUNK_BYTES`, so memory is
+    O(chunk) plus one entry per fiber, whatever the number of maps.
     """
     field = family.field
     p = field.p
@@ -504,30 +517,52 @@ def kappa_fibers(
     row_digits = np.arange(sub, dtype=np.int64)[:, None] // p ** np.arange(ncols - 1, -1, -1) % p
     params = np.array([t + ((1,) if not linear_only else ()) for t in itertools.product(range(p), repeat=m)], dtype=np.int64)
     table = row_digits @ params.reshape(mbox.size, ncols).T % p  # (row, t) -> coordinate
-    maps = np.arange(total_maps, dtype=np.int64)
-    idx = np.zeros((total_maps, mbox.size), dtype=np.int64)  # box index of phi(t)
-    for i in range(n):
-        idx += table[maps // sub ** (n - 1 - i) % sub] * p ** (n - 1 - i)
     columns = [(ci, t) for ci in range(family.c) for t in range(mbox.size)]  # key order
 
-    def keys_at(rows) -> np.ndarray:
-        keys = np.empty((len(rows), len(columns)), dtype=np.int64)
+    def points(maps: np.ndarray) -> np.ndarray:
+        idx = np.zeros((len(maps), mbox.size), dtype=np.int64)  # box index of phi(t)
+        for i in range(n):
+            idx += table[maps // sub ** (n - 1 - i) % sub] * p ** (n - 1 - i)
+        return idx
+
+    def keys_at(idx: np.ndarray) -> np.ndarray:
+        keys = np.empty((len(idx), len(columns)), dtype=np.int64)
         for j, (ci, t) in enumerate(columns):
-            keys[:, j] = vals[ci][idx[rows, t]]
+            keys[:, j] = vals[ci][idx[:, t]]
         return keys
 
+    # Chunks of sub^h maps that differ only in their last h rows, with h >= 1
+    # for n >= 1 (a chunk is never smaller than `table`).  A zero row puts 0
+    # in every coordinate, so a chunk's points are its first map's points
+    # plus those of the first chunk.
+    h = min(n, 1)
+    while h < n and sub ** (h + 1) * len(columns) * 8 <= _CHUNK_BYTES:
+        h += 1
+    low = points(np.arange(sub**h, dtype=np.int64))
+    chunks = ((lo, points(np.array([lo], dtype=np.int64)) + low) for lo in range(0, total_maps, sub**h))
     if p ** len(columns) < 2**63:
-        # a key's base-p digits as one integer: one sort finds every fiber
-        code = np.zeros(total_maps, dtype=np.int64)
-        for ci, t in columns:
-            code = code * p + vals[ci][idx[:, t]]
-        _, first, counts = np.unique(code, return_index=True, return_counts=True)
+        # a key's base-p digits as one integer: sorting the codes finds every
+        # fiber.  Chunks' counts are merged once they hold as many entries as
+        # the merged counts and as a chunk's worth of bytes, so merging costs
+        # at most about twice their own entries, and waits on at most one
+        # entry per fiber plus one chunk.
+        weights = p ** np.arange(len(columns) - 1, -1, -1, dtype=np.int64)
+        merged = (np.zeros(0, dtype=np.int64),) * 3  # code, first map, count
+        pending, waiting = [], 0
+        for lo, idx in chunks:
+            code, first, counts = np.unique(keys_at(idx) @ weights, return_index=True, return_counts=True)
+            pending.append((code, first + lo, counts))
+            waiting += len(code)
+            if waiting >= max(len(merged[0]), _CHUNK_BYTES // 8):
+                merged, pending, waiting = _merge_fibers([merged, *pending]), [], 0
+        _, first, counts = _merge_fibers([merged, *pending])
         seen = np.argsort(first)  # fibers in the order their first map comes
-        fibers = dict(zip(map(tuple, keys_at(first[seen])), counts[seen].tolist()))
+        fibers = dict(zip(map(tuple, keys_at(points(first[seen]))), counts[seen].tolist()))
     else:
         fibers = {}
-        for row in map(tuple, keys_at(maps)):
-            fibers[row] = fibers.get(row, 0) + 1
+        for _, idx in chunks:
+            for row in map(tuple, keys_at(idx)):
+                fibers[row] = fibers.get(row, 0) + 1
 
     total_targets = 1
     for d in family.degrees:

@@ -18,6 +18,12 @@ the RREF of [A | b | I]) do not depend on how they were eliminated.
   entry plus at most PANEL products below (p-1)^2, so float64 holds it
   exactly and reduces it once (the delayed reduction of FFLAS-FFPACK, Dumas,
   Giorgi & Pernet 2008).
+
+`rref_extend_mod` uses the same uniqueness a third way: it streams rows into
+a running RREF, so a caller never holds more than the RREF and one block.
+A block is reduced against the pivots it already has, only its nonzero
+residual is eliminated, and the residual's pivots are cleared back out of
+the running RREF; the result is the RREF of all the rows at once.
 """
 
 from __future__ import annotations
@@ -136,6 +142,46 @@ def rref_mod(A, p: int) -> tuple[np.ndarray, list[int], int]:
     return M, pivots, len(pivots)
 
 
+def _subtract_pivot_rows(B: np.ndarray, R: np.ndarray, pivots: list[int], p: int) -> np.ndarray:
+    """B - B[:, pivots] R mod p, where the rows of R have pivots `pivots` in
+    RREF.  R's rows are zero in each other's pivot columns, so the product can
+    be split by pivots: each part adds at most `step` products below (p-1)^2
+    to an entry below p, which float64 holds exactly and reduces once."""
+    step = 2**53 // (p - 1) ** 2 - 1
+    for j in range(0, len(pivots), step):
+        C = pivots[j : j + step]
+        T = B[:, C].astype(np.float64) @ (-R[j : j + step] % p).astype(np.float64)
+        np.add(T, B, out=T)
+        B = np.fmod(T, p, out=T).astype(np.int64)
+    return B
+
+
+def rref_extend_mod(R, pivots: list[int], block, p: int) -> tuple[np.ndarray, list[int]]:
+    """RREF of the rows of R and `block` together, as (rows, pivot_columns).
+
+    R is a reduced row echelon form without zero rows and `pivots` its pivot
+    columns; the result has no zero rows either.  Besides R and the block,
+    only arrays of their shapes are held.
+    """
+    R = as_mod_array(R, p)
+    B = as_mod_array(block, p)
+    if R.shape[1] != B.shape[1]:
+        raise InputError("column count mismatch")
+    if (PANEL + 1) * (p - 1) ** 2 >= 2**53:
+        M, found, rank = rref_mod(np.concatenate([R, B]), p)
+        return M[:rank], found
+    B = _subtract_pivot_rows(B, R, pivots, p)
+    B = B[B.any(axis=1)]
+    if not len(B):
+        return R, list(pivots)
+    N, new, rank = rref_mod(B, p)
+    N = N[:rank]
+    R = _subtract_pivot_rows(R, N, new, p)
+    merged = pivots + new
+    order = np.argsort(merged, kind="stable")
+    return np.concatenate([R, N])[order], [merged[i] for i in order]
+
+
 def rank_mod(A, p: int) -> int:
     return rref_mod(A, p)[2]
 
@@ -177,22 +223,20 @@ def solve_mod(A, b, p: int, want_certificate: bool = True):
     bv = np.asarray(b, dtype=np.int64).reshape(-1) % p
     if bv.shape[0] != rows:
         raise InputError("right-hand side length mismatch")
-    track = want_certificate and rows <= CERTIFICATE_ROW_LIMIT
-    if track:
-        aug = np.concatenate([M, bv[:, None], np.eye(rows, dtype=np.int64)], axis=1)
-    else:
-        aug = np.concatenate([M, bv[:, None]], axis=1)
-    R, pivots, _ = rref_mod(aug, p)
-    bad = [j for j, c in enumerate(pivots) if c == cols]
-    if bad:
-        j = bad[0]
-        cert = R[j, cols + 1 :].copy() if track else None
-        return None, cert
-    x = np.zeros(cols, dtype=np.int64)
-    for j, c in enumerate(pivots):
-        if c < cols:
-            x[c] = R[j, cols]
-    return x, None
+    R, pivots, _ = rref_mod(np.concatenate([M, bv[:, None]], axis=1), p)
+    if cols not in pivots:
+        x = np.zeros(cols, dtype=np.int64)
+        for j, c in enumerate(pivots):
+            if c < cols:
+                x[c] = R[j, cols]
+        return x, None
+    if not (want_certificate and rows <= CERTIFICATE_ROW_LIMIT):
+        return None, None
+    # Only now track the row operations: the RREF of [A | b | I] restricted
+    # to A's and b's columns is the RREF of [A | b], so the row whose pivot is
+    # b's column is the same row, and its I part is the certificate.
+    R, pivots, _ = rref_mod(np.concatenate([M, bv[:, None], np.eye(rows, dtype=np.int64)], axis=1), p)
+    return None, R[pivots.index(cols), cols + 1 :].copy()
 
 
 def check_dual_certificate(A, b, y, p: int) -> None:

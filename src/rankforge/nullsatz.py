@@ -16,7 +16,6 @@ import numpy as np
 
 from .errors import InputError, VerificationError
 from .geometry import VarietyPoints, enumerate_points
-from .gf import PrimeField
 from .linalg import check_dual_certificate, rank_mod, solve_mod
 from .poly import MultiPoly, PolyFamily, monomials, product_matrix
 from .runtime import Budget

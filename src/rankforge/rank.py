@@ -36,7 +36,6 @@ from fractions import Fraction
 import numpy as np
 
 from .analytic import CharHistogram, histogram_of_poly
-from .domain import box
 from .errors import BudgetExceededError, InputError, VerificationError
 from .gf import PrimeField
 from .linalg import solve_mod

@@ -13,7 +13,7 @@ calls map_chunks now; the class stays for callers that pass it as `ctx`.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Callable, TypeVar
 
 from .errors import BudgetExceededError
 

@@ -23,10 +23,19 @@ from fractions import Fraction
 
 import numpy as np
 
-from .domain import box
 from .errors import InputError, VerificationError
 from .gf import PrimeField
-from .linalg import check_dual_certificate, inv_mod, nullspace_mod, rank_mod, rref_mod, row_space_contains, row_space_leq, solve_mod
+from .linalg import (
+    check_dual_certificate,
+    inv_mod,
+    nullspace_mod,
+    rank_mod,
+    rref_extend_mod,
+    rref_mod,
+    row_space_contains,
+    row_space_leq,
+    solve_mod,
+)
 from .poly import AffineMap, MultiPoly, PolyFamily, monomials, vandermonde_inverse
 from .geometry import AffineSubspace, Hyperplane, VarietyPoints, enumerate_points, enumerate_subspaces_in, slice_variety
 from .runtime import Budget
@@ -157,7 +166,12 @@ def weak_space(
     budget: Budget | None = None,
     subspaces: list[AffineSubspace] | None = None,
 ) -> LinearSpaceOfFunctions:
-    """Exact solution space of all weak-degree-<= a constraints on k^X."""
+    """Exact solution space of all weak-degree-<= a constraints on k^X.
+
+    The constraint rows (one per forbidden monomial and subspace) are
+    streamed into a running RREF, about |X| rows at a time, so memory is
+    O(|X|^2) plus one block, however many subspaces X holds.
+    """
     field = X.field
     p = field.p
     l = local_testing_dimension(field, a)
@@ -168,15 +182,16 @@ def weak_space(
     if F.shape[0] == 0 or not subspaces:
         basis = np.eye(nX, dtype=np.int64)
         return LinearSpaceOfFunctions(X, basis)
-    rows = np.zeros((F.shape[0] * len(subspaces), nX), dtype=np.int64)
-    r = 0
-    for L in subspaces:
-        ords = X.ordinals_of_indices(L.points(X.box))
-        for frow in F:
-            np.add.at(rows[r], ords, frow)
-            r += 1
-    rows %= p
-    basis = nullspace_mod(rows, p)
+    f = F.shape[0]
+    per_block = max(1, nX // f)  # subspaces per block of about |X| rows
+    R, pivots = np.zeros((0, nX), dtype=np.int64), []
+    for s in range(0, len(subspaces), per_block):
+        block = subspaces[s : s + per_block]
+        rows = np.zeros((f * len(block), nX), dtype=np.int64)
+        for k, L in enumerate(block):
+            rows[k * f : (k + 1) * f, X.ordinals_of_indices(L.points(X.box))] = F
+        R, pivots = rref_extend_mod(R, pivots, rows, p)
+    basis = nullspace_mod(R, p)
     # echelonize the basis for canonical containment tests
     R, _, rank = rref_mod(basis, p)
     return LinearSpaceOfFunctions(X, R[:rank])

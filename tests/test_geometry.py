@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from rankforge import Budget, BudgetExceededError, MultiPoly, PolyFamily, PrimeField, random_poly, restrict
 from rankforge.domain import Box, box
 from rankforge.errors import InputError
+from rankforge import geometry
 from rankforge.explicit import ExplicitVariety
 from rankforge.geometry import (
     AffineSubspace,
@@ -582,3 +584,38 @@ def test_section_is_canonical_and_exact():
         assert S == AffineSubspace.from_span(field, S.base, S.basis)
         assert S.dim == M.dim - 1
         assert sorted(S.points(bx)) == sorted(M.points(bx)[vals == level])
+
+
+@pytest.mark.parametrize(
+    "family, m, linear_only",
+    [
+        (PolyFamily([ExplicitVariety(2, 2, F3).polynomial()]), 1, False),  # 27 fibers
+        (PolyFamily([random_poly(F3, 2, 2, random.Random(3)), random_poly(F3, 2, 2, random.Random(4))]), 1, False),
+        (PolyFamily([random_poly(F5, 2, 3, random.Random(6))]), 1, False),  # many small fibers
+        (PolyFamily([random_poly(F5, 2, 3, random.Random(6))]), 1, True),
+        (PolyFamily([random_poly(F3, 2, 2, random.Random(s)) for s in range(14)]), 1, False),  # dict fallback
+    ],
+)
+@pytest.mark.parametrize("chunk_bytes", [0, 2**10, 2**16])
+def test_kappa_chunks_merge_to_the_one_shot_fibers(monkeypatch, family, m, linear_only, chunk_bytes):
+    # from chunks that vary only the last row of the map, merged after each
+    # chunk, up to a few large chunks: counts, first maps and first-seen
+    # order must survive the merges
+    monkeypatch.setattr(geometry, "_CHUNK_BYTES", chunk_bytes)
+    stats = kappa_fibers(family, m, linear_only=linear_only)
+    expect = kappa_fibers_by_digit_table(family, m, linear_only)
+    assert list(stats.fibers.items()) == list(expect.items())
+
+
+def test_kappa_memory_is_one_chunk_plus_the_fibers():
+    # kappa-uniformity-trend's F_3 family at n = 3, m = 1: 531,441 maps of 3
+    # points each; their (maps, 3) index table alone is 12.8 MB
+    fam = PolyFamily([ExplicitVariety(2, 3, F3).polynomial()])
+    tracemalloc.start()
+    try:
+        stats = kappa_fibers(fam, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stats.attained == 27 and stats.mass() == 3**12
+    assert peak < 4 * 2**20

@@ -207,3 +207,91 @@ def test_panel_route_peak_memory_not_above_plain_loop():
     (M, loop_pivots), loop = traced(plain)
     assert blocked <= loop
     assert np.array_equal(R, M) and pivots == loop_pivots
+
+
+@st.composite
+def row_streams(draw):
+    """A matrix, cut into consecutive blocks of rows at random places."""
+    p = draw(st.sampled_from([2, 3, 7, 101, 11771657, 2147483647]))
+    rows = draw(st.integers(1, PANEL + 16))
+    cols = draw(st.integers(1, PANEL + 16))
+    rank = draw(st.integers(0, min(rows, cols)))
+    A = random_matrix(draw(st.integers(0, 2**31 - 1)), p, rows, cols, rank, draw(st.integers(0, 4)), draw(st.integers(0, 6)))
+    if draw(st.booleans()):  # rows with later leading entries first: later blocks add pivots to the left
+        lead = np.where(A.any(axis=1), (A != 0).argmax(axis=1), cols)
+        A = A[np.argsort(-lead, kind="stable")]
+    cuts = sorted(draw(st.sets(st.integers(1, rows - 1), max_size=6))) if rows > 1 else []
+    return p, A, cuts
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(row_streams())
+@example((7, np.concatenate([random_matrix(7, 7, 70, 75, 60, 3, 0)] * 2), [70]))  # the second block reduces to zero
+@example((3, np.array([[0, 0, 1, 2], [0, 1, 0, 0], [1, 2, 0, 1]]), [1, 2]))  # each block pivots left of R's pivots
+@example((101, random_matrix(8, 101, 140, 90, 80, 2, 4), [10, 75, 76]))  # residuals take the panel route
+@example((2147483647, random_matrix(9, 2147483647, 20, 12, 8, 1, 2), [5, 15]))  # large p: rref of the stack
+def test_rref_extend_matches_one_shot_rref_and_sympy(case):
+    p, A, cuts = case
+    R, pivots = np.zeros((0, A.shape[1]), dtype=np.int64), []
+    for block in np.split(A, cuts):
+        R, pivots = linalg.rref_extend_mod(R, pivots, block, p)
+    M, expect_pivots, rank = rref_mod(A, p)
+    assert R.dtype == np.int64 and R.shape == (rank, A.shape[1])
+    assert pivots == expect_pivots and np.array_equal(R, M[:rank])
+    dense, sympy_pivots = sympy_rref(A, p)
+    assert pivots == sympy_pivots and np.array_equal(R, dense[:rank])
+
+
+def test_rref_extend_keeps_r_when_the_block_reduces_to_zero():
+    p = 7
+    A = random_matrix(31, p, 12, 10, 5, 1, 0)
+    R, pivots, rank = rref_mod(A, p)
+    combos = (np.random.RandomState(32).randint(0, p, (4, 12)) @ A) % p
+    with mock.patch.object(linalg, "rref_mod", wraps=linalg.rref_mod) as spy:
+        again, again_pivots = linalg.rref_extend_mod(R[:rank], pivots, combos, p)
+    assert not spy.called  # nothing left to eliminate
+    assert again_pivots == pivots and np.array_equal(again, R[:rank])
+    with pytest.raises(InputError):
+        linalg.rref_extend_mod(R[:rank], pivots, np.zeros((1, 11), dtype=np.int64), p)
+
+
+def solve_always_tracked(A, b, p: int):
+    """`solve_mod` as it was before the certificate was tracked only for
+    infeasible systems: one RREF of [A | b | I]."""
+    M = as_mod_array(A, p)
+    rows, cols = M.shape
+    bv = np.asarray(b, dtype=np.int64).reshape(-1) % p
+    track = rows <= linalg.CERTIFICATE_ROW_LIMIT
+    extra = [np.eye(rows, dtype=np.int64)] if track else []
+    R, pivots, _ = rref_mod(np.concatenate([M, bv[:, None], *extra], axis=1), p)
+    if cols in pivots:
+        return None, R[pivots.index(cols), cols + 1 :].copy() if track else None
+    x = np.zeros(cols, dtype=np.int64)
+    for j, c in enumerate(pivots):
+        if c < cols:
+            x[c] = R[j, cols]
+    return x, None
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(matrices(), st.booleans(), st.integers(0, 2**31 - 1))
+@example((7, random_matrix(10, 7, 100, 70, 50, 2, 10)), False, 12)  # tall, panel route, infeasible
+@example((7, random_matrix(10, 7, 100, 70, 50, 2, 10)), True, 12)  # the same system made feasible
+def test_solve_mod_matches_always_tracked_solve(case, feasible, seed):
+    p, A = case
+    rng = np.random.RandomState(seed)
+    if feasible:
+        b = (A.astype(object) @ rng.randint(0, 2**31 - 1, A.shape[1]).astype(object)) % p
+    else:
+        b = rng.randint(0, 2**31 - 1, A.shape[0]) % p
+    b = np.asarray(b, dtype=np.int64)
+    x, y = solve_mod(A, b, p)
+    expect_x, expect_y = solve_always_tracked(A, b, p)
+    if expect_x is None:
+        assert x is None and np.array_equal(y, expect_y)
+        check_dual_certificate(A, b, y, p)
+    else:
+        assert y is None and np.array_equal(x, expect_x)
+        assert not np.any((A.astype(object) @ x.astype(object) - b) % p)
+    if feasible:
+        assert x is not None

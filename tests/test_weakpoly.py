@@ -1,17 +1,19 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from rankforge import MultiPoly, PolyFamily, PrimeField, VerificationError
+from rankforge import MultiPoly, PolyFamily, PrimeField, VerificationError, random_poly
 from rankforge.catalog import counterexample_function, counterexample_variety
 from rankforge.errors import InputError
 from rankforge.explicit import ExplicitVariety
-from rankforge.geometry import AffineSubspace, VarietyPoints, enumerate_points
-from rankforge.linalg import nullspace_mod, rank_mod
+from rankforge.geometry import AffineSubspace, VarietyPoints, enumerate_points, enumerate_subspaces_in
+from rankforge.linalg import nullspace_mod, rank_mod, rref_mod
 from rankforge.weakpoly import (
     FunctionOnX,
+    _forbidden_coefficient_rows,
     density_certificate,
     extend_by_slices,
     extend_by_solve,
@@ -352,3 +354,62 @@ def test_density_certificate_on_line_incidence():
     if beta_min > 0:
         verdict = density_certificate(lines, pairs, set(), beta_min, Fraction(0))
         assert verdict.status == "empty-confirmed"
+
+
+def weak_space_one_shot(X, a):
+    """weak_space as it was before its rows were streamed: one dense
+    (forbidden rows x subspaces, |X|) matrix, then its nullspace."""
+    p = X.field.p
+    l = local_testing_dimension(X.field, a)
+    subspaces = enumerate_subspaces_in(X, l)
+    F, _ = _forbidden_coefficient_rows(X.field, l, a)
+    if F.shape[0] == 0 or not subspaces:
+        return np.eye(len(X), dtype=np.int64)
+    rows = np.zeros((F.shape[0] * len(subspaces), len(X)), dtype=np.int64)
+    r = 0
+    for L in subspaces:
+        ords = X.ordinals_of_indices(L.points(X.box))
+        for frow in F:
+            np.add.at(rows[r], ords, frow)
+            r += 1
+    rows %= p
+    R, _, rank = rref_mod(nullspace_mod(rows, p), p)
+    return R[:rank]
+
+
+def random_varieties():
+    rng = random.Random(17)
+    cases = []
+    F3 = PrimeField(3)
+    shapes = ((F2, 4, 2, 1), (F2, 5, 3, 1), (F3, 4, 2, 1), (F3, 4, 2, 2), (F5, 3, 2, 1), (F5, 3, 2, 2), (F7, 3, 2, 1), (F7, 3, 2, 2))
+    for field, n, d, a in shapes:
+        found = 0
+        while found < 3:  # three varieties holding subspaces of the testing dimension
+            X = enumerate_points(PolyFamily([random_poly(field, n, d, rng)]))
+            if enumerate_subspaces_in(X, local_testing_dimension(field, a)):
+                cases.append(pytest.param(X, a, id=f"F{field.p}^{n}-d{d}-a{a}-{len(cases)}"))
+                found += 1
+    cases.append(pytest.param(ExplicitVariety(2, 2, F7).points(), 1, id="dual-path-F7^4"))
+    return cases
+
+
+@pytest.mark.parametrize("X, a", random_varieties())
+def test_streamed_weak_space_equals_one_shot_nullspace(X, a):
+    ws = weak_space(X, a)
+    expect = weak_space_one_shot(X, a)
+    assert ws.basis.dtype == expect.dtype and ws.basis.tobytes() == expect.tobytes()
+    assert ws.basis.shape == expect.shape
+
+
+def test_weak_space_memory_is_near_x_squared():
+    # the F_7^4 variety of dual-path-extension: 832 lines, 4160 constraint
+    # rows on 385 points; one dense matrix of them alone is 12.8 MB
+    X = ExplicitVariety(2, 2, F7).points()
+    tracemalloc.start()
+    try:
+        ws = weak_space(X, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ws.dim == 5
+    assert peak < 10 * 2**20
