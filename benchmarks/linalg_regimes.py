@@ -46,7 +46,7 @@ def plain_search(blocks, target, p: int, r: int, tried: list | None = None):
         if tried is not None:
             tried.append(combo)
         A = np.concatenate([blocks[i] for i in combo], axis=1)
-        x, _ = solve_mod(A, target, p, want_certificate=False)
+        x, _ = solve_mod(A, target, p)
         if x is not None:
             return combo, x
     return None
@@ -104,7 +104,7 @@ def solves(reps: int) -> list[dict]:
             inputs.append((np.array(A, dtype=np.int64), p))
         return original(A, p)
 
-    for m in (linalg, weakpoly):  # solve_mod and nullspace_mod call linalg's
+    for m in (linalg, weakpoly):  # solve_mod and rref_extend_mod call linalg's
         m.rref_mod = recording
     try:
         run_criterion("dual-path-extension", workers=1)

@@ -20,8 +20,7 @@ with its traced peak (tracemalloc, in MB) and its best time of --reps runs
   same fibers, counts and first-seen order.
 - `extend_by_solve F_7^4`: the `solve_mod` calls of dual-path-extension's
   five extensions at n = 2, against solving [A | b | I] every time
-  (`solve_always_tracked` in tests/test_linalg.py); equal means the same
-  solutions.
+  (`solve_always_tracked` below); equal means the same solutions.
 
 `payloads` (only with --parent): the sha256 of every acceptance criterion's
 `payload_bytes()` in the parent checkout and here.
@@ -51,7 +50,6 @@ sys.path.insert(0, str(ROOT / "tests"))
 sys.path.insert(0, str(ROOT / "benchmarks"))
 
 from geometry_growth import end_to_end  # noqa: E402
-from test_linalg import solve_always_tracked  # noqa: E402
 from test_weakpoly import weak_space_one_shot  # noqa: E402
 
 from rankforge import linalg  # noqa: E402
@@ -59,6 +57,7 @@ from rankforge.domain import box  # noqa: E402
 from rankforge.explicit import ExplicitVariety  # noqa: E402
 from rankforge.geometry import kappa_fibers  # noqa: E402
 from rankforge.gf import PrimeField  # noqa: E402
+from rankforge.linalg import as_mod_array, rref_mod  # noqa: E402
 from rankforge.poly import PolyFamily  # noqa: E402
 from rankforge.weakpoly import extend_by_solve, weak_space  # noqa: E402
 
@@ -108,6 +107,23 @@ def kappa_fibers_one_shot(family: PolyFamily, m: int) -> dict:
     return dict(zip(map(tuple, keys), counts[seen].tolist()))
 
 
+def solve_always_tracked(A, b, p: int):
+    """`solve_mod` as it was before the certificate was tracked only for
+    infeasible systems: one RREF of [A | b | I], the certificate the I part
+    of the row whose pivot is b's column."""
+    M = as_mod_array(A, p)
+    rows, cols = M.shape
+    bv = np.asarray(b, dtype=np.int64).reshape(-1) % p
+    R, pivots, _ = rref_mod(np.concatenate([M, bv[:, None], np.eye(rows, dtype=np.int64)], axis=1), p)
+    if cols in pivots:
+        return None, R[pivots.index(cols), cols + 1 :].copy()
+    x = np.zeros(cols, dtype=np.int64)
+    for j, c in enumerate(pivots):
+        if c < cols:
+            x[c] = R[j, cols]
+    return x, None
+
+
 def measure(fn, reps: int) -> tuple[float, float, object]:
     """(best time in s, traced peak in MB, result)."""
     times, out = [], None
@@ -131,9 +147,9 @@ def extension_solves() -> list[tuple]:
     calls = []
     original = linalg.solve_mod
 
-    def recording(A, b, p, want_certificate=True):
+    def recording(A, b, p):
         calls.append((np.array(A), np.array(b), p))
-        return original(A, b, p, want_certificate)
+        return original(A, b, p)
 
     from rankforge import weakpoly
 

@@ -3,7 +3,8 @@
 Exit codes: 0 computed, 1 negative property/feasibility result, 2 input
 error, 3 budget refusal.  Exact rationals are serialized as "num/den"
 strings; floats are advisory duplicates.  Re-running any command with the
-same inputs produces byte-identical primary fields regardless of --workers.
+same inputs produces byte-identical primary fields.  `--workers` is still
+accepted, hidden from help, and ignored: every operation runs serially.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from .gf import PrimeField
 from .nullsatz import ideal_membership, vanishing_vs_ideal_dims
 from .poly import MultilinearForm, MultiPoly
 from .rank import family_rank, nc_rank, partition_rank, schmidt_rank
-from .runtime import Budget, ParallelContext
+from .runtime import Budget
 from .weakpoly import (
     FunctionOnX,
     extend_by_slices,
@@ -87,7 +88,7 @@ def _emit(args, doc, csv_rows=None) -> None:
 
 def _common(sub):
     sub.add_argument("--budget", type=int, default=10**8, help="evaluation-step budget")
-    sub.add_argument("--workers", type=int, default=1)
+    sub.add_argument("--workers", type=int, default=1, help=argparse.SUPPRESS)
     sub.add_argument("--out", help="write output to a file instead of stdout")
     sub.add_argument("--format", choices=["json", "csv"], default="json")
 
@@ -126,7 +127,7 @@ def _load_function(args, X) -> FunctionOnX:
 
 def cmd_bias(args) -> int:
     P = catalog.parse_poly_arg(args.poly)
-    mag = bias(P, Budget(args.budget), ParallelContext(args.workers))
+    mag = bias(P, Budget(args.budget))
     _emit(
         args,
         {
@@ -142,9 +143,9 @@ def cmd_bias(args) -> int:
 
 def cmd_gowers(args) -> int:
     P = catalog.parse_poly_arg(args.poly)
-    budget, ctx = Budget(args.budget), ParallelContext(args.workers)
+    budget = Budget(args.budget)
     if args.direct:
-        res = gowers_norm_direct(P, args.d, budget, ctx)
+        res = gowers_norm_direct(P, args.d, budget)
         _emit(
             args,
             {
@@ -155,7 +156,7 @@ def cmd_gowers(args) -> int:
             },
         )
         return EXIT_OK
-    gn = gowers_norm(P, args.d, budget, ctx)
+    gn = gowers_norm(P, args.d, budget)
     _emit(
         args,
         {
@@ -170,7 +171,7 @@ def cmd_gowers(args) -> int:
 
 def cmd_arank(args) -> int:
     P = catalog.parse_poly_arg(args.poly)
-    ar = analytic_rank(P, args.d, Budget(args.budget), ParallelContext(args.workers))
+    ar = analytic_rank(P, args.d, Budget(args.budget))
     _emit(
         args,
         {
@@ -184,7 +185,7 @@ def cmd_arank(args) -> int:
 
 def cmd_equidist(args) -> int:
     fam = catalog.parse_family_arg(args.family)
-    vd = value_distribution(fam, Budget(args.budget), ParallelContext(args.workers))
+    vd = value_distribution(fam, Budget(args.budget))
     _emit(
         args,
         {"counts": list(vd.counts), "epsilon_num_den": _frac(vd.epsilon), "float": float(vd.epsilon)},
@@ -196,7 +197,7 @@ def cmd_equidist(args) -> int:
 def cmd_count(args) -> int:
     fam = catalog.parse_family_arg(args.family)
     target = tuple(int(v) for v in args.target.split(","))
-    n = count_points_char_sum(fam, target, Budget(args.budget), ParallelContext(args.workers))
+    n = count_points_char_sum(fam, target, Budget(args.budget))
     _emit(args, {"count": n, "target": list(target)})
     return EXIT_OK
 
@@ -251,7 +252,7 @@ def cmd_ncrank(args) -> int:
 
 def cmd_points(args) -> int:
     fam = catalog.parse_family_arg(args.family)
-    X = enumerate_points(fam, Budget(args.budget), ParallelContext(args.workers))
+    X = enumerate_points(fam, Budget(args.budget))
     _emit(
         args,
         {"count": len(X), "points": [list(pt) for pt in X.points]},
@@ -379,10 +380,7 @@ def cmd_extend(args) -> int:
     if res.feasible:
         _emit(args, {"feasible": True, "poly": _poly_doc(res.poly)})
         return EXIT_OK
-    doc = {"feasible": False}
-    if res.dual_certificate is not None:
-        doc["dual_certificate"] = [int(v) for v in res.dual_certificate]
-    _emit(args, doc)
+    _emit(args, {"feasible": False, "dual_certificate": [int(v) for v in res.dual_certificate]})
     return EXIT_NEGATIVE
 
 
@@ -497,10 +495,7 @@ def cmd_nullsatz(args) -> int:
         if res.member:
             _emit(args, {"member": True, "cofactors": [_poly_doc(Q) for Q in res.certificate.cofactors]})
             return EXIT_OK
-        doc = {"member": False}
-        if res.dual_certificate is not None:
-            doc["dual_certificate"] = [int(v) for v in res.dual_certificate]
-        _emit(args, doc)
+        _emit(args, {"member": False, "dual_certificate": [int(v) for v in res.dual_certificate]})
         return EXIT_NEGATIVE
     rep = vanishing_vs_ideal_dims(fam, args.cap, budget=budget)
     _emit(

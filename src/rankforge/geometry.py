@@ -237,7 +237,7 @@ class _Flats:
         ]
 
 
-def _grow(X: VarietyPoints, within: Hyperplane | None, budget: Budget):
+def _grow(X: VarietyPoints, within: Hyperplane | None, budget: Budget, listed: int):
     """Yield the canonical k-flats inside X (and within the hyperplane, when
     given) for k = 0, 1, 2, ...; the generator ends after an empty level.
 
@@ -252,7 +252,8 @@ def _grow(X: VarietyPoints, within: Hyperplane | None, budget: Budget):
     Level 0 is charged as the p^n box; level k, before it is built, as its
     (parent, b) pairs times the p^k points of each candidate (the parent's
     p^(k-1) rebuilt, the p^(k-1)(p-1) new ones tested), which also covers
-    the k+1 indices each kept flat stores.
+    the k+1 indices each kept flat stores.  The level the caller will list,
+    `listed`, is charged first as (k+1)(n+1) words a pair, as if listed.
     """
     bx = X.box
     budget.charge(bx.size, "subspace enumeration")
@@ -263,13 +264,13 @@ def _grow(X: VarietyPoints, within: Hyperplane | None, budget: Budget):
         yield level
         if not len(level):
             return
-        level = _extend(level, allowed, pts, budget)
+        level = _extend(level, allowed, pts, budget, listed)
 
 
-def _extend(level: _Flats, allowed: np.ndarray, pts: np.ndarray, budget: Budget) -> _Flats:
+def _extend(level: _Flats, allowed: np.ndarray, pts: np.ndarray, budget: Budget, listed: int) -> _Flats:
     """The canonical (k+1)-flats inside the allowed points (indicator, and its
     sorted indices pts), each from the one canonical k-flat in level it
-    extends (see _grow)."""
+    extends (see _grow, also for `listed`)."""
     bx = level.box
     p, n = bx.field.p, bx.n
     N, k = level.rows.shape
@@ -287,7 +288,10 @@ def _extend(level: _Flats, allowed: np.ndarray, pts: np.ndarray, budget: Budget)
     s = p**k  # points of a parent
     # candidates(c) runs again when column c is built, so no column's arrays
     # (up to N words each) are held across all n columns
-    budget.charge(sum(int(candidates(c)[2].sum()) for c in range(n)) * s * p, "subspace enumeration")
+    pairs = sum(int(candidates(c)[2].sum()) for c in range(n))
+    budget.charge(pairs * s * p, "subspace enumeration")
+    if k + 1 == listed:
+        budget.charge(pairs * (k + 2) * (n + 1), "subspace list")
     params = np.arange(s, dtype=np.int64)[:, None] // p ** np.arange(k - 1, -1, -1, dtype=np.int64) % p  # (s, k)
     t = np.arange(1, p, dtype=np.int64)[:, None, None]
     cap = max(1, _CHUNK_BYTES // (p * s * max(n, 1) * 8))  # (parent, b) pairs per chunk
@@ -332,7 +336,7 @@ def enumerate_subspaces_in(
     """All m-dimensional affine subspaces fully contained in X (and in the
     hyperplane, when given), canonical, in (pivots, basis, base) order."""
     budget = budget or Budget()
-    return _level(X, _grow(X, within, budget), m).subspaces(budget)
+    return _level(X, _grow(X, within, budget, m), m).subspaces(budget)
 
 
 def _section(M: AffineSubspace, coeffs, level: int) -> AffineSubspace | None:
@@ -384,7 +388,7 @@ def _slice_and_extensions(X: VarietyPoints, coeffs, level: int, m: int, budget: 
     (pivots, basis, base) order, and all (m+1)-subspaces of X (None, and not
     grown, when the first list is empty).  One growth inside X gives both:
     the first are the m-flats with l(base) = level and l(rows) = 0."""
-    levels = _grow(X, None, budget)
+    levels = _grow(X, None, budget, m + 1)
     flats = _level(X, levels, m)
     Ls = flats.subspaces(budget, flats.inside(coeffs, level))
     bigger = next(levels, None) if Ls else None

@@ -3,9 +3,10 @@
 All entries stay in [0, p) between operations; p < 2^31 keeps every
 intermediate product inside int64, so results are exact.  `rref_mod` has two
 routes, and neither changes a result, because the reduced row echelon form
-of a matrix is unique: R, its pivots and rank, `nullspace_mod`,
-`solve_mod`'s solution (free variables 0) and its dual certificate (a row of
-the RREF of [A | b | I]) do not depend on how they were eliminated.
+of a matrix is unique: R, its pivots and rank, the nullspace read off it
+(`nullspace_of_rref`), and `solve_mod`'s solution and dual certificate (each
+the free-variables-zero solution of a system) do not depend on how they
+were eliminated.
 
 - Plain Gauss-Jordan, one pivot column at a time with the first nonzero
   entry as pivot, for small matrices and for primes too large for the other
@@ -24,6 +25,10 @@ a running RREF, so a caller never holds more than the RREF and one block.
 A block is reduced against the pivots it already has, only its nonzero
 residual is eliminated, and the residual's pivots are cleared back out of
 the running RREF; the result is the RREF of all the rows at once.
+
+`solve_mod` eliminates [A | b] once.  When A x = b has no solution, its
+certificate y (y.A = 0, y.b = 1) solves [A | b]^T y = (0, ..., 0, 1): one
+more solve with cols + 1 rows, never an array of rows x rows.
 """
 
 from __future__ import annotations
@@ -32,8 +37,8 @@ import numpy as np
 
 from .errors import InputError, VerificationError
 
-# Row-operation tracking for infeasibility certificates is quadratic in the
-# row count; above this many rows we skip the certificate.
+# Unused here (every infeasible solve returns a certificate), but the
+# `solve_mod` hook of perfbench/tracer.py reads it: delete the two together.
 CERTIFICATE_ROW_LIMIT = 4096
 
 # Column widths of the blocked route: panels, and the subpanels that find
@@ -186,17 +191,21 @@ def rank_mod(A, p: int) -> int:
     return rref_mod(A, p)[2]
 
 
+def nullspace_of_rref(R: np.ndarray, pivots: list[int], p: int) -> np.ndarray:
+    """Right nullspace basis of a matrix with RREF R (zero rows optional) and
+    these pivots: per free column f, 1 at f and -R[j, f] at pivot j's column."""
+    cols = R.shape[1]
+    free = np.setdiff1d(np.arange(cols), pivots)
+    basis = np.zeros((len(free), cols), dtype=np.int64)
+    basis[np.arange(len(free)), free] = 1
+    basis[:, pivots] = (-R[: len(pivots)][:, free].T) % p
+    return basis
+
+
 def nullspace_mod(A, p: int) -> np.ndarray:
     """Basis of the right nullspace, one vector per row; shape (dim, cols)."""
-    M, pivots, rank = rref_mod(A, p)
-    cols = M.shape[1]
-    free = [c for c in range(cols) if c not in set(pivots)]
-    basis = np.zeros((len(free), cols), dtype=np.int64)
-    for k, f in enumerate(free):
-        basis[k, f] = 1
-        for j, pc in enumerate(pivots):
-            basis[k, pc] = (-int(M[j, f])) % p
-    return basis
+    R, pivots, _ = rref_mod(A, p)
+    return nullspace_of_rref(R, pivots, p)
 
 
 def inv_mod(A, p: int) -> np.ndarray:
@@ -211,32 +220,27 @@ def inv_mod(A, p: int) -> np.ndarray:
     return R[:, n:]
 
 
-def solve_mod(A, b, p: int, want_certificate: bool = True):
+def solve_mod(A, b, p: int):
     """Solve A x = b over F_p.
 
     Returns (x, None) for a solution (free variables set to 0), or
-    (None, y) where y is a dual certificate with y.A = 0 and y.b != 0.
-    The certificate is omitted (None) for very tall systems.
+    (None, y) where y is a checked dual certificate: y.A = 0 and y.b = 1,
+    the free-variables-zero solution of [A | b]^T y = (0, ..., 0, 1).
     """
     M = as_mod_array(A, p)
     rows, cols = M.shape
     bv = np.asarray(b, dtype=np.int64).reshape(-1) % p
     if bv.shape[0] != rows:
         raise InputError("right-hand side length mismatch")
-    R, pivots, _ = rref_mod(np.concatenate([M, bv[:, None]], axis=1), p)
+    Ab = np.concatenate([M, bv[:, None]], axis=1)
+    R, pivots, _ = rref_mod(Ab, p)
     if cols not in pivots:
         x = np.zeros(cols, dtype=np.int64)
-        for j, c in enumerate(pivots):
-            if c < cols:
-                x[c] = R[j, cols]
+        x[pivots] = R[: len(pivots), cols]
         return x, None
-    if not (want_certificate and rows <= CERTIFICATE_ROW_LIMIT):
-        return None, None
-    # Only now track the row operations: the RREF of [A | b | I] restricted
-    # to A's and b's columns is the RREF of [A | b], so the row whose pivot is
-    # b's column is the same row, and its I part is the certificate.
-    R, pivots, _ = rref_mod(np.concatenate([M, bv[:, None], np.eye(rows, dtype=np.int64)], axis=1), p)
-    return None, R[pivots.index(cols), cols + 1 :].copy()
+    y, _ = solve_mod(Ab.T, np.eye(1, cols + 1, cols, dtype=np.int64), p)
+    check_dual_certificate(M, bv, y, p)
+    return None, y
 
 
 def check_dual_certificate(A, b, y, p: int) -> None:

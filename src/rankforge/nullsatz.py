@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import InputError, VerificationError
 from .geometry import VarietyPoints, enumerate_points
-from .linalg import check_dual_certificate, rank_mod, solve_mod
+from .linalg import rank_mod, solve_mod
 from .poly import MultiPoly, PolyFamily, monomials, product_matrix
 from .runtime import Budget
 
@@ -85,8 +85,6 @@ def ideal_membership(
 
     x, dual = solve_mod(A, b, p)
     if x is None:
-        if dual is not None:
-            check_dual_certificate(A, b, dual, p)
         return MembershipResult(None, dual, cofactor_caps)
     cofactors = []
     col = 0

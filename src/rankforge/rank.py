@@ -290,7 +290,7 @@ class _SpanSearch:
         if combo is None:
             return None
         A = np.concatenate([self.block(i) for i in combo], axis=1)
-        x, _ = solve_mod(A, self.target, self.p, want_certificate=False)
+        x, _ = solve_mod(A, self.target, self.p)
         return combo, x
 
 

@@ -26,9 +26,8 @@ import numpy as np
 from .errors import InputError, VerificationError
 from .gf import PrimeField
 from .linalg import (
-    check_dual_certificate,
     inv_mod,
-    nullspace_mod,
+    nullspace_of_rref,
     rank_mod,
     rref_extend_mod,
     rref_mod,
@@ -191,7 +190,7 @@ def weak_space(
         for k, L in enumerate(block):
             rows[k * f : (k + 1) * f, X.ordinals_of_indices(L.points(X.box))] = F
         R, pivots = rref_extend_mod(R, pivots, rows, p)
-    basis = nullspace_mod(R, p)
+    basis = nullspace_of_rref(R, pivots, p)
     # echelonize the basis for canonical containment tests
     R, _, rank = rref_mod(basis, p)
     return LinearSpaceOfFunctions(X, R[:rank])
@@ -240,7 +239,7 @@ def star_check(X: VarietyPoints, a: int, budget: Budget | None = None) -> StarRe
 @dataclass
 class ExtensionResult:
     poly: MultiPoly | None
-    dual_certificate: np.ndarray | None  # y with y.A = 0, y.f != 0 when infeasible
+    dual_certificate: np.ndarray | None  # y with y.A = 0, y.f = 1 when infeasible
 
     @property
     def feasible(self) -> bool:
@@ -263,8 +262,6 @@ def extend_by_solve(f: FunctionOnX, a: int, budget: Budget | None = None) -> Ext
     A = X.box.monomial_matrix(monos, X.indices)  # (|X|, #monos)
     x, cert = solve_mod(A, f.values, field.p)
     if x is None:
-        if cert is not None:
-            check_dual_certificate(A, f.values, cert, field.p)
         return ExtensionResult(None, cert)
     P = MultiPoly(field, X.n, {m: int(c) for m, c in zip(monos, x) if c})
     if not np.array_equal(X.box.eval_poly(P, X.indices), f.values):

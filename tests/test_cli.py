@@ -149,6 +149,28 @@ def test_cli_deterministic_across_workers(capsys):
     assert out1 == out2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bias", "--poly", "xn:d=2,n=1,q=3"],
+        ["gowers", "--poly", "xn:d=2,n=1,q=3", "--d", "2"],
+        ["gowers", "--poly", "xn:d=2,n=1,q=3", "--d", "2", "--direct"],
+        ["arank", "--poly", "xn:d=2,n=1,q=3", "--d", "2"],
+        ["equidist", "--family", "xn:d=2,n=1,q=3"],
+        ["count", "--family", "xn:d=2,n=1,q=3", "--target", "0"],
+        ["points", "--family", "counterexample"],
+    ],
+    ids=["bias", "gowers", "gowers-direct", "arank", "equidist", "count", "points"],
+)
+def test_cli_workers_is_ignored(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    for workers in ("0", "-1", "8"):
+        assert run_cli(capsys, *argv, "--workers", workers)[:2] == (code, out)
+    assert main([argv[0], "--help"]) == 0
+    assert "--workers" not in capsys.readouterr().out
+
+
 def test_cli_universal_negative(capsys):
     code, out, _ = run_cli(
         capsys,

@@ -205,19 +205,21 @@ def test_growth_charges_each_level_before_building_it():
     # level 0 costs the box; level k costs, for every (k-1)-flat S' of X and
     # column c past its last pivot where S' is zero, each allowed point y that
     # agrees with the base of S' before c and is 1 at c (the row b = y - base)
-    # times the p^k points of S' + span(b)
+    # times the p^k points of S' + span(b); the listed level 2 costs each
+    # such pair again as a flat of 3 coordinate tuples, before it is built
     X = enumerate_points(quadric_f3())
     p, n = 3, X.n
     points = [X.box.point_of(int(i)) for i in X.indices]
     expected = [p**n]
     for k in (1, 2):
-        total = 0
+        pairs = 0
         for S in scan_subspaces_in(X, k - 1):
             last = S.basis[-1].index(1) if S.basis else -1
             for c in range(last + 1, n):
                 if S.base[c] == 0 and all(row[c] == 0 for row in S.basis):
-                    total += sum(1 for y in points if y[:c] == S.base[:c] and y[c] == 1) * p**k
-        expected.append(total)
+                    pairs += sum(1 for y in points if y[:c] == S.base[:c] and y[c] == 1)
+        expected.append(pairs * p**k)
+    expected.append(pairs * 3 * (n + 1))
     planes = scan_subspaces_in(X, 2)
     charges = []
     assert enumerate_subspaces_in(X, 2, budget=_recording_budget(charges)) == planes
@@ -229,11 +231,12 @@ def test_growth_charges_each_level_before_building_it():
 
 def test_growth_in_all_of_k_n_charges_every_level():
     # X = k^n: level k holds every k-flat of k^n, each made from one pair, so
-    # reaching m = n charges every level below it; m = n + 1 grows nothing
+    # reaching m = n charges every level below it, and the listed level 4
+    # also as the 5 * 5 words of its one flat; m = n + 1 grows nothing
     full = VarietyPoints(PolyFamily([MultiPoly.zero(F3, 4)]), range(81))
     charges = []
     assert enumerate_subspaces_in(full, 4, budget=_recording_budget(charges)) == scan_subspaces_in(full, 4)
-    assert charges == [81] + [count_affine_subspaces(F3, 4, k) * 3**k for k in range(1, 5)] + [5 * 5]
+    assert charges == [81] + [count_affine_subspaces(F3, 4, k) * 3**k for k in range(1, 5)] + [5 * 5, 5 * 5]
     charges.clear()
     assert enumerate_subspaces_in(full, 5, budget=_recording_budget(charges)) == []
     assert census_extension(full, Hyperplane((1, 0, 0, 0), 0), 5, budget=_recording_budget(charges)).Z == ()
@@ -245,15 +248,28 @@ def test_growth_in_all_of_k_n_charges_every_level():
 
 def test_subspace_list_is_charged_before_it_is_built():
     # the lines of F_3^4: growing them is charged 81 and 1080 * 3, listing
-    # them 1080 * 2 * 5 words; a budget between the two refuses the list
+    # them 1080 * 2 * 5 words, once from the (parent, row) pairs before the
+    # growth and once as the list; a budget between the two refuses the list
     full = VarietyPoints(PolyFamily([MultiPoly.zero(F3, 4)]), range(81))
     lines = count_affine_subspaces(F3, 4, 1)
     charges = []
     assert len(enumerate_subspaces_in(full, 1, budget=_recording_budget(charges))) == lines
-    assert charges == [81, lines * 3, lines * 2 * 5]
+    assert charges == [81, lines * 3, lines * 2 * 5, lines * 2 * 5]
     with pytest.raises(BudgetExceededError) as refusal:
         enumerate_subspaces_in(full, 1, budget=Budget(lines * 2 * 5 - 1))
     assert refusal.value.what == "subspace list"
+
+
+def test_dense_subspace_list_is_refused_before_it_is_grown():
+    # the 7.2 M lines of F_3^8 pass the growth charge (pairs * 3) but not
+    # the list charge (pairs * 2 * 9), which comes before any line is built
+    full = VarietyPoints(PolyFamily([MultiPoly.zero(F3, 8)]), range(3**8))
+    lines = count_affine_subspaces(F3, 8, 1)
+    charges = []
+    with pytest.raises(BudgetExceededError) as refusal:
+        enumerate_subspaces_in(full, 1, budget=_recording_budget(charges))
+    assert refusal.value.what == "subspace list"
+    assert charges == [3**8, lines * 3, lines * 2 * 9]
 
 
 def test_line_count_in_full_space():

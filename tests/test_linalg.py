@@ -1,5 +1,6 @@
 """Exact linear algebra mod p: both RREF routes against sympy's DomainMatrix,
-dual certificates, and the memory of the panel route."""
+nullspaces and solutions and dual certificates, and the memory of the panel
+route and of tall infeasible solves."""
 
 import tracemalloc
 from unittest import mock
@@ -19,6 +20,7 @@ from rankforge.linalg import (
     check_dual_certificate,
     inv_mod,
     nullspace_mod,
+    nullspace_of_rref,
     rank_mod,
     row_space_contains,
     row_space_leq,
@@ -118,6 +120,25 @@ def sympy_rref(A: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     return dense, list(pivots)
 
 
+def sympy_solution(A: np.ndarray, b, p: int) -> np.ndarray | None:
+    """The free-variables-zero solution of A x = b read off sympy's RREF of
+    [A | b], or None when b's column is a pivot."""
+    cols = A.shape[1]
+    R, pivots = sympy_rref(np.concatenate([A, np.reshape(b, (-1, 1))], axis=1), p)
+    if cols in pivots:
+        return None
+    x = np.zeros(cols, dtype=np.int64)
+    x[pivots] = R[: len(pivots), cols]
+    return x
+
+
+def sympy_dual(A: np.ndarray, b, p: int) -> np.ndarray:
+    """The certificate `solve_mod` should return for an infeasible A x = b:
+    sympy's free-variables-zero solution of [A | b]^T y = (0, ..., 0, 1)."""
+    cols = A.shape[1]
+    return sympy_solution(np.concatenate([A, np.reshape(b, (-1, 1))], axis=1).T, np.eye(1, cols + 1, cols), p)
+
+
 @st.composite
 def matrices(draw):
     p = draw(st.sampled_from([2, 3, 7, 101, 2147483647]))
@@ -160,12 +181,33 @@ def test_panel_route_dual_certificate_on_tall_infeasible_system():
     with mock.patch.object(linalg, "_gauss_jordan_panels", wraps=linalg._gauss_jordan_panels) as spy:
         x, y = solve_mod(A, b, p)
     assert spy.called and x is None
-    assert np.all((y @ A) % p == 0) and int(y @ b) % p != 0
+    assert np.all((y @ A) % p == 0) and int(y @ b) % p == 1
     check_dual_certificate(A, b, y, p)
-    # the certificate is a row of the (unique) RREF of [A | b | I]
-    R, pivots = sympy_rref(np.concatenate([A, b[:, None], np.eye(100, dtype=np.int64)], axis=1), p)
-    j = pivots.index(70)
-    assert np.array_equal(y, R[j, 71:])
+    assert np.array_equal(y, sympy_dual(A, b, p))
+
+
+@pytest.mark.parametrize("rows, cols", [(4000, 60), (5000, 70)])
+def test_tall_infeasible_solve_returns_a_certificate_in_little_memory(rows, cols):
+    # the certificate solves the (cols + 1) x rows transposed system; no
+    # rows x rows array is built, and no row count drops it
+    p = 7
+    A = random_matrix(41, p, rows, cols, cols, 0, 0)
+    b = np.random.RandomState(42).randint(0, p, rows)
+    tracemalloc.start()
+    try:
+        x, y = solve_mod(A, b, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert x is None
+    check_dual_certificate(A, b, y, p)
+    assert peak < 32 * 2**20
+
+
+def test_solve_mod_checks_its_dual_certificate(corrupt_certificates):
+    A = np.array([[1], [1]], dtype=np.int64)
+    with pytest.raises(VerificationError, match=corrupt_certificates):
+        solve_mod(A, np.array([1, 2]), 5)
 
 
 def test_check_dual_certificate_rejects_bad_certificates():
@@ -255,29 +297,11 @@ def test_rref_extend_keeps_r_when_the_block_reduces_to_zero():
         linalg.rref_extend_mod(R[:rank], pivots, np.zeros((1, 11), dtype=np.int64), p)
 
 
-def solve_always_tracked(A, b, p: int):
-    """`solve_mod` as it was before the certificate was tracked only for
-    infeasible systems: one RREF of [A | b | I]."""
-    M = as_mod_array(A, p)
-    rows, cols = M.shape
-    bv = np.asarray(b, dtype=np.int64).reshape(-1) % p
-    track = rows <= linalg.CERTIFICATE_ROW_LIMIT
-    extra = [np.eye(rows, dtype=np.int64)] if track else []
-    R, pivots, _ = rref_mod(np.concatenate([M, bv[:, None], *extra], axis=1), p)
-    if cols in pivots:
-        return None, R[pivots.index(cols), cols + 1 :].copy() if track else None
-    x = np.zeros(cols, dtype=np.int64)
-    for j, c in enumerate(pivots):
-        if c < cols:
-            x[c] = R[j, cols]
-    return x, None
-
-
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(matrices(), st.booleans(), st.integers(0, 2**31 - 1))
 @example((7, random_matrix(10, 7, 100, 70, 50, 2, 10)), False, 12)  # tall, panel route, infeasible
 @example((7, random_matrix(10, 7, 100, 70, 50, 2, 10)), True, 12)  # the same system made feasible
-def test_solve_mod_matches_always_tracked_solve(case, feasible, seed):
+def test_solve_mod_matches_sympy(case, feasible, seed):
     p, A = case
     rng = np.random.RandomState(seed)
     if feasible:
@@ -286,12 +310,41 @@ def test_solve_mod_matches_always_tracked_solve(case, feasible, seed):
         b = rng.randint(0, 2**31 - 1, A.shape[0]) % p
     b = np.asarray(b, dtype=np.int64)
     x, y = solve_mod(A, b, p)
-    expect_x, expect_y = solve_always_tracked(A, b, p)
+    expect_x = sympy_solution(A, b, p)
     if expect_x is None:
-        assert x is None and np.array_equal(y, expect_y)
+        assert x is None and np.array_equal(y, sympy_dual(A, b, p))
         check_dual_certificate(A, b, y, p)
     else:
         assert y is None and np.array_equal(x, expect_x)
         assert not np.any((A.astype(object) @ x.astype(object) - b) % p)
     if feasible:
         assert x is not None
+
+
+def nullspace_double_loop(R: np.ndarray, pivots: list[int], p: int) -> np.ndarray:
+    """The nullspace read off an RREF one entry at a time, as `nullspace_mod`
+    did before `nullspace_of_rref`."""
+    cols = R.shape[1]
+    free = [c for c in range(cols) if c not in set(pivots)]
+    basis = np.zeros((len(free), cols), dtype=np.int64)
+    for k, f in enumerate(free):
+        basis[k, f] = 1
+        for j, pc in enumerate(pivots):
+            basis[k, pc] = (-int(R[j, f])) % p
+    return basis
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(matrices())
+@example((2147483647, random_matrix(5, 2147483647, 70, 70, 65, 1, 2)))  # large p
+@example((3, np.zeros((4, 5), dtype=np.int64)))  # rank 0: every column is free
+@example((7, random_matrix(13, 7, 6, 6, 6, 0, 0)))  # full rank: nothing is free
+def test_nullspace_of_rref_matches_double_loop(case):
+    p, A = case
+    R, pivots, rank = rref_mod(A, p)
+    N = nullspace_of_rref(R, pivots, p)
+    assert N.dtype == np.int64 and N.shape == (A.shape[1] - rank, A.shape[1])
+    assert N.tobytes() == nullspace_double_loop(R, pivots, p).tobytes()
+    assert not np.any((A.astype(object) @ N.T.astype(object)) % p)
+    assert nullspace_of_rref(R[:rank], pivots, p).tobytes() == N.tobytes()  # zero rows are not read
+    assert nullspace_mod(A, p).tobytes() == N.tobytes()

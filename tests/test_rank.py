@@ -221,7 +221,7 @@ def loop_search(order=lambda combos: combos):
     def first(self, r):
         for combo in order(itertools.combinations(range(self.count), r)):
             A = np.concatenate([self.block(i) for i in combo], axis=1)
-            x, _ = solve_mod(A, self.target, self.p, want_certificate=False)
+            x, _ = solve_mod(A, self.target, self.p)
             if x is not None:
                 return combo, x
         return None

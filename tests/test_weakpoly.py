@@ -10,7 +10,8 @@ from rankforge.catalog import counterexample_function, counterexample_variety
 from rankforge.errors import InputError
 from rankforge.explicit import ExplicitVariety
 from rankforge.geometry import AffineSubspace, VarietyPoints, enumerate_points, enumerate_subspaces_in
-from rankforge.linalg import nullspace_mod, rank_mod, rref_mod
+from rankforge.linalg import check_dual_certificate, nullspace_mod, rank_mod, rref_mod
+from rankforge.poly import monomials
 from rankforge.weakpoly import (
     FunctionOnX,
     _forbidden_coefficient_rows,
@@ -27,6 +28,7 @@ from rankforge.weakpoly import (
 )
 
 F2 = PrimeField(2)
+F3 = PrimeField(3)
 F5 = PrimeField(5)
 F7 = PrimeField(7)
 
@@ -156,24 +158,26 @@ def test_extend_by_solve_counterexample_infeasible():
         assert int(y @ vals) % 5 == 0
 
 
-@pytest.mark.parametrize("break_it", ["kernel", "pairing"])
-def test_extend_by_solve_checks_its_dual_certificate(monkeypatch, break_it):
-    from rankforge import linalg, weakpoly
-
-    def bogus_solve(A, b, p, want_certificate=True):
-        x, y = linalg.solve_mod(A, b, p, want_certificate)
-        assert x is None
-        if break_it == "kernel":  # y.A != 0
-            y = (y + 1) % p
-        else:  # y.A = 0 but y.b = 0
-            y = np.zeros_like(y)
-        return None, y
-
+def test_extend_by_solve_checks_its_dual_certificate(corrupt_certificates):
     X = counterexample_variety()
     f = counterexample_function(X)
-    monkeypatch.setattr(weakpoly, "solve_mod", bogus_solve)
-    with pytest.raises(VerificationError, match="y.A != 0" if break_it == "kernel" else "y.b = 0"):
+    with pytest.raises(VerificationError, match=corrupt_certificates):
         extend_by_solve(f, 1)
+
+
+def test_extend_on_a_large_quadric_returns_a_checked_certificate():
+    # x0^2 on {x0x1 + x2x3 + x4x5 + x6x7 = 0} in F_3^9 (6723 points) is no
+    # restriction of a degree <= 1 polynomial; the certificate no longer
+    # depends on the point count
+    n = 9
+    Q = poly_of(F3, n, [(1, tuple(int(i in (j, j + 1)) for i in range(n))) for j in (0, 2, 4, 6)])
+    X = enumerate_points(PolyFamily([Q]))
+    assert len(X) == 6723
+    f = FunctionOnX.from_poly(X, MultiPoly.variable(F3, n, 0) * MultiPoly.variable(F3, n, 0))
+    res = extend_by_solve(f, 1)
+    assert not res.feasible
+    A = X.box.monomial_matrix(monomials(n, 1, cap=2), X.indices)
+    check_dual_certificate(A, f.values, res.dual_certificate, 3)
 
 
 def test_extend_by_solve_feasible_and_reverified():
