@@ -104,7 +104,7 @@ def weak_space_calls() -> list[tuple[str, object, int, object]]:
 
     weakpoly.enumerate_subspaces_in = recording
     try:
-        run_criterion("dual-path-extension", workers=1)
+        run_criterion("dual-path-extension")
     finally:
         weakpoly.enumerate_subspaces_in = original
     return calls

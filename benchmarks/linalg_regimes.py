@@ -5,7 +5,7 @@
 Run it from the root of a checkout.  It prints one JSON object with two parts.
 
 `searches`: every rank search (one `_SpanSearch.first(r)` call) that the
-rank-axioms and bias-prank-consistency criteria make at workers=1, grouped by
+rank-axioms and bias-prank-consistency criteria make, grouped by
 criterion.  Each batch is timed twice on the same inputs: by the
 prefix-shared search, and by the plain loop it replaced, one `solve_mod` per
 combination in `itertools.combinations` order until the first hit.  The two
@@ -70,7 +70,7 @@ def searches(reps: int) -> dict:
 
         rank._SpanSearch.first = recording
         try:
-            run_criterion(name, workers=1)
+            run_criterion(name)
         finally:
             rank._SpanSearch.first = first
 
@@ -107,7 +107,7 @@ def solves(reps: int) -> list[dict]:
     for m in (linalg, weakpoly):  # solve_mod and rref_extend_mod call linalg's
         m.rref_mod = recording
     try:
-        run_criterion("dual-path-extension", workers=1)
+        run_criterion("dual-path-extension")
     finally:
         for m in (linalg, weakpoly):
             m.rref_mod = original

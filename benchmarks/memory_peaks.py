@@ -77,7 +77,7 @@ TRACED = (
 PAYLOADS = (
     "import hashlib, json\n"
     "from rankforge.acceptance import CRITERIA, run_criterion\n"
-    "print(json.dumps({name: hashlib.sha256(run_criterion(name, workers=1).payload_bytes()).hexdigest() for name in sorted(CRITERIA)}))\n"
+    "print(json.dumps({name: hashlib.sha256(run_criterion(name).payload_bytes()).hexdigest() for name in sorted(CRITERIA)}))\n"
 )
 
 

@@ -4,8 +4,8 @@
 
 Run it from the root of a checkout.  It prints one JSON object with two parts.
 
-`multilinear_form`: every `multilinear_form` call the acceptance battery makes
-at workers=1, grouped by criterion.  Each call is timed by the closed form
+`multilinear_form`: every `multilinear_form` call the acceptance battery makes,
+grouped by criterion.  Each call is timed by the closed form
 (`poly.multilinear_form`) and by the symbolic substitution it replaced (d
 rounds of x -> x + h_k in (d+1)*n variables, kept below as the reference).
 The two must agree on every call: the same terms, or the same error type and
@@ -61,7 +61,7 @@ def recorded(fn, criteria) -> dict:
         for m in owners:
             setattr(m, fn.__name__, recording)
         try:
-            run_criterion(criterion, workers=1)
+            run_criterion(criterion)
         finally:
             for m in owners:
                 setattr(m, fn.__name__, fn)

@@ -10,8 +10,8 @@ Run it from the root of a checkout.  It prints one JSON object with two parts.
 both on a cold box (building the digit table, as a fresh process does) and on
 a warm one (table built beforehand).  Both routes are checked to agree.
 
-`acceptance`: every whole-box `Box.eval_poly` call of the acceptance battery
-at workers=1, counted by the route it takes, with the summed times of both
+`acceptance`: every whole-box `Box.eval_poly` call of the acceptance battery,
+counted by the route it takes, with the summed times of both
 routes on those calls (warm loop), and how many calls the rule that compared
 n*p with the sum over terms of (1 + #variables) would have sent to the loop.
 """
@@ -115,7 +115,7 @@ def acceptance_routes() -> dict:
     Box.eval_poly = recording
     try:
         for name in CRITERIA:
-            run_criterion(name, workers=1)
+            run_criterion(name)
     finally:
         Box.eval_poly = eval_poly
     by_transform = [c for c in calls if c["transform"]]

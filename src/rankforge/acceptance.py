@@ -1,10 +1,12 @@
 """The acceptance suite: every shipped property, runnable as a registry.
 
-Each criterion returns (ok, detail, payload) where payload is a JSON-ready
-dict of every numeric output the criterion produced.  The determinism
-criterion re-runs the whole battery at a different worker count and compares
-payloads byte for byte, which is why criteria must put all their numbers in
-the payload and nothing nondeterministic (no timings, no object ids).
+Each criterion takes a Budget and returns (ok, detail, payload) where
+payload is a JSON-ready dict of every numeric output the criterion produced.
+The determinism criterion runs the whole battery from cleared module caches,
+replays it and compares payloads byte for byte, so it catches any output
+that depends on state carried over from an earlier run.  That is why criteria
+must put all their numbers in the payload and nothing nondeterministic (no
+timings, no object ids).
 
 Budget refusals are a third outcome, distinct from failure: a criterion that
 refuses to run under a tiny budget has not failed.
@@ -20,7 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import catalog
+from . import catalog, domain, poly
 from .analytic import bias, count_points_char_sum, gowers_norm, gowers_norm_direct, value_distribution
 from .domain import box
 from .errors import BudgetExceededError
@@ -36,7 +38,7 @@ from .linalg import rank_mod
 from .nullsatz import ideal_membership, rough_bound_check, vanishing_vs_ideal_dims
 from .poly import AffineMap, MultilinearForm, MultiPoly, PolyFamily, monomials, random_poly
 from .rank import partition_rank, prank_lower_bound_from_bias, schmidt_rank
-from .runtime import Budget, ParallelContext
+from .runtime import Budget
 from .weakpoly import FunctionOnX, extend_by_solve, star_check, weak_space
 
 
@@ -68,28 +70,28 @@ def _sample(field: PrimeField, n: int, d: int, count: int, seed: int):
 _SAMPLE_SPECS = [(PrimeField(2), 3), (PrimeField(3), 2)]
 
 
-def crit_gowers_identity(budget: Budget, ctx: ParallelContext):
+def crit_gowers_identity(budget: Budget):
     values = []
     bad = 0
     for field, n in _SAMPLE_SPECS:
         for d in (2, 3):
             for P in _sample(field, n, d, 100, seed=1000 + field.p * 10 + d):
-                gn = gowers_norm(P, d, budget, ctx)
-                direct = gowers_norm_direct(P, d, budget, ctx)
+                gn = gowers_norm(P, d, budget)
+                direct = gowers_norm_direct(P, d, budget)
                 if direct.value is None or direct.value != gn.norm_pow:
                     bad += 1
                 values.append(_frac(gn.norm_pow))
     return bad == 0, f"{bad} mismatches over {len(values)} polynomials", {"norm_powers": values}
 
 
-def crit_bias_norm_inequality(budget: Budget, ctx: ParallelContext):
+def crit_bias_norm_inequality(budget: Budget):
     rows = []
     bad = 0
     for field, n in _SAMPLE_SPECS:
         for d in (2, 3):
             for P in _sample(field, n, d, 100, seed=1000 + field.p * 10 + d):
-                b = bias(P, budget, ctx)
-                gn = gowers_norm(P, d, budget, ctx)
+                b = bias(P, budget)
+                gn = gowers_norm(P, d, budget)
                 if b.mag_sq is None:
                     bad += 1
                     continue
@@ -100,14 +102,14 @@ def crit_bias_norm_inequality(budget: Budget, ctx: ParallelContext):
     return bad == 0, f"{bad} violations over {len(rows)} polynomials", {"pairs": rows}
 
 
-def crit_explicit_analytic_rank(budget: Budget, ctx: ParallelContext):
+def crit_explicit_analytic_rank(budget: Budget):
     F2 = PrimeField(2)
     out = {}
     ok = True
     for n in (1, 2, 3):
         P = ExplicitVariety(2, n, F2).polynomial()
-        gn = gowers_norm(P, 2, budget, ctx)
-        direct = gowers_norm_direct(P, 2, budget, ctx)
+        gn = gowers_norm(P, 2, budget)
+        direct = gowers_norm_direct(P, 2, budget)
         expected = Fraction(1, 4**n)
         ok &= gn.norm_pow == expected and direct.value == expected
         out[f"norm_pow_n{n}"] = _frac(gn.norm_pow)
@@ -117,7 +119,7 @@ def crit_explicit_analytic_rank(budget: Budget, ctx: ParallelContext):
     return ok, f"norm powers {out}", out
 
 
-def crit_counterexample_star(budget: Budget, ctx: ParallelContext):
+def crit_counterexample_star(budget: Budget):
     X = catalog.counterexample_variety()
     rep = star_check(X, 1, budget)
     f = catalog.counterexample_function(X)
@@ -156,7 +158,7 @@ def _star_threshold(budget: Budget):
     return threshold, dims
 
 
-def crit_star_threshold(budget: Budget, ctx: ParallelContext):
+def crit_star_threshold(budget: Budget):
     threshold, dims = _star_threshold(budget)
     payload = {
         "threshold": threshold,
@@ -166,7 +168,7 @@ def crit_star_threshold(budget: Budget, ctx: ParallelContext):
     return ok, f"smallest n with the extension property: {threshold} (dims {dims})", payload
 
 
-def crit_dual_path_extension(budget: Budget, ctx: ParallelContext):
+def crit_dual_path_extension(budget: Budget):
     F7 = PrimeField(7)
     threshold, _ = _star_threshold(budget)
     if threshold is None:
@@ -196,25 +198,25 @@ def crit_dual_path_extension(budget: Budget, ctx: ParallelContext):
     return ok, f"pipeline/solver agreement at n in {instances}: {payload}", payload
 
 
-def crit_equidistribution_trend(budget: Budget, ctx: ParallelContext):
+def crit_equidistribution_trend(budget: Budget):
     F3 = PrimeField(3)
     eps = []
     counts_all = {}
     identity_ok = True
     for n in (1, 2, 3):
         fam = PolyFamily([ExplicitVariety(2, n, F3).polynomial()])
-        vd = value_distribution(fam, budget, ctx)
+        vd = value_distribution(fam, budget)
         eps.append(vd.epsilon)
         counts_all[str(n)] = list(vd.counts)
         for b in range(3):
-            if count_points_char_sum(fam, (b,), budget, ctx) != vd.count_of((b,)):
+            if count_points_char_sum(fam, (b,), budget) != vd.count_of((b,)):
                 identity_ok = False
     decreasing = eps[0] > eps[1] > eps[2]
     payload = {"epsilon": [_frac(e) for e in eps], "counts": counts_all, "char_sum_identity": identity_ok}
     return decreasing and identity_ok, f"epsilon trend {[_frac(e) for e in eps]}", payload
 
 
-def crit_kappa_uniformity(budget: Budget, ctx: ParallelContext):
+def crit_kappa_uniformity(budget: Budget):
     F3 = PrimeField(3)
     payload = {}
     devs = {}
@@ -237,7 +239,7 @@ def crit_kappa_uniformity(budget: Budget, ctx: ParallelContext):
     return ok, f"deviations n=2: {_frac(devs[2])}, n=3: {_frac(devs[3])}", payload
 
 
-def crit_census_ratio(budget: Budget, ctx: ParallelContext):
+def crit_census_ratio(budget: Budget):
     F3 = PrimeField(3)
     payload = {}
     ratios = {}
@@ -279,7 +281,7 @@ def _bilinear_tensor(F2: PrimeField, n1: int, n2: int, mask: int) -> Multilinear
     return MultilinearForm.from_tensor_poly(MultiPoly(F2, n1 + n2, terms), (n1, n2))
 
 
-def crit_bias_prank_consistency(budget: Budget, ctx: ParallelContext):
+def crit_bias_prank_consistency(budget: Budget):
     F2 = PrimeField(2)
     violations = 0
     checked = 0
@@ -323,7 +325,7 @@ def crit_bias_prank_consistency(budget: Budget, ctx: ParallelContext):
     return violations == 0, f"{violations} violations over {checked} tensors", payload
 
 
-def crit_rank_axioms(budget: Budget, ctx: ParallelContext):
+def crit_rank_axioms(budget: Budget):
     F2 = PrimeField(2)
     # Schmidt rank per congruence class: representative with r diagonal products.
     # Schmidt rank is invariant under invertible substitutions (checked below),
@@ -406,7 +408,7 @@ def crit_rank_axioms(budget: Budget, ctx: ParallelContext):
     return ok, f"{sandwich_bad} sandwich violations over {checked}; invariance {invariance_ok}", payload
 
 
-def crit_nullsatz_dims(budget: Budget, ctx: ParallelContext):
+def crit_nullsatz_dims(budget: Budget):
     F7 = PrimeField(7)
     F5 = PrimeField(5)
     payload = {}
@@ -427,7 +429,7 @@ def crit_nullsatz_dims(budget: Budget, ctx: ParallelContext):
     return ok, f"dims {payload}", payload
 
 
-def crit_rough_bound(budget: Budget, ctx: ParallelContext):
+def crit_rough_bound(budget: Budget):
     F3, F5 = PrimeField(3), PrimeField(5)
     payload = {}
     plane = rough_bound_check(PolyFamily([MultiPoly.variable(F5, 3, 0)]), budget=budget)
@@ -453,7 +455,7 @@ def _rank_steps(A: np.ndarray) -> int:
     return rows * cols * min(rows, cols)
 
 
-def crit_grid_vanishing(budget: Budget, ctx: ParallelContext):
+def crit_grid_vanishing(budget: Budget):
     F7 = PrimeField(7)
     delta = F7.delta_subgroup(6)
 
@@ -490,42 +492,42 @@ CRITERIA = {
 }
 
 
-def run_criterion(name: str, budget: Budget | None = None, workers: int = 1) -> CriterionResult:
+def run_criterion(
+    name: str,
+    budget: Budget | None = None,
+    workers: int = 1,  # unused; perfbench/workloads.py passes workers=1
+) -> CriterionResult:
     fn = CRITERIA[name]
-    budget = budget or Budget()
-    ctx = ParallelContext(workers)
     try:
-        ok, detail, payload = fn(budget, ctx)
+        ok, detail, payload = fn(budget or Budget())
     except BudgetExceededError as exc:
         return CriterionResult(name, "refused", str(exc), {})
     return CriterionResult(name, "pass" if ok else "fail", detail, payload)
 
 
-def run_suite(
-    only: str | None = None,
-    budget: Budget | None = None,
-    determinism_workers: tuple[int, int] = (1, 8),
-) -> list[CriterionResult]:
-    """Run every criterion (or one), then replay at a different worker count
-    and require byte-identical payloads."""
-    names = [only] if only else list(CRITERIA)
-    results = [run_criterion(n, budget, determinism_workers[0]) for n in names]
-    if only is None:
-        replay = [run_criterion(n, budget, determinism_workers[1]) for n in names]
-        mismatched = [
-            a.name
-            for a, b in zip(results, replay)
-            if a.payload_bytes() != b.payload_bytes() or a.status != b.status
-        ]
-        ok = not mismatched
-        results.append(
-            CriterionResult(
-                "determinism",
-                "pass" if ok else "fail",
-                f"payloads identical at worker counts {determinism_workers}"
-                if ok
-                else f"mismatched criteria: {mismatched}",
-                {"workers": list(determinism_workers), "mismatched": mismatched},
-            )
+def run_suite(only: str | None = None, budget: Budget | None = None) -> list[CriterionResult]:
+    """Run every criterion (or one).  A full run starts from empty module
+    caches, then replays the battery on the caches the first pass left and
+    requires the same status and byte-identical payloads from every
+    criterion, so no output may depend on state one run leaves to the next."""
+    if only:
+        return [run_criterion(only, budget)]
+    domain._BOX_CACHE.clear()
+    poly._VINV_CACHE.clear()
+    results = [run_criterion(n, budget) for n in CRITERIA]
+    replay = [run_criterion(n, budget) for n in CRITERIA]
+    mismatched = [
+        a.name
+        for a, b in zip(results, replay)
+        if a.payload_bytes() != b.payload_bytes() or a.status != b.status
+    ]
+    ok = not mismatched
+    results.append(
+        CriterionResult(
+            "determinism",
+            "pass" if ok else "fail",
+            "payloads identical from cleared caches and on replay" if ok else f"mismatched criteria: {mismatched}",
+            {"mismatched": mismatched},
         )
+    )
     return results

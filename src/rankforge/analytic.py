@@ -26,7 +26,7 @@ import numpy as np
 from .domain import box
 from .errors import InputError, VerificationError
 from .poly import MultiPoly, PolyFamily, multilinear_form
-from .runtime import SERIAL, Budget, ParallelContext
+from .runtime import Budget
 
 
 @dataclass(frozen=True)
@@ -115,15 +115,10 @@ class ExactMagnitude:
 # ---------------------------------------------------------------------------
 
 
-def histogram_of_poly(
-    P: MultiPoly,
-    budget: Budget | None = None,
-    ctx: ParallelContext = SERIAL,
-) -> CharHistogram:
+def histogram_of_poly(P: MultiPoly, budget: Budget | None = None) -> CharHistogram:
     """Histogram of P over all of k^n, from one whole-box evaluation.
 
-    The charge covers the p bins as well as the p^n points.  ctx is accepted
-    for a uniform signature; the whole-box evaluation runs serially.
+    The charge covers the p bins as well as the p^n points.
     """
     field = P.field
     b = box(field, P.n)
@@ -132,9 +127,13 @@ def histogram_of_poly(
     return CharHistogram.from_counts(p, np.bincount(b.eval_poly(P), minlength=p))
 
 
-def bias(P: MultiPoly, budget: Budget | None = None, ctx: ParallelContext = SERIAL) -> ExactMagnitude:
+def bias(
+    P: MultiPoly,
+    budget: Budget | None = None,
+    ctx: object = None,  # unused; perfbench/workloads.py passes a ParallelContext here
+) -> ExactMagnitude:
     """|E_{x in k^n} e_p(P(x))| as an exact magnitude."""
-    return ExactMagnitude.from_histogram(histogram_of_poly(P, budget, ctx))
+    return ExactMagnitude.from_histogram(histogram_of_poly(P, budget))
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +162,7 @@ def gowers_norm(
     P: MultiPoly,
     d: int,
     budget: Budget | None = None,
-    ctx: ParallelContext = SERIAL,
+    ctx: object = None,  # unused; perfbench/workloads.py passes a ParallelContext here
 ) -> GowersNorm:
     """U_d norm of e_p(P) for d >= deg P, through the difference-form histogram.
 
@@ -185,7 +184,7 @@ def gowers_norm(
             field.p, [field.p ** (n * d)] + [0] * (field.p - 1)
         )
         return GowersNorm(d, hist, Fraction(1))
-    hist = histogram_of_poly(form.poly, budget, ctx)
+    hist = histogram_of_poly(form.poly, budget)
     val = hist.char_sum_rational()
     if val is None:
         raise VerificationError("difference-form histogram is not uniform off zero")
@@ -215,7 +214,7 @@ def gowers_norm_direct(
     P: MultiPoly,
     d: int,
     budget: Budget | None = None,
-    ctx: ParallelContext = SERIAL,
+    ctx: object = None,  # unused; perfbench/workloads.py passes a ParallelContext here
 ) -> DirectGowersValue:
     """U_d norm power straight from the definition: d multiplicative
     derivatives F <- F(x, h_1..h_k) - F(x + h_{k+1}, h_1..h_k) of P's values
@@ -223,8 +222,7 @@ def gowers_norm_direct(
     signed cube sum over (x, h_1..h_d), whose histogram gives the value.
 
     Cross-validation path; also runs for d < deg P (experimental), where the
-    value may be a genuinely irrational cyclotomic number.  ctx is accepted
-    for a uniform signature and not used.
+    value may be a genuinely irrational cyclotomic number.
     """
     field = P.field
     p = field.p
@@ -262,14 +260,9 @@ class AnalyticRank:
         return f"AnalyticRank(~{self.approx:.6g})"
 
 
-def analytic_rank(
-    P: MultiPoly,
-    d: int,
-    budget: Budget | None = None,
-    ctx: ParallelContext = SERIAL,
-) -> AnalyticRank:
+def analytic_rank(P: MultiPoly, d: int, budget: Budget | None = None) -> AnalyticRank:
     """arank = -log_q ||e_p(P)||_{U_d}, symbolic when the norm is a power of q."""
-    gn = gowers_norm(P, d, budget, ctx)
+    gn = gowers_norm(P, d, budget)
     q = P.field.p
     exact = None
     if gn.norm_pow > 0:
@@ -324,13 +317,10 @@ class ValueDistribution:
 def value_distribution(
     family: PolyFamily,
     budget: Budget | None = None,
-    ctx: ParallelContext = SERIAL,
+    ctx: object = None,  # unused; perfbench/workloads.py passes a ParallelContext here
 ) -> ValueDistribution:
-    """Exact fiber counts of the map x -> (P_1(x), ..., P_c(x)) on k^n.
-
-    One whole-box evaluation per member; ctx is accepted for a uniform
-    signature and not used.
-    """
+    """Exact fiber counts of the map x -> (P_1(x), ..., P_c(x)) on k^n,
+    from one whole-box evaluation per member."""
     field = family.field
     p = field.p
     n = family.n
@@ -352,7 +342,6 @@ def count_points_char_sum(
     family: PolyFamily,
     b_target: tuple[int, ...],
     budget: Budget | None = None,
-    ctx: ParallelContext = SERIAL,
 ) -> int:
     """|{x : P_i(x) = b_i for all i}| via the full character-sum identity.
 

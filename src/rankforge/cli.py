@@ -3,8 +3,7 @@
 Exit codes: 0 computed, 1 negative property/feasibility result, 2 input
 error, 3 budget refusal.  Exact rationals are serialized as "num/den"
 strings; floats are advisory duplicates.  Re-running any command with the
-same inputs produces byte-identical primary fields.  `--workers` is still
-accepted, hidden from help, and ignored: every operation runs serially.
+same inputs produces byte-identical primary fields.
 """
 
 from __future__ import annotations
@@ -88,9 +87,16 @@ def _emit(args, doc, csv_rows=None) -> None:
 
 def _common(sub):
     sub.add_argument("--budget", type=int, default=10**8, help="evaluation-step budget")
-    sub.add_argument("--workers", type=int, default=1, help=argparse.SUPPRESS)
     sub.add_argument("--out", help="write output to a file instead of stdout")
     sub.add_argument("--format", choices=["json", "csv"], default="json")
+
+
+def _int_list(text: str, flag: str) -> tuple[int, ...]:
+    """A comma-separated list of integers; anything else is an input error."""
+    try:
+        return tuple(int(v) for v in text.split(","))
+    except ValueError as exc:
+        raise InputError(f"{flag} expects comma-separated integers, got {text!r}") from exc
 
 
 def _poly_doc(P: MultiPoly) -> dict:
@@ -109,7 +115,7 @@ def _load_function(args, X) -> FunctionOnX:
             except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
                 raise InputError(f"bad function document: {exc}") from exc
         else:
-            vals = [int(v) for v in text.split(",")]
+            vals = _int_list(text, "--values")
         if len(vals) != len(X):
             raise InputError(f"expected {len(X)} values (variety order), got {len(vals)}")
         return FunctionOnX(X, np.array(vals, dtype=np.int64))
@@ -196,7 +202,7 @@ def cmd_equidist(args) -> int:
 
 def cmd_count(args) -> int:
     fam = catalog.parse_family_arg(args.family)
-    target = tuple(int(v) for v in args.target.split(","))
+    target = _int_list(args.target, "--target")
     n = count_points_char_sum(fam, target, Budget(args.budget))
     _emit(args, {"count": n, "target": list(target)})
     return EXIT_OK
@@ -236,7 +242,7 @@ def cmd_rank(args) -> int:
 
 def cmd_prank(args) -> int:
     P = catalog.parse_poly_arg(args.poly)
-    blocks = tuple(int(v) for v in args.blocks.split(","))
+    blocks = _int_list(args.blocks, "--blocks")
     T = MultilinearForm.from_tensor_poly(P, blocks)
     res = partition_rank(T, args.rmax, Budget(args.budget))
     _emit(args, _rank_doc(res))
@@ -368,7 +374,7 @@ def cmd_extend(args) -> int:
     X = enumerate_points(fam, budget)
     f = _load_function(args, X)
     if args.slices:
-        coeffs = tuple(int(v) for v in args.slices.split(","))
+        coeffs = _int_list(args.slices, "--slices")
         try:
             F, log = extend_by_slices(f, coeffs, args.a, budget=budget)
         except RankforgeError as exc:
@@ -490,7 +496,7 @@ def cmd_nullsatz(args) -> int:
         R = catalog.parse_poly_arg(args.r)
         caps = None
         if args.cofactor_caps:
-            caps = tuple(int(v) for v in args.cofactor_caps.split(","))
+            caps = _int_list(args.cofactor_caps, "--cofactor-caps")
         res = ideal_membership(R, fam, args.cap, caps, budget)
         if res.member:
             _emit(args, {"member": True, "cofactors": [_poly_doc(Q) for Q in res.certificate.cofactors]})

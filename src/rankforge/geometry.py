@@ -32,7 +32,7 @@ from .errors import InputError, VerificationError
 from .gf import PrimeField
 from .linalg import rank_mod, rref_mod
 from .poly import AffineMap, MultiPoly, Point, PolyFamily, interpolate_grid, monomials
-from .runtime import SERIAL, Budget, ParallelContext
+from .runtime import Budget
 
 
 @dataclass(frozen=True)
@@ -54,7 +54,7 @@ class Hyperplane:
 class VarietyPoints:
     """The enumerated k-points of a polynomial family, sorted and indexed."""
 
-    def __init__(self, family: PolyFamily, indices: np.ndarray, note: tuple = ()):
+    def __init__(self, family: PolyFamily, indices: np.ndarray):
         self.family = family
         self.field = family.field
         self.n = family.n
@@ -62,7 +62,6 @@ class VarietyPoints:
         self.indices = np.sort(np.asarray(indices, dtype=np.int64))
         self.indicator = np.zeros(self.box.size, dtype=bool)
         self.indicator[self.indices] = True
-        self.note = note
         self._points: tuple[Point, ...] | None = None
         self._index_of: dict[Point, int] | None = None
 
@@ -94,13 +93,10 @@ class VarietyPoints:
 def enumerate_points(
     family: PolyFamily,
     budget: Budget | None = None,
-    ctx: ParallelContext = SERIAL,
+    ctx: object = None,  # unused; perfbench/workloads.py passes a ParallelContext here
 ) -> VarietyPoints:
-    """All x in k^n with P_i(x) = 0 for every member of the family.
-
-    One whole-box evaluation per member; ctx is accepted for a uniform
-    signature and not used.
-    """
+    """All x in k^n with P_i(x) = 0 for every member of the family, from one
+    whole-box evaluation per member."""
     bx = box(family.field, family.n)
     (budget or Budget()).charge(bx.size * family.c, "variety point enumeration")
     good = np.ones(bx.size, dtype=bool)
@@ -115,7 +111,7 @@ def slice_variety(X: VarietyPoints, functional: Hyperplane, levels) -> VarietyPo
     levels = {v % p for v in levels}
     vals = functional.values(X.box)[X.indices]
     keep = np.isin(vals, np.array(sorted(levels), dtype=np.int64)) if levels else np.zeros(len(X.indices), dtype=bool)
-    return VarietyPoints(X.family, X.indices[keep], note=X.note + ((functional, tuple(sorted(levels))),))
+    return VarietyPoints(X.family, X.indices[keep])
 
 
 # ---------------------------------------------------------------------------

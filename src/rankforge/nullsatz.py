@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, VerificationError
-from .geometry import VarietyPoints, enumerate_points
+from .geometry import enumerate_points
 from .linalg import rank_mod, solve_mod
 from .poly import MultiPoly, PolyFamily, monomials, product_matrix
 from .runtime import Budget
@@ -115,7 +115,6 @@ class DimsReport:
 def vanishing_vs_ideal_dims(
     family: PolyFamily,
     e: int,
-    X: VarietyPoints | None = None,
     budget: Budget | None = None,
 ) -> DimsReport:
     """Compare, inside formal degree <= e: polynomials vanishing on X(F_q)
@@ -123,8 +122,7 @@ def vanishing_vs_ideal_dims(
     budget = budget or Budget()
     p = family.field.p
     n = family.n
-    if X is None:
-        X = enumerate_points(family, budget)
+    X = enumerate_points(family, budget)
     monos = monomials(n, e)
     row_of = {m: i for i, m in enumerate(monos)}
     budget.charge(max(len(X), 1) * len(monos), "vanishing space evaluation")

@@ -1,13 +1,13 @@
-"""Execution budget and deterministic worker pool.
+"""Execution budget, and a chunked map kept for one outside caller.
 
 Every enumeration-heavy operation estimates its step count up front and
 charges it against a Budget; operations refuse (raise BudgetExceededError)
 rather than start a computation they cannot finish.
 
-ParallelContext maps a function over index chunks.  Results are merged in
-chunk order, never completion order, so the output is bit-identical no
-matter how many workers run or how they are scheduled.  No library path
-calls map_chunks now; the class stays for callers that pass it as `ctx`.
+Every computation in the package is serial.  ParallelContext and SERIAL
+remain only because perfbench/workloads.py builds a ParallelContext and
+passes it as `ctx`, and perfbench/tracer.py patches map_chunks; nothing in
+the package calls map_chunks.  They go once the benchmark stops using them.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ class Budget:
             raise BudgetExceededError(int(estimate), self.limit, what)
 
 
-class ParallelContext:
+class ParallelContext:  # kept only for perfbench/workloads.py and perfbench/tracer.py
     """Deterministic chunked map-reduce over an index range."""
 
     def __init__(self, workers: int = 1):
@@ -59,4 +59,4 @@ class ParallelContext:
             return [f.result() for f in futures]
 
 
-SERIAL = ParallelContext(1)
+SERIAL = ParallelContext(1)  # exported beside ParallelContext, and goes with it

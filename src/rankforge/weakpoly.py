@@ -95,7 +95,7 @@ def local_testing_dimension(field: PrimeField, a: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _forbidden_coefficient_rows(field: PrimeField, l: int, a: int) -> tuple[np.ndarray, list]:
+def _forbidden_coefficient_rows(field: PrimeField, l: int, a: int) -> np.ndarray:
     """Rows extracting grid-interpolation coefficients of monomials of degree > a.
 
     Row order matches itertools.product over exponents; columns are the q^l
@@ -104,34 +104,29 @@ def _forbidden_coefficient_rows(field: PrimeField, l: int, a: int) -> tuple[np.n
     p = field.p
     Vinv = vandermonde_inverse(field)
     rows = []
-    monos = []
     for e in itertools.product(range(p), repeat=l):
         if sum(e) > a:
             row = np.ones(1, dtype=np.int64)
             for ei in e:
                 row = np.kron(row, Vinv[ei]) % p
             rows.append(row)
-            monos.append(e)
     if rows:
-        return np.stack(rows), monos
-    return np.zeros((0, p**l), dtype=np.int64), monos
+        return np.stack(rows)
+    return np.zeros((0, p**l), dtype=np.int64)
 
 
 def is_weakly_polynomial(
     f: FunctionOnX,
     a: int,
     budget: Budget | None = None,
-    subspaces: list[AffineSubspace] | None = None,
 ) -> tuple[bool, AffineSubspace | None]:
     """Test weak degree <= a; on failure also return an offending subspace."""
     X = f.X
     field = X.field
     l = local_testing_dimension(field, a)
-    if subspaces is None:
-        subspaces = enumerate_subspaces_in(X, l, budget=budget)
-    F, _ = _forbidden_coefficient_rows(field, l, a)
+    F = _forbidden_coefficient_rows(field, l, a)
     p = field.p
-    for L in subspaces:
+    for L in enumerate_subspaces_in(X, l, budget=budget):
         vals = f.values_at_box_indices(L.points(X.box))
         if F.shape[0] and ((F @ vals) % p).any():
             return False, L
@@ -159,12 +154,7 @@ class LinearSpaceOfFunctions:
         return [FunctionOnX(self.X, row) for row in self.basis]
 
 
-def weak_space(
-    X: VarietyPoints,
-    a: int,
-    budget: Budget | None = None,
-    subspaces: list[AffineSubspace] | None = None,
-) -> LinearSpaceOfFunctions:
+def weak_space(X: VarietyPoints, a: int, budget: Budget | None = None) -> LinearSpaceOfFunctions:
     """Exact solution space of all weak-degree-<= a constraints on k^X.
 
     The constraint rows (one per forbidden monomial and subspace) are
@@ -174,9 +164,8 @@ def weak_space(
     field = X.field
     p = field.p
     l = local_testing_dimension(field, a)
-    if subspaces is None:
-        subspaces = enumerate_subspaces_in(X, l, budget=budget)
-    F, _ = _forbidden_coefficient_rows(field, l, a)
+    subspaces = enumerate_subspaces_in(X, l, budget=budget)
+    F = _forbidden_coefficient_rows(field, l, a)
     nX = len(X)
     if F.shape[0] == 0 or not subspaces:
         basis = np.eye(nX, dtype=np.int64)
@@ -416,14 +405,12 @@ def flag_extension(
     f: FunctionOnX,
     W: AffineSubspace,
     a: int,
-    base_extension: MultiPoly | None = None,
     budget: Budget | None = None,
 ) -> MultiPoly:
-    """Extend f from X given an extension of f on X cap W, walking a flag of
-    subspaces from W up to the whole space one dimension at a time.
+    """Extend f from X by solving for its extension on X cap W (in W-local
+    coordinates), then walking a flag of subspaces from W up to the whole
+    space one dimension at a time.
 
-    base_extension is a polynomial in W-local coordinates (dim(W) variables)
-    agreeing with f on X cap W; when omitted it is computed by the solver.
     Each step reduces to the hyperplane case via a coordinate projection.
     """
     X = f.X
@@ -461,16 +448,10 @@ def flag_extension(
         return FunctionOnX(Xi, f.values_at_box_indices(X.box.encode(pts)))
 
     # base space
-    f0 = local_variety(W.dim)
-    if base_extension is None:
-        res = extend_by_solve(f0, a, budget)
-        if not res.feasible:
-            raise VerificationError("no base extension on W")
-        R = res.poly
-    else:
-        R = base_extension
-        if not np.array_equal(f0.X.box.eval_poly(R, f0.X.indices), f0.values):
-            raise InputError("supplied base extension disagrees with f on X cap W")
+    res = extend_by_solve(local_variety(W.dim), a, budget)
+    if not res.feasible:
+        raise VerificationError("no base extension on W")
+    R = res.poly
 
     for dim in range(W.dim + 1, n + 1):
         fi = local_variety(dim)

@@ -1,50 +1,90 @@
 """Acceptance criteria, one test per criterion.
 
-The whole battery runs once at worker count 1 and once at worker count 8
-(session fixture); the determinism criterion compares the two passes byte
-for byte.  Each test prints its pass/fail line.
+The results come from one session-scoped `run_suite()`, the battery that
+`rankforge suite` runs: a pass from cleared module caches, then a replay on
+the caches that pass left, whose determinism line compares the two passes
+byte for byte.  Each test prints its pass/fail line.
 """
+
+import random
 
 import pytest
 
-from rankforge.acceptance import CRITERIA, CriterionResult, run_criterion
+from rankforge import acceptance, domain, poly
+from rankforge.acceptance import CRITERIA, CriterionResult, run_criterion, run_suite
+from rankforge.gf import PrimeField
 from rankforge.runtime import Budget
 
 _NAMES = list(CRITERIA)
 
 
 @pytest.fixture(scope="session")
-def first_pass():
-    return {name: run_criterion(name, Budget(), workers=1) for name in _NAMES}
-
-
-@pytest.fixture(scope="session")
-def second_pass():
-    return {name: run_criterion(name, Budget(), workers=8) for name in _NAMES}
+def suite():
+    return {res.name: res for res in run_suite()}
 
 
 @pytest.mark.parametrize("name", _NAMES)
-def test_criterion(name, first_pass):
-    res: CriterionResult = first_pass[name]
+def test_criterion(name, suite):
+    res: CriterionResult = suite[name]
     print(f"{res.status.upper()} {name}: {res.detail}")
     assert res.status == "pass", f"{name}: {res.detail}"
 
 
-def test_determinism_across_worker_counts(first_pass, second_pass):
-    mismatched = []
-    for name in _NAMES:
-        a, b = first_pass[name], second_pass[name]
-        if a.status != b.status or a.payload_bytes() != b.payload_bytes():
-            mismatched.append(name)
-    print(
-        "PASS determinism: payloads identical at worker counts (1, 8)"
-        if not mismatched
-        else f"FAIL determinism: {mismatched}"
-    )
-    assert not mismatched
+def test_determinism_replay(suite):
+    assert list(suite) == _NAMES + ["determinism"]
+    res = suite["determinism"]
+    print(f"{res.status.upper()} determinism: {res.detail}")
+    assert res.status == "pass", res.detail
+    assert res.payload == {"mismatched": []}
+
+
+def _unseeded_rng(monkeypatch):
+    """gowers-identity draws its polynomials from one generator shared by
+    both passes, so the replay draws different ones."""
+    rng = random.Random(0)
+    monkeypatch.setattr(acceptance, "_sample", lambda field, n, d, count, seed: [poly.random_poly(field, n, d, rng) for _ in range(count)])
+    return {"gowers-identity": CRITERIA["gowers-identity"]}
+
+
+def _poisoned_cache(monkeypatch):
+    """A criterion that writes into the cached Vandermonde inverse it reads:
+    the replay reads the poisoned entry."""
+
+    def crit(budget):
+        V = poly.vandermonde_inverse(PrimeField(3))
+        payload = {"first_row": V[0].tolist()}
+        V += 1
+        return True, "", payload
+
+    return {"poisoned-cache": crit}
+
+
+def _cache_dependent(monkeypatch):
+    """A criterion whose output says whether its box was already cached."""
+
+    def crit(budget):
+        F3 = PrimeField(3)
+        warm = (3, 2) in domain._BOX_CACHE
+        domain.box(F3, 2)
+        return True, "", {"warm": warm}
+
+    return {"cache-dependent": crit}
+
+
+@pytest.mark.parametrize("plant", [_unseeded_rng, _poisoned_cache, _cache_dependent], ids=lambda f: f.__name__[1:])
+def test_determinism_fails_on_state_carried_between_passes(monkeypatch, plant):
+    # private caches, so the planted state does not outlive the test
+    monkeypatch.setattr(domain, "_BOX_CACHE", {})
+    monkeypatch.setattr(poly, "_VINV_CACHE", {})
+    criteria = plant(monkeypatch)
+    monkeypatch.setattr(acceptance, "CRITERIA", criteria)
+    *results, determinism = run_suite()
+    assert [r.status for r in results] == ["pass"]
+    assert determinism.status == "fail"
+    assert determinism.payload == {"mismatched": list(criteria)}
 
 
 def test_budget_refusals_are_not_failures():
     # a starved suite reports refusals, distinct from failures
-    res = run_criterion("gowers-identity", Budget(10), workers=1)
+    res = run_criterion("gowers-identity", Budget(10))
     assert res.status == "refused"

@@ -9,7 +9,6 @@ from rankforge import (
     BudgetExceededError,
     InputError,
     MultiPoly,
-    ParallelContext,
     PolyFamily,
     PrimeField,
     analytic_rank,
@@ -17,7 +16,6 @@ from rankforge import (
     count_points_char_sum,
     gowers_norm,
     gowers_norm_direct,
-    histogram_of_poly,
     random_poly,
     value_distribution,
 )
@@ -151,13 +149,6 @@ def test_count_points_matches_brute_force_all_levels():
             brute[key] = brute.get(key, 0) + 1
         for target in itertools.product(range(3), repeat=2):
             assert count_points_char_sum(fam, target) == brute.get(target, 0)
-
-
-def test_histogram_schedule_independence():
-    P = poly_of(F3, 4, [(1, (1, 1, 0, 0)), (1, (0, 0, 1, 1)), (2, (1, 0, 0, 0))])
-    h1 = histogram_of_poly(P, ctx=ParallelContext(1))
-    h4 = histogram_of_poly(P, ctx=ParallelContext(4))
-    assert h1 == h4
 
 
 def test_irrational_magnitude_is_stored_not_faked():

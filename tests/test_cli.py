@@ -141,34 +141,28 @@ def test_cli_equidist_csv(capsys):
     assert out.splitlines()[0] == "value_index,count"
 
 
-def test_cli_deterministic_across_workers(capsys):
-    argv = ["equidist", "--family", "xn:d=2,n=2,q=3"]
-    code1, out1, _ = run_cli(capsys, *argv, "--workers", "1")
-    code2, out2, _ = run_cli(capsys, *argv, "--workers", "8")
-    assert code1 == code2 == 0
-    assert out1 == out2
+_XSQ = '{"q":5,"n":1,"terms":[{"c":1,"e":[2]}]}'
+_X = '{"q":5,"n":1,"terms":[{"c":1,"e":[1]}]}'
+_BILINEAR = '{"q":2,"n":4,"terms":[{"c":1,"e":[1,0,1,0]},{"c":1,"e":[0,1,0,1]}]}'
+_X0_F7 = '{"q":7,"n":4,"terms":[{"c":1,"e":[1,0,0,0]}]}'
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "flag,argv",
     [
-        ["bias", "--poly", "xn:d=2,n=1,q=3"],
-        ["gowers", "--poly", "xn:d=2,n=1,q=3", "--d", "2"],
-        ["gowers", "--poly", "xn:d=2,n=1,q=3", "--d", "2", "--direct"],
-        ["arank", "--poly", "xn:d=2,n=1,q=3", "--d", "2"],
-        ["equidist", "--family", "xn:d=2,n=1,q=3"],
-        ["count", "--family", "xn:d=2,n=1,q=3", "--target", "0"],
-        ["points", "--family", "counterexample"],
+        ("--values", ["weaktest", "--family", "counterexample", "--a", "1", "--values", "0,1,x"]),
+        ("--target", ["count", "--family", "xn:d=2,n=1,q=3", "--target", "0,a"]),
+        ("--blocks", ["prank", "--poly", _BILINEAR, "--blocks", "2,two", "--rmax", "1"]),
+        ("--slices", ["extend", "--family", "xn:d=2,n=2,q=7", "--a", "1", "--from-poly", _X0_F7, "--slices", "1,0,0,0.5"]),
+        ("--cofactor-caps", ["nullsatz", "--family", _XSQ, "--r", _X, "--cap", "2", "--cofactor-caps", "1,"]),
     ],
-    ids=["bias", "gowers", "gowers-direct", "arank", "equidist", "count", "points"],
+    ids=["values", "target", "blocks", "slices", "cofactor-caps"],
 )
-def test_cli_workers_is_ignored(capsys, argv):
-    code, out, _ = run_cli(capsys, *argv)
-    assert code == 0
-    for workers in ("0", "-1", "8"):
-        assert run_cli(capsys, *argv, "--workers", workers)[:2] == (code, out)
-    assert main([argv[0], "--help"]) == 0
-    assert "--workers" not in capsys.readouterr().out
+def test_cli_non_integer_list_is_an_input_error(capsys, flag, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    doc = json.loads(err)
+    assert doc["error"] == "input" and doc["detail"].startswith(f"{flag} expects comma-separated integers")
 
 
 def test_cli_universal_negative(capsys):

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy import GF
+from sympy.polys.matrices import DomainMatrix
 
 from rankforge import AffineMap, Budget, BudgetExceededError, InputError, MultiPoly, PolyFamily, PrimeField, multilinear_form, random_poly
 from rankforge import rank
@@ -100,6 +102,53 @@ def test_partition_rank_equals_matrix_rank_bilinear(data):
     M = np.array(data.draw(st.lists(st.integers(0, p - 1), min_size=n1 * n2, max_size=n1 * n2)), dtype=np.int64).reshape(n1, n2)
     T = bilinear(PrimeField(p), n1, n2, {(i, j): int(M[i, j]) for i in range(n1) for j in range(n2) if M[i, j]})
     assert partition_rank(T, min(n1, n2)).value == rank_mod(M, p)
+
+
+def quadric_schmidt_rank(G: np.ndarray, p: int) -> int:
+    """k - w for the quadratic form with Gram matrix G over F_p, p odd.
+
+    k is the rank of G and w its Witt index: w = floor(k/2) for odd k; for
+    even k, w = k/2 when (-1)^(k/2) disc is a square mod p, else k/2 - 1
+    (Lidl & Niederreiter, Finite Fields, ch. 6).  A nonsingular principal
+    k x k block of G spans a complement of the radical, so its determinant
+    is the discriminant up to squares.  Ranks and determinants are sympy's.
+    """
+    K = GF(p, symmetric=False)
+
+    def dm(M):
+        return DomainMatrix([[K(int(x)) for x in row] for row in M], M.shape, K)
+
+    n = len(G)
+    k = dm(G).rank()
+    if k % 2 or k == 0:  # odd k, or the zero form
+        return k - k // 2
+    minors = (int(dm(G[np.ix_(I, I)]).det()) for I in itertools.combinations(range(n), k))
+    disc = next(d for d in minors if d % p)
+    square = pow((-1) ** (k // 2) * disc % p, (p - 1) // 2, p) == 1
+    return k - (k // 2 if square else k // 2 - 1)
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_schmidt_rank_of_quadric_is_rank_minus_witt_index(data):
+    # a homogeneous quadric over odd p is a sum of r products of linear
+    # forms exactly when r >= k - w; n <= 3 keeps every search far inside
+    # the default budget (F_5 with n = 3 takes up to 0.4 s)
+    p = data.draw(st.sampled_from([3, 5]))
+    n = data.draw(st.integers(1, 3))
+    pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    coeffs = data.draw(st.lists(st.integers(0, p - 1), min_size=len(pairs), max_size=len(pairs)))
+    G = np.zeros((n, n), dtype=np.int64)
+    terms = {}
+    half = pow(2, -1, p)
+    for (i, j), c in zip(pairs, coeffs):
+        if c:
+            e = [0] * n
+            e[i] += 1
+            e[j] += 1
+            terms[tuple(e)] = c
+            G[i, j] = G[j, i] = c if i == j else c * half % p
+    assert schmidt_rank(MultiPoly(PrimeField(p), n, terms), n).value == quadric_schmidt_rank(G, p)
 
 
 def test_nc_rank_of_x1x2():

@@ -366,7 +366,7 @@ def weak_space_one_shot(X, a):
     p = X.field.p
     l = local_testing_dimension(X.field, a)
     subspaces = enumerate_subspaces_in(X, l)
-    F, _ = _forbidden_coefficient_rows(X.field, l, a)
+    F = _forbidden_coefficient_rows(X.field, l, a)
     if F.shape[0] == 0 or not subspaces:
         return np.eye(len(X), dtype=np.int64)
     rows = np.zeros((F.shape[0] * len(subspaces), len(X)), dtype=np.int64)
