@@ -18,8 +18,11 @@ the search driver spends reading candidates and building their column blocks
 (the `_SpanSearch.block` calls), `eager_s` the time the replaced code took to
 build every candidate's block (and, for partition rank, its Q polynomial)
 before the first charge.  The blocks the driver built must equal the eager
-ones.  `search_s` is the driver's whole call, for scale.  Times are the best
-of `--reps` runs (default 3).
+ones.  Calls that never reach the driver (zero inputs, degree <= 1, and
+bilinear forms without a factor dictionary, which their matrix rank decides)
+build nothing either way; `searches` counts the rest.  `search_s` is the
+whole of every call, for scale.  Times are the best of `--reps` runs
+(default 3).
 """
 
 from __future__ import annotations
@@ -212,7 +215,7 @@ def candidates(reps: int) -> dict:
                 return spent[0]
 
             lazy = min(driver() for _ in range(reps))
-            built = [eager(*args, **kwargs) for args, kwargs in batch if _searched(args)]
+            built = [eager(*args, **kwargs) for args, kwargs in batch if _searched(args, kwargs)]
             if len(built) != len(searches):
                 raise SystemExit(f"{criterion} {fn.__name__}: {len(built)} eager builds for {len(searches)} searches")
             for blocks, search in zip(built, searches):
@@ -224,18 +227,22 @@ def candidates(reps: int) -> dict:
                 "candidates": sum(s.count for s in searches),
                 "candidates_read": sum(len(s.read) for s in searches),
                 "lazy_s": lazy,
-                "eager_s": best_of(lambda: [eager(*a, **k) for a, k in batch if _searched(a)], reps),
+                "eager_s": best_of(lambda: [eager(*a, **k) for a, k in batch if _searched(a, k)], reps),
                 "search_s": best_of(lambda: [fn(*a, **k) for a, k in batch], reps),
             }
         out[criterion] = row
     return out
 
 
-def _searched(args) -> bool:
-    """Whether the call reaches the search (a nonzero input of degree >= 2)."""
+def _searched(args, kwargs) -> bool:
+    """Whether the call reaches the search: a nonzero input of degree >= 2,
+    and not a bilinear form without a factor dictionary (its matrix rank
+    decides it)."""
     obj = args[0]
-    P = obj.poly if isinstance(obj, MultilinearForm) else obj
-    return not P.is_zero() and (isinstance(obj, MultilinearForm) or P.degree() >= 2)
+    if isinstance(obj, MultilinearForm):
+        dictionary = args[3] if len(args) > 3 else kwargs.get("factor_dictionary")
+        return not obj.is_zero() and (obj.d != 2 or dictionary is not None)
+    return not obj.is_zero() and obj.degree() >= 2
 
 
 def main() -> None:

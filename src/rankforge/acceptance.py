@@ -34,7 +34,7 @@ from .geometry import (
     kappa_fibers,
 )
 from .gf import PrimeField
-from .linalg import rank_mod
+from .linalg import rank_mod, rref_steps
 from .nullsatz import ideal_membership, rough_bound_check, vanishing_vs_ideal_dims
 from .poly import AffineMap, MultilinearForm, MultiPoly, PolyFamily, monomials, random_poly
 from .rank import partition_rank, prank_lower_bound_from_bias, schmidt_rank
@@ -449,12 +449,6 @@ def crit_rough_bound(budget: Budget):
     return ok, f"counts vs bounds {payload}", payload
 
 
-def _rank_steps(A: np.ndarray) -> int:
-    """Elimination steps of rank_mod on A: rows * cols * min(rows, cols)."""
-    rows, cols = A.shape
-    return rows * cols * min(rows, cols)
-
-
 def crit_grid_vanishing(budget: Budget):
     F7 = PrimeField(7)
     delta = F7.delta_subgroup(6)
@@ -463,7 +457,7 @@ def crit_grid_vanishing(budget: Budget):
         """[#monomials of degree <= 4 in N variables, rank of their values at pts]."""
         bx = box(F7, N)
         A = bx.monomial_matrix(monomials(N, 4), bx.encode(pts))
-        budget.charge(_rank_steps(A), "evaluation-matrix rank")
+        budget.charge(rref_steps(*A.shape), "evaluation-matrix rank")
         return [A.shape[1], rank_mod(A, 7)]
 
     payload = {f"cube_N{N}": evaluation_rank(N, list(itertools.product(delta.elements, repeat=N))) for N in (1, 2)}

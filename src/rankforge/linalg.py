@@ -191,6 +191,12 @@ def rank_mod(A, p: int) -> int:
     return rref_mod(A, p)[2]
 
 
+def rref_steps(rows: int, cols: int) -> int:
+    """The budget charge for eliminating a rows x cols matrix:
+    rows * cols * min(rows, cols) element steps."""
+    return rows * cols * min(rows, cols)
+
+
 def nullspace_of_rref(R: np.ndarray, pivots: list[int], p: int) -> np.ndarray:
     """Right nullspace basis of a matrix with RREF R (zero rows optional) and
     these pivots: per free column f, 1 at f and -R[j, f] at pivot j's column."""

@@ -9,18 +9,26 @@ run r = 1, 2, ... and each r is either refuted exhaustively, witnessed by a
 certificate, or abandoned on budget; the three outcomes are reported
 separately.
 
-Schmidt and partition rank run the same driver, `_rank_search`.  The
-caller supplies the target, the candidate count (by formula), the widest R
-side and a lazy sequence of Q candidates; the driver charges the
-budget for r before it builds anything, so a refused search allocates no
-candidate block.  For a given r the search wants the first Q tuple, in
-`itertools.combinations` order, whose column blocks span P's coefficient
-vector.  `_SpanSearch` reads candidates only as far as its walk reaches,
-walks the tuples depth-first and shares each prefix's echelon basis
-(bit-packed over F_2) among all tuples that extend it, so most tuples cost
-one block's reduction and no solve; only the hit is solved, by `solve_mod`
-on its rebuilt blocks, so the certificate is the one a solve per tuple
-would give, and only the hit's Q and R become polynomials.
+A bilinear form x^T M y (two blocks, no factor dictionary) is not
+searched.  Its partition rank is rank(M): one RREF of M gives a rank
+factorization M = C R, hence a certificate with rank(M) products, and no
+shorter sum exists, since a form in x times a form in y is a rank-one
+matrix.  The budget is charged for that RREF, and `per_r` reads exactly as
+the search's would.  The certificate is a valid one, but not the search's.
+
+Schmidt rank and every other partition rank run one driver,
+`_rank_search`.  The caller supplies the target, the candidate count (by
+formula), the widest R side and a lazy sequence of Q candidates; the
+driver charges the budget for r before it builds anything, so a refused
+search allocates no candidate block.  For a given r the search wants the
+first Q tuple, in `itertools.combinations` order, whose column blocks span
+P's coefficient vector.  `_SpanSearch` reads candidates only as far as its
+walk reaches, walks the tuples depth-first and shares each prefix's
+echelon basis (bit-packed over F_2) among all tuples that extend it, so
+most tuples cost one block's reduction and no solve; only the hit is
+solved, by `solve_mod` on its rebuilt blocks, so the certificate is the
+one a solve per tuple would give, and only the hit's Q and R become
+polynomials.
 
 The rank of a nonzero polynomial of degree <= 1 is an infinite sentinel
 (such polynomials admit no factors of lower degree), never a large integer.
@@ -38,7 +46,7 @@ import numpy as np
 from .analytic import CharHistogram, histogram_of_poly
 from .errors import BudgetExceededError, InputError, VerificationError
 from .gf import PrimeField
-from .linalg import solve_mod
+from .linalg import rref_mod, rref_steps, solve_mod
 from .poly import AffineMap, MultilinearForm, MultiPoly, PolyFamily, monomials, multilinear_form, product_matrix
 from .runtime import Budget
 
@@ -353,7 +361,52 @@ def partition_rank(
     certificate is still valid, but "not found" decides nothing.  Each
     dictionary entry (J, Q) needs a proper nonempty block set J and a Q in
     T's ring that is multilinear on exactly J's blocks, else InputError.
+    A nonzero bilinear form without a dictionary is decided by its matrix
+    rank (`_matrix_rank_partition`); everything else is searched.
     """
+    budget = budget or Budget()
+    if T.d == 2 and factor_dictionary is None and not T.is_zero():
+        return _matrix_rank_partition(T, r_max, budget)
+    return _partition_search(T, r_max, budget, factor_dictionary)
+
+
+def _matrix_rank_partition(T: MultilinearForm, r_max: int, budget: Budget) -> RankResult:
+    """Partition rank of a bilinear form x^T M y as rank(M).
+
+    With R the nonzero rows of M's RREF and C the pivot columns of M,
+    M = C R, so x^T M y = sum_i (x . C_i)(R_i . y).
+    """
+    n1, n2 = T.block_dims
+    budget.charge(rref_steps(n1, n2), "partition rank by matrix rank")
+    p, n = T.field.p, T.poly.n
+    M = np.zeros((n1, n2), dtype=np.int64)
+    for mono, c in T.poly.terms.items():
+        M[mono.index(1), mono.index(1, n1) - n1] = c
+    R, pivots, k = rref_mod(M, p)
+    if k > r_max:
+        return RankResult(None, r_max=r_max, per_r=tuple((r, "no") for r in range(1, r_max + 1)))
+    unit = [tuple(int(v == i) for v in range(n)) for i in range(n)]
+    pairs = tuple(
+        (
+            (0,),
+            MultiPoly(T.field, n, {unit[a]: c for a, c in enumerate(M[:, j].tolist())}),
+            MultiPoly(T.field, n, {unit[n1 + b]: c for b, c in enumerate(R[i].tolist())}),
+        )
+        for i, j in enumerate(pivots)
+    )
+    cert = RankCertificate("partition", pairs, "matrix rank")
+    cert.verify_partition(T)
+    per_r = tuple((r, "no") for r in range(1, k)) + ((k, "found"),)
+    return RankResult(k, r_max=r_max, certificate=cert, per_r=per_r)
+
+
+def _partition_search(
+    T: MultilinearForm,
+    r_max: int,
+    budget: Budget | None = None,
+    factor_dictionary: list[tuple[frozenset, MultiPoly]] | None = None,
+) -> RankResult:
+    """`partition_rank` by the search driver, for any number of blocks."""
     budget = budget or Budget()
     if T.is_zero():
         return RankResult(0, r_max=r_max, certificate=RankCertificate("partition", ()))

@@ -439,3 +439,47 @@ def test_product_matrix_refuses_a_product_outside_its_rows():
     row_of = {m: i for i, m in enumerate(monomials(2, 2))}
     with pytest.raises(VerificationError, match="escaped the degree window"):
         product_matrix(row_of, [((1, 1), 1)], [(0, 1)])
+
+
+# ---------------------------------------------------------------------------
+# Multiplication and affine composition against sympy over GF(p)
+# ---------------------------------------------------------------------------
+
+
+def cubic_poly(data, p, n):
+    """Up to six terms of total degree <= 3 in n variables over F_p."""
+    monos = st.tuples(*[st.integers(0, 3)] * n).filter(lambda e: sum(e) <= 3)
+    return MultiPoly.from_terms(PrimeField(p), n, data.draw(st.lists(st.tuples(st.integers(0, p - 1), monos), max_size=6)))
+
+
+def to_sympy(P, gens):
+    return sympy.Poly.from_dict(dict(P.terms), *gens, modulus=P.field.p)
+
+
+def sympy_terms(S, p):
+    return {e: int(c) % p for e, c in S.terms() if int(c) % p}
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_product_matches_sympy(data):
+    p = data.draw(st.sampled_from([2, 3, 5, 7]))
+    n = data.draw(st.integers(1, 4))
+    P, Q = cubic_poly(data, p, n), cubic_poly(data, p, n)
+    gens = sympy.symbols(f"x0:{n}")
+    assert (P * Q).terms == sympy_terms(to_sympy(P, gens) * to_sympy(Q, gens), p)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_compose_matches_sympy(data):
+    p = data.draw(st.sampled_from([2, 3, 5, 7]))
+    n, m = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+    P = cubic_poly(data, p, n)
+    entries = st.integers(0, p - 1)
+    A = data.draw(st.lists(st.lists(entries, min_size=m, max_size=m), min_size=n, max_size=n))
+    b = data.draw(st.lists(entries, min_size=n, max_size=n))
+    xs, ts = sympy.symbols(f"x0:{n}"), sympy.symbols(f"t0:{m}")
+    image = {x: sum(a * t for a, t in zip(row, ts)) + c for x, row, c in zip(xs, A, b)}
+    want = sympy.Poly(to_sympy(P, xs).as_expr().xreplace(image), *ts, modulus=p)
+    assert P.compose(AffineMap.make(PrimeField(p), A, b)).terms == sympy_terms(want, p)

@@ -1,6 +1,7 @@
 import itertools
 import random
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -96,12 +97,33 @@ def test_partition_rank_examples():
 @given(data=st.data())
 def test_partition_rank_equals_matrix_rank_bilinear(data):
     # a bilinear form x^T M y has partition rank rank(M): its only
-    # bipartition is ({x}, {y}), so each factor pair is one rank-one matrix
+    # bipartition is ({x}, {y}), so each factor pair is one rank-one matrix.
+    # partition_rank reads it off one RREF; the search is the reference.
     p = data.draw(st.sampled_from([2, 3, 5]))
     n1, n2 = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
     M = np.array(data.draw(st.lists(st.integers(0, p - 1), min_size=n1 * n2, max_size=n1 * n2)), dtype=np.int64).reshape(n1, n2)
     T = bilinear(PrimeField(p), n1, n2, {(i, j): int(M[i, j]) for i in range(n1) for j in range(n2) if M[i, j]})
-    assert partition_rank(T, min(n1, n2)).value == rank_mod(M, p)
+    k = rank_mod(M, p)
+    for r_max in sorted({max(k - 1, 0), k, k + 1}):
+        got, want = partition_rank(T, r_max), rank._partition_search(T, r_max)
+        assert replace(got, certificate=None) == replace(want, certificate=None), r_max
+        assert want.value == (k if k <= r_max else None)
+        for res in (got, want):
+            if res.certificate is not None:
+                assert len(res.certificate.pairs) == k
+                res.certificate.verify_partition(T)
+
+
+def test_bilinear_route_charges_one_rref():
+    T = bilinear(F3, 3, 3, {(0, 0): 1, (1, 1): 2, (2, 0): 1})
+    with pytest.raises(BudgetExceededError, match="partition rank by matrix rank: estimated 27 steps"):
+        partition_rank(T, 3, Budget(26))
+    res = partition_rank(T, 3, Budget(27))
+    assert res.value == 2 and res.per_r == ((1, "no"), (2, "found"))
+    assert res.certificate.bound_provenance == "matrix rank"
+    # the search needs 13 * 9 * 3 steps for r = 1 alone
+    with pytest.raises(BudgetExceededError, match="partition rank search at r=1"):
+        rank._partition_search(T, 3, Budget(27))
 
 
 def quadric_schmidt_rank(G: np.ndarray, p: int) -> int:
@@ -305,7 +327,8 @@ def rank_cases():
         field = (F2, F3)[k % 2]
         dims = rng.choice(((2, 2), (2, 3), (3, 3), (2, 2, 2), (1, 2, 2)))
         T = random_multilinear(field, dims, rng)
-        cases.append((f"partition {dims} {T.poly}", lambda T=T: partition_rank(T, 3, Budget(10**5))))
+        # bilinear forms would take the matrix-rank route: search them directly
+        cases.append((f"partition {dims} {T.poly}", lambda T=T: rank._partition_search(T, 3, Budget(10**5))))
         if len(set(dims)) == 1:
             dictionary = invariant_factor_dictionary(T)
             cases.append(
