@@ -24,8 +24,9 @@ the same items in the same order.  Times are the best of --reps runs
 
 `end_to_end` (only with --parent): --pairs seeds per workload of
 `perfbench/run.py --seconds 0 --trace 0`, each seed run once in the parent
-checkout and once here, the side that runs first alternating by seed; then
-one traced run (`--trace 1`, seed 1) of acceptance-serial per side.
+checkout and once here, the side that runs first alternating by seed, with
+every run's metrics; then one traced run (`--trace 1`, seed 1) of
+acceptance-serial per side.
 """
 
 from __future__ import annotations
@@ -176,11 +177,11 @@ def summary(runs: list[dict]) -> dict:
     return out
 
 
-def end_to_end(parent: Path, pairs: int, traced_metrics: tuple = TRACED) -> dict:
+def end_to_end(parent: Path, pairs: int, traced_metrics: tuple = TRACED, first_seed: int = 1) -> dict:
     result = {}
     for workload in WORKLOADS:
         sides: dict[str, list[dict]] = {"parent": [], "change": []}
-        for seed in range(1, pairs + 1):
+        for seed in range(first_seed, first_seed + pairs):
             order = [("parent", parent), ("change", ROOT)]
             for side, checkout in order if seed % 2 else order[::-1]:
                 sides[side].append(run_perfbench(checkout, workload, seed, 0))
@@ -191,7 +192,12 @@ def end_to_end(parent: Path, pairs: int, traced_metrics: tuple = TRACED) -> dict
             )
             for name in E2E
         }
-        result[workload] = {"parent": summary(sides["parent"]), "change": summary(sides["change"]), "change_better_pairs": better}
+        result[workload] = {
+            "parent": summary(sides["parent"]),
+            "change": summary(sides["change"]),
+            "change_better_pairs": better,
+            "runs": {side: [{"seed": seed, **run} for seed, run in enumerate(runs, first_seed)] for side, runs in sides.items()},
+        }
     traced = {}
     for side, checkout in (("parent", parent), ("change", ROOT)):
         run = run_perfbench(checkout, "acceptance-serial", 1, 1)

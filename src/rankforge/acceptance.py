@@ -37,7 +37,7 @@ from .gf import PrimeField
 from .linalg import rank_mod, rref_steps
 from .nullsatz import ideal_membership, rough_bound_check, vanishing_vs_ideal_dims
 from .poly import AffineMap, MultilinearForm, MultiPoly, PolyFamily, monomials, random_poly
-from .rank import partition_rank, prank_lower_bound_from_bias, schmidt_rank
+from .rank import RankResult, partition_rank, prank_lower_bound_from_bias, schmidt_rank
 from .runtime import Budget
 from .weakpoly import FunctionOnX, extend_by_solve, star_check, weak_space
 
@@ -281,6 +281,15 @@ def _bilinear_tensor(F2: PrimeField, n1: int, n2: int, mask: int) -> Multilinear
     return MultilinearForm.from_tensor_poly(MultiPoly(F2, n1 + n2, terms), (n1, n2))
 
 
+def _decided(res: RankResult) -> RankResult:
+    """res, unless the budget cut its search short: then the refusal that
+    did, so the criterion reports REFUSED instead of reading the missing
+    rank as a mathematical outcome."""
+    if res.refusal is not None:
+        raise res.refusal
+    return res
+
+
 def crit_bias_prank_consistency(budget: Budget):
     F2 = PrimeField(2)
     violations = 0
@@ -291,7 +300,7 @@ def crit_bias_prank_consistency(budget: Budget):
             for mask in range(1 << (n1 * n2)):
                 T = _bilinear_tensor(F2, n1, n2, mask)
                 bound = prank_lower_bound_from_bias(T, budget)
-                pr = partition_rank(T, min(n1, n2), budget)
+                pr = _decided(partition_rank(T, min(n1, n2), budget))
                 checked += 1
                 if T.is_zero():
                     if bound.bound != 0:
@@ -313,7 +322,7 @@ def crit_bias_prank_consistency(budget: Budget):
                         terms[tuple(e)] = 1
         T = MultilinearForm.from_tensor_poly(MultiPoly(F2, 6, terms), (2, 2, 2))
         bound = prank_lower_bound_from_bias(T, budget)
-        pr = partition_rank(T, 4, budget)
+        pr = _decided(partition_rank(T, 4, budget))
         checked += 1
         if T.is_zero():
             if bound.bound != 0:
@@ -346,7 +355,7 @@ def crit_rank_axioms(budget: Budget):
                     continue
                 # the representative is a sum of r products by construction,
                 # so exhausting r-1 decides the rank exactly
-                refuted = schmidt_rank(rep, r - 1, budget)
+                refuted = _decided(schmidt_rank(rep, r - 1, budget))
                 if refuted.value is not None:
                     return False, f"representative at {(n1, n2, r)} decomposed below {r}", {}
                 class_rank[(n1, n2, r)] = r
@@ -364,14 +373,14 @@ def crit_rank_axioms(budget: Budget):
                         bit += 1
                 mrank = rank_mod(M, 2)
                 r = class_rank[(n1, n2, mrank)]
-                pr = partition_rank(T, min(n1, n2), budget).value if not T.is_zero() else 0
+                pr = _decided(partition_rank(T, min(n1, n2), budget)).value if not T.is_zero() else 0
                 checked += 1
                 if not (r <= pr <= (4**2) * r or (r == 0 and pr == 0)):
                     sandwich_bad += 1
 
     # invariance under invertible affine substitution
     P = MultiPoly.from_terms(F2, 4, [(1, (1, 1, 0, 0)), (1, (0, 0, 1, 1))])
-    base = schmidt_rank(P, 3, budget).value
+    base = _decided(schmidt_rank(P, 3, budget)).value
     rng = random.Random(11)
     invariance_ok = True
     tested_maps = 0
@@ -380,20 +389,20 @@ def crit_rank_axioms(budget: Budget):
         if rank_mod(A, 2) < 4:
             continue
         phi = AffineMap.make(F2, A.tolist(), [rng.randrange(2) for _ in range(4)])
-        moved = schmidt_rank(P.compose(phi), 3, budget).value
+        moved = _decided(schmidt_rank(P.compose(phi), 3, budget)).value
         invariance_ok &= moved == base
         tested_maps += 1
 
     # restriction drop >= -codim
     emb = AffineMap.make(F2, [[1, 0, 0], [0, 1, 0], [0, 0, 0], [0, 0, 1]], [0, 0, 0, 0])
-    restricted = schmidt_rank(P.compose(emb), 3, budget).value
+    restricted = _decided(schmidt_rank(P.compose(emb), 3, budget)).value
     drop_ok = restricted is not None and restricted >= base - 1
 
     # symmetric bilinear over odd characteristic: schmidt equals partition rank
     F3 = PrimeField(3)
     S = MultiPoly.from_terms(F3, 4, [(1, (1, 0, 1, 0)), (1, (0, 1, 0, 1))])
-    sr = schmidt_rank(S, 3, budget).value
-    prs = partition_rank(MultilinearForm.from_tensor_poly(S, (2, 2)), 3, budget).value
+    sr = _decided(schmidt_rank(S, 3, budget)).value
+    prs = _decided(partition_rank(MultilinearForm.from_tensor_poly(S, (2, 2)), 3, budget)).value
     odd_ok = sr == prs == 2
 
     ok = sandwich_bad == 0 and invariance_ok and drop_ok and odd_ok

@@ -2,12 +2,24 @@
 
 A decomposition P = sum_j Q_j R_j is linear in the R_j once the Q_j are
 fixed, so the search enumerates only the Q side and solves for the R side
-exactly.  Q factors are normalized (first nonzero coefficient 1, graded-lex
-coefficient order) and tuples are strictly increasing, which removes the
-scaling and merging redundancy without losing any decomposition.  Searches
-run r = 1, 2, ... and each r is either refuted exhaustively, witnessed by a
-certificate, or abandoned on budget; the three outcomes are reported
-separately.
+exactly.  Searches run r = 1, 2, ... and each r is either refuted
+exhaustively, witnessed by a certificate, or abandoned on budget; the three
+outcomes are reported separately.
+
+Which Q tuples are searched rests on one fact: the set of sums
+sum_j Q_j R_j, with every R_j ranging over a fixed space V, depends only on
+span(Q_1..Q_r).  Schmidt rank has one V for every Q (all polynomials of
+degree < deg P); partition rank has one V per block set J, so the Q's form
+one group per J.  Rank <= r therefore holds iff some choice of subspaces,
+one per group with dimensions adding up to r, works, and each subspace is
+searched once, as the rows of its reduced row echelon form (RREF) over the
+Q coefficient vectors.  Q candidates are the normalized coefficient vectors
+(first nonzero entry 1, graded-lex coefficient order) of each group, listed
+group by group and, within a group, by lead (first nonzero position), so a
+tuple is searched iff, group by group, each row's lead lies past the
+previous row's and every earlier row is zero at it.  A factor dictionary is
+not closed under span: each entry is its own group, so every tuple of
+distinct entries is searched.
 
 A bilinear form x^T M y (two blocks, no factor dictionary) is not
 searched.  Its partition rank is rank(M): one RREF of M gives a rank
@@ -17,18 +29,18 @@ matrix.  The budget is charged for that RREF, and `per_r` reads exactly as
 the search's would.  The certificate is a valid one, but not the search's.
 
 Schmidt rank and every other partition rank run one driver,
-`_rank_search`.  The caller supplies the target, the candidate count (by
-formula), the widest R side and a lazy sequence of Q candidates; the
-driver charges the budget for r before it builds anything, so a refused
-search allocates no candidate block.  For a given r the search wants the
-first Q tuple, in `itertools.combinations` order, whose column blocks span
-P's coefficient vector.  `_SpanSearch` reads candidates only as far as its
-walk reaches, walks the tuples depth-first and shares each prefix's
-echelon basis (bit-packed over F_2) among all tuples that extend it, so
-most tuples cost one block's reduction and no solve; only the hit is
-solved, by `solve_mod` on its rebuilt blocks, so the certificate is the
-one a solve per tuple would give, and only the hit's Q and R become
-polynomials.
+`_rank_search`.  The caller supplies the target, the group sizes, the
+widest R side and a lazy sequence of Q candidates; `_rank_search` charges
+the budget for r (the number of admissible r-tuples, by formula) before it
+builds anything, so a refused search allocates no candidate block.  For a
+given r the search wants the first admissible tuple, in index order, whose
+column blocks span P's coefficient vector.  `_SpanSearch` reads candidates
+only as far as its walk reaches, walks the admissible tuples depth-first and
+shares each prefix's echelon basis (bit-packed over F_2) among all tuples
+that extend it, so most tuples cost one block's reduction and no solve;
+only the hit is solved, by `solve_mod` on its rebuilt blocks, so the
+certificate is the one a solve per admissible tuple would give, and only
+the hit's Q and R become polynomials.
 
 The rank of a nonzero polynomial of degree <= 1 is an infinite sentinel
 (such polynomials admit no factors of lower degree), never a large integer.
@@ -37,7 +49,6 @@ The rank of a nonzero polynomial of degree <= 1 is an infinite sentinel
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -117,6 +128,8 @@ class RankResult:
     certificate: RankCertificate | None = None
     per_r: tuple[tuple[int, str], ...] = ()
     exhaustive: bool = True  # False when a restricted factor dictionary was used
+    # the refusal that cut the search short at r = exceeded_at
+    refusal: BudgetExceededError | None = field(default=None, compare=False, repr=False)
 
     @property
     def decided(self) -> bool:
@@ -139,7 +152,7 @@ class RankResult:
 
 def _normalized_vectors(q: int, length: int):
     """All length-`length` coefficient vectors with first nonzero entry 1,
-    in deterministic lexicographic order."""
+    in deterministic lexicographic order (so lead by lead)."""
     for lead in range(length):
         for tail in itertools.product(range(q), repeat=length - lead - 1):
             vec = [0] * length
@@ -148,36 +161,59 @@ def _normalized_vectors(q: int, length: int):
             yield tuple(vec)
 
 
+def _gaussian_binomial(m: int, k: int, q: int) -> int:
+    """[m choose k]_q, the number of k-dimensional subspaces of F_q^m."""
+    if not 0 <= k <= m:
+        return 0
+    num = den = 1
+    for i in range(k):
+        num *= q ** (m - i) - 1
+        den *= q ** (i + 1) - 1
+    return num // den
+
+
+def _span_count(sizes: list[int], q: int, r: int) -> int:
+    """Admissible r-tuples: one RREF basis per group of the given vector
+    lengths, r rows in all, i.e. the coefficient of t^r in
+    prod_J sum_k [M_J choose k]_q t^k."""
+    counts = [1] + [0] * r
+    for m in sizes:
+        counts = [sum(counts[j - k] * _gaussian_binomial(m, k, q) for k in range(min(j, m) + 1)) for j in range(r + 1)]
+    return counts[r]
+
+
 # ---------------------------------------------------------------------------
 # The search driver
 # ---------------------------------------------------------------------------
 
 
 def _rank_search(
-    kind: str, P: MultiPoly, row_of: dict, candidates, count: int, width: int, r_max: int, budget: Budget, verify,
+    kind: str, P: MultiPoly, row_of: dict, candidates, sizes: list[int], width: int, r_max: int, budget: Budget, verify,
     exhaustive: bool = True,
 ) -> RankResult:
     """Minimal r with P = sum of r products Q_j R_j, Q_j drawn from candidates.
 
-    `candidates` lazily yields `count` triples (J, Q's (monomial, coefficient)
-    terms, R's monomials); R is solved for, so it is at most `width` wide.
-    Each r is charged comb(count, r) * rows * width * r before the search
-    reads a candidate, and only the hit's factors become polynomials.
+    `candidates` lazily yields, group by group, the normalized vectors of
+    each group's length in `sizes`, as quadruples (J, Q's (monomial,
+    coefficient) terms, R's monomials, the vector); R is solved for, so it
+    is at most `width` wide.  Each r is charged the number of admissible
+    r-tuples times rows * width * r before the search reads a candidate, and
+    only the hit's factors become polynomials.
     """
     target = np.zeros(len(row_of), dtype=np.int64)
     for m, c in P.terms.items():
         target[row_of[m]] = c
-    search = _SpanSearch(candidates, count, lambda cand: product_matrix(row_of, cand[1], cand[2]), target, P.field.p)
+    search = _SpanSearch(candidates, sizes, lambda cand: product_matrix(row_of, cand[1], cand[2]), target, P.field.p)
     per_r: list[tuple[int, str]] = []
     for r in range(1, r_max + 1):
         try:
-            budget.charge(math.comb(count, r) * len(row_of) * width * r, f"{kind} rank search at r={r}")
-        except BudgetExceededError:
+            budget.charge(_span_count(sizes, P.field.p, r) * len(row_of) * width * r, f"{kind} rank search at r={r}")
+        except BudgetExceededError as exc:
             if not per_r:
                 raise
             # partial answers are honest: "rank <= r-1: no, r: abandoned"
             per_r.append((r, "budget"))
-            return RankResult(None, r_max=r_max, exceeded_at=r, per_r=tuple(per_r), exhaustive=exhaustive)
+            return RankResult(None, r_max=r_max, exceeded_at=r, per_r=tuple(per_r), exhaustive=exhaustive, refusal=exc)
         hit = search.first(r)
         if hit is None:
             per_r.append((r, "no"))
@@ -186,7 +222,7 @@ def _rank_search(
         pairs = []
         pos = 0
         for i in combo:
-            J, q_terms, monos_r = search.candidate(i)
+            J, q_terms, monos_r, _ = search.candidate(i)
             Q = MultiPoly(P.field, P.n, dict(q_terms))
             R = MultiPoly(P.field, P.n, {m: c for m, c in zip(monos_r, x[pos : pos + len(monos_r)]) if c})
             pairs.append((Q, R) if J is None else (tuple(sorted(J)), Q, R))
@@ -199,29 +235,43 @@ def _rank_search(
 
 
 class _SpanSearch:
-    """The first r-combination of candidate column blocks whose span holds a target.
+    """The first admissible r-tuple of candidate column blocks whose span holds a target.
 
-    Combinations come in `itertools.combinations` order.  Candidates are read
-    from their iterator only as far as the walk reaches, and each block's
-    column space is packed once, on first use, as an echelon basis: over F_2
-    each vector is a Python int (bit i = row i) reduced by XOR, over odd p a
-    list of ints; the numpy block itself is not kept.  `first(r)` walks the
-    combinations depth-first, keeping the prefix's echelon basis and the
-    target reduced against it, so a node reduces only its newest block's
-    columns.  On a hit it rebuilds the hit's blocks and runs `solve_mod` on
-    [blocks...] exactly as a plain loop over the combinations would, so the
-    solution is the same.
+    Candidates come in groups of normalized vectors, group g holding every
+    one of length sizes[g], lead by lead.  A tuple is admissible when its
+    rows of each group are the RREF of their span: each row's lead lies past
+    the previous row's, and every earlier row is zero at it.  Admissible
+    tuples come in index order.  Candidates are read from their iterator only
+    as far as the walk reaches, and each block's column space is packed
+    once, on first use, as an echelon basis: over F_2 each vector is a
+    Python int (bit i = row i) reduced by XOR, over odd p a list of ints;
+    the numpy block itself is not kept.  `first(r)` walks the admissible
+    tuples depth-first, keeping the prefix's echelon basis and the target
+    reduced against it, so a node reduces only its newest block's columns;
+    it skips a lead block whose lead an earlier row rules out in one jump,
+    and enters no node that cannot be completed to r rows.  On a hit it
+    rebuilds the hit's blocks and runs `solve_mod` on [blocks...] exactly as
+    a plain loop over the admissible tuples would, so the solution is the
+    same.
     """
 
-    def __init__(self, candidates, count: int, build, target: np.ndarray, p: int):
+    def __init__(self, candidates, sizes: list[int], build, target: np.ndarray, p: int):
         self.candidates = iter(candidates)
-        self.count = count
+        self.sizes = sizes
         self.build = build
         self.target = target
         self.p = p
         self.zero = self._pack(np.zeros_like(target))
         self.read: list = []
         self.packed: dict[int, list] = {}
+        self.blocks: list[tuple[int, int, int, int]] = []  # (start, end, group, lead)
+        start = 0
+        for g, m in enumerate(sizes):
+            for lead in range(m):
+                self.blocks.append((start, start + p ** (m - lead - 1), g, lead))
+                start += p ** (m - lead - 1)
+        self.count = start
+        self.later = list(itertools.accumulate(reversed(sizes[1:]), initial=0))[::-1]  # rows the later groups hold
 
     def candidate(self, i: int):
         """Candidate i, reading the iterator up to it."""
@@ -273,28 +323,42 @@ class _SpanSearch:
             basis.append((pivot, [c * inv % self.p for c in v]))
 
     def first(self, r: int):
-        """(combination, solution x) for the first hit, or None."""
-        n = self.count
+        """(admissible tuple, solution x) for the first hit, or None."""
+        blocks, sizes, later = self.blocks, self.sizes, self.later
         basis: list = []
 
-        def visit(prefix: tuple, start: int, t):
-            depth = len(prefix) + 1
-            for i in range(start, n - r + depth):
-                mark = len(basis)
-                for v in self._column_basis(i):
-                    self._insert(basis, v)
-                rest = self._reduce(t, basis, mark)
-                if rest == self.zero:
-                    # every completion of this prefix hits; the first is in order
-                    return prefix + tuple(range(i, i + r - depth + 1))
-                if depth < r:
-                    hit = visit(prefix + (i,), i + 1, rest)
-                    if hit is not None:
-                        return hit
-                del basis[mark:]
+        def visit(prefix: tuple, b0: int, group: int, free, t):
+            # free: the leads still open in `group`, the group of the prefix's last row
+            need = r - len(prefix) - 1  # rows to add after this one
+            for b in range(b0, len(blocks)):
+                start, end, g, lead = blocks[b]
+                open_leads = free if g == group else range(sizes[g])
+                if lead not in open_leads:
+                    continue  # an earlier row of the group is nonzero at this lead
+                past = [j for j in open_leads if j > lead]
+                if len(past) + later[g] < need:
+                    continue  # no row of this block completes to r rows
+                for i in range(start, end):
+                    vec = self.candidate(i)[3]
+                    left = [j for j in past if not vec[j]]
+                    if len(left) + later[g] < need:
+                        continue  # nor does this row
+                    mark = len(basis)
+                    for v in self._column_basis(i):
+                        self._insert(basis, v)
+                    rest = self._reduce(t, basis, mark)
+                    if rest == self.zero:
+                        # only at depth r: a shorter admissible tuple was
+                        # already refuted at a smaller r
+                        return prefix + (i,)
+                    if need:
+                        hit = visit(prefix + (i,), b + 1, g, left, rest)
+                        if hit is not None:
+                            return hit
+                    del basis[mark:]
             return None
 
-        combo = visit((), 0, self._pack(self.target))
+        combo = visit((), 0, -1, (), self._pack(self.target))
         if combo is None:
             return None
         A = np.concatenate([self.block(i) for i in combo], axis=1)
@@ -324,9 +388,8 @@ def schmidt_rank(P: MultiPoly, r_max: int, budget: Budget | None = None) -> Rank
     M = len(factor_monos)
     # degree <= 2(d-1) covers every monomial of P, since d >= 2
     row_of = {m: i for i, m in enumerate(monomials(P.n, 2 * (d - 1)))}
-    candidates = ((None, [(m, c) for m, c in zip(factor_monos, vec) if c], factor_monos) for vec in _normalized_vectors(q, M))
-    count = (q**M - 1) // (q - 1)  # normalized vectors of length M
-    return _rank_search("schmidt", P, row_of, candidates, count, M, r_max, budget, lambda cert: cert.verify_schmidt(P))
+    candidates = ((None, [(m, c) for m, c in zip(factor_monos, vec) if c], factor_monos, vec) for vec in _normalized_vectors(q, M))
+    return _rank_search("schmidt", P, row_of, candidates, [M], M, r_max, budget, lambda cert: cert.verify_schmidt(P))
 
 
 # ---------------------------------------------------------------------------
@@ -422,22 +485,23 @@ def _partition_search(
         splits = [frozenset((0,) + J) for size in range(1, d) for J in itertools.combinations(range(1, d), size - 1)]
         q_sides = {J: _block_monomials(dims, offs, J) for J in splits}
         q_factors = (
-            (J, [(m, c) for m, c in zip(q_sides[J], vec) if c])
+            (J, [(m, c) for m, c in zip(q_sides[J], vec) if c], vec)
             for J in splits
             for vec in _normalized_vectors(q, len(q_sides[J]))
         )
-        count = sum((q ** len(monos) - 1) // (q - 1) for monos in q_sides.values())
+        sizes = [len(q_sides[J]) for J in splits]
     else:
+        # a dictionary is not closed under span: each entry is a group of its own
         entries = [_dictionary_entry(T, entry) for entry in factor_dictionary]
         splits = {J for J, _ in entries}
-        q_factors = ((J, list(Q.terms.items())) for J, Q in entries)
-        count = len(entries)
+        q_factors = ((J, list(Q.terms.items()), (1,)) for J, Q in entries)
+        sizes = [1] * len(entries)
     r_sides = {J: _block_monomials(dims, offs, all_blocks - J) for J in splits}
     row_of = {m: i for i, m in enumerate(_block_monomials(dims, offs, all_blocks))}
-    candidates = ((J, q_terms, r_sides[J]) for J, q_terms in q_factors)
+    candidates = ((J, q_terms, r_sides[J], vec) for J, q_terms, vec in q_factors)
     width = max(map(len, r_sides.values()), default=0)
     return _rank_search(
-        "partition", T.poly, row_of, candidates, count, width, r_max, budget,
+        "partition", T.poly, row_of, candidates, sizes, width, r_max, budget,
         lambda cert: cert.verify_partition(T), exhaustive=factor_dictionary is None,
     )
 

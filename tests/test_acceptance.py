@@ -10,9 +10,10 @@ import random
 
 import pytest
 
-from rankforge import acceptance, domain, poly
+from rankforge import acceptance, domain, poly, rank
 from rankforge.acceptance import CRITERIA, CriterionResult, run_criterion, run_suite
 from rankforge.gf import PrimeField
+from rankforge.poly import monomials
 from rankforge.runtime import Budget
 
 _NAMES = list(CRITERIA)
@@ -88,3 +89,29 @@ def test_budget_refusals_are_not_failures():
     # a starved suite reports refusals, distinct from failures
     res = run_criterion("gowers-identity", Budget(10))
     assert res.status == "refused"
+
+
+def _search_charge(q: int, sizes: list[int], rows: int, width: int, r: int) -> int:
+    """What `_rank_search` charges for r: admissible r-tuples * rows * width * r."""
+    return rank._span_count(sizes, q, r) * rows * width * r
+
+
+@pytest.mark.parametrize(
+    "name, shape",
+    [
+        # the class-(3, 3, 3) representative x0y0 + x1y1 + x2y2: Schmidt rank in
+        # 6 variables, factors of degree <= 1, products of degree <= 2
+        ("rank-axioms", (2, [len(monomials(6, 1))], len(monomials(6, 2)), len(monomials(6, 1)))),
+        # a (2, 2, 2) trilinear form over F_2: Q sides on blocks {0}, {0, 1}, {0, 2}
+        ("bias-prank-consistency", (2, [2, 4, 4], 8, 4)),
+    ],
+)
+def test_rank_search_cut_short_by_the_budget_refuses(name, shape):
+    # a budget that admits the r = 1 search and not the r = 2 one: the
+    # criterion may not read the missing rank as a pass or a failure
+    q, sizes, rows, width = shape
+    limit = _search_charge(q, sizes, rows, width, 2) - 1
+    assert _search_charge(q, sizes, rows, width, 1) <= limit
+    res = run_criterion(name, Budget(limit))
+    assert res.status == "refused", res.detail
+    assert "rank search at r=2" in res.detail and res.payload == {}

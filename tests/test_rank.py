@@ -3,6 +3,7 @@ import random
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -154,10 +155,11 @@ def quadric_schmidt_rank(G: np.ndarray, p: int) -> int:
 @given(data=st.data())
 def test_schmidt_rank_of_quadric_is_rank_minus_witt_index(data):
     # a homogeneous quadric over odd p is a sum of r products of linear
-    # forms exactly when r >= k - w; n <= 3 keeps every search far inside
-    # the default budget (F_5 with n = 3 takes up to 0.4 s)
+    # forms exactly when r >= k - w; n <= 4 over F_3 and n <= 3 over F_5
+    # keep every search far inside the default budget (a rank-3 quadric
+    # over F_3 with n = 4 takes about 0.1 s)
     p = data.draw(st.sampled_from([3, 5]))
-    n = data.draw(st.integers(1, 3))
+    n = data.draw(st.integers(1, 4 if p == 3 else 3))
     pairs = [(i, j) for i in range(n) for j in range(i, n)]
     coeffs = data.draw(st.lists(st.integers(0, p - 1), min_size=len(pairs), max_size=len(pairs)))
     G = np.zeros((n, n), dtype=np.int64)
@@ -282,15 +284,70 @@ def test_partial_budget_answer_is_honest():
 
 
 # ---------------------------------------------------------------------------
-# The prefix-shared search against the loop it replaced
+# The span search against the tuple walk it replaced, and against a plain loop
 # ---------------------------------------------------------------------------
 
 
+def tuple_first(self, r):
+    """The walk `_SpanSearch.first` replaced: every r-combination of
+    candidates in `itertools.combinations` order, prefix-shared."""
+    n = self.count
+    basis: list = []
+
+    def visit(prefix: tuple, start: int, t):
+        depth = len(prefix) + 1
+        for i in range(start, n - r + depth):
+            mark = len(basis)
+            for v in self._column_basis(i):
+                self._insert(basis, v)
+            rest = self._reduce(t, basis, mark)
+            if rest == self.zero:
+                # every completion of this prefix hits; the first is in order
+                return prefix + tuple(range(i, i + r - depth + 1))
+            if depth < r:
+                hit = visit(prefix + (i,), i + 1, rest)
+                if hit is not None:
+                    return hit
+            del basis[mark:]
+        return None
+
+    combo = visit((), 0, self._pack(self.target))
+    if combo is None:
+        return None
+    A = np.concatenate([self.block(i) for i in combo], axis=1)
+    x, _ = solve_mod(A, self.target, self.p)
+    return combo, x
+
+
+def is_rref(rows) -> bool:
+    """Whether the rows, in order, are the RREF of their span: their leads
+    rise, and every row is zero at every other row's lead."""
+    leads = [next(j for j, c in enumerate(v) if c) for v in rows]
+    return all(a < b for a, b in zip(leads, leads[1:])) and all(
+        v[lead] == 0 for k, v in enumerate(rows) for m, lead in enumerate(leads) if k != m
+    )
+
+
+def candidate_groups(q: int, sizes) -> list[int]:
+    """The group of every candidate: group g holds the normalized vectors of length sizes[g]."""
+    return [g for g, m in enumerate(sizes) for _ in range((q**m - 1) // (q - 1))]
+
+
+def admissible(combo, groups, vector) -> bool:
+    """Whether combo's rows of each group are the RREF of their span."""
+    rows: dict = {}
+    for i in combo:
+        rows.setdefault(groups[i], []).append(vector(i))
+    return all(is_rref(vs) for vs in rows.values())
+
+
 def loop_search(order=lambda combos: combos):
-    """`_SpanSearch.first` as a plain loop: one solve_mod per combination."""
+    """`_SpanSearch.first` as a plain loop: one solve_mod per admissible combination."""
 
     def first(self, r):
-        for combo in order(itertools.combinations(range(self.count), r)):
+        groups = candidate_groups(self.p, self.sizes)
+        combos = itertools.combinations(range(self.count), r)
+        for combo in order(c for c in combos if admissible(c, groups, lambda i: self.candidate(i)[3])):
             A = np.concatenate([self.block(i) for i in combo], axis=1)
             x, _ = solve_mod(A, self.target, self.p)
             if x is not None:
@@ -354,6 +411,31 @@ def outcome(thunk):
     return res, pairs
 
 
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_span_search_matches_tuple_walk(data):
+    # one subspace per rank decides what one tuple per rank did
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    rng = random.Random(seed)
+    if data.draw(st.booleans(), label="schmidt"):
+        p = data.draw(st.sampled_from([2, 3]))
+        n, d = data.draw(st.sampled_from([(1, 2), (2, 2), (3, 2), (1, 3)] + ([(4, 2), (2, 3)] if p == 2 else [])))
+        P = random_poly(PrimeField(p), n, d, rng)
+        search, check = (lambda: schmidt_rank(P, 3)), (lambda cert: cert.verify_schmidt(P))
+    else:
+        field = data.draw(st.sampled_from([F2, F3]))
+        dims = data.draw(st.sampled_from([(1, 1, 1), (1, 2, 1), (2, 1, 2), (2, 2, 2)]))
+        T = random_multilinear(field, dims, rng)
+        search, check = (lambda: partition_rank(T, 3)), (lambda cert: cert.verify_partition(T))
+    spans = search()
+    with patch.object(rank._SpanSearch, "first", tuple_first):
+        tuples = search()
+    assert (spans.value, spans.per_r, spans.exhaustive) == (tuples.value, tuples.per_r, tuples.exhaustive)
+    for res in (spans, tuples):
+        if res.certificate is not None:
+            check(res.certificate)
+
+
 def test_span_search_matches_plain_loop(monkeypatch):
     cases = rank_cases()
     fast = [outcome(thunk) for _, thunk in cases]
@@ -367,7 +449,7 @@ def test_span_search_matches_plain_loop(monkeypatch):
 
 
 def test_plain_loop_reference_sees_the_search_order(monkeypatch):
-    """The comparison above fails for a search that visits combinations in another order."""
+    """The comparison above fails for a search that visits admissible combinations in another order."""
     cases = rank_cases()
     fast = [outcome(thunk) for _, thunk in cases]
     monkeypatch.setattr(rank._SpanSearch, "first", loop_search(lambda combos: reversed(list(combos))))
@@ -391,6 +473,48 @@ def test_search_reads_candidates_lazily(monkeypatch):
     assert [len(s.read) for s in searches] == [1] and searches[0].count == 4
     res = schmidt_rank(poly_of(F3, 3, [(1, (1, 1, 0))]), 2)
     assert res.value == 1 and len(searches[1].read) < searches[1].count
+
+
+class RecordingBudget(Budget):
+    def __init__(self):
+        super().__init__()
+        self.charges: list[int] = []
+
+    def charge(self, estimate: int, what: str = "") -> None:
+        self.charges.append(estimate)
+        super().charge(estimate, what)
+
+
+@pytest.mark.parametrize("q, sizes", [(2, [3]), (3, [3]), (2, [4]), (3, [1, 2]), (2, [2, 2]), (2, [1, 3, 2]), (2, [1] * 5)])
+def test_span_charge_counts_admissible_tuples(monkeypatch, q, sizes):
+    # a target no candidate block reaches, so every r is walked to the end;
+    # one row and one column per block make the charge the tuple count times r
+    one = MultiPoly.constant(PrimeField(q), 1, 1)
+    candidates = [(None, [], [], vec) for m in sizes for vec in rank._normalized_vectors(q, m)]
+    groups = candidate_groups(q, sizes)
+    nodes: list[int] = []
+    column_basis, first = rank._SpanSearch._column_basis, rank._SpanSearch.first
+
+    def counted(self, i):
+        nodes[-1] += 1
+        return column_basis(self, i)
+
+    def per_r(self, r):
+        nodes.append(0)
+        return first(self, r)
+
+    monkeypatch.setattr(rank._SpanSearch, "_column_basis", counted)
+    monkeypatch.setattr(rank._SpanSearch, "first", per_r)
+    r_max = sum(sizes) + 1
+    budget = RecordingBudget()
+    res = rank._rank_search("test", one, {(0,): 0}, iter(candidates), sizes, 1, r_max, budget, None)
+    assert res.per_r == tuple((r, "no") for r in range(1, r_max + 1))
+    for r, charge, visited in zip(range(1, r_max + 1), budget.charges, nodes, strict=True):
+        count = sum(admissible(c, groups, lambda i: candidates[i][3]) for c in itertools.combinations(range(len(candidates)), r))
+        assert charge == count * r, r
+        assert visited <= charge, r
+    assert budget.charges[0] == len(candidates)  # r = 1 charges every candidate, as the tuple walk did
+    assert budget.charges[-1] == 0 and nodes[-1] == 0  # more rows than the groups hold
 
 
 def dense_trilinear(field, n):
