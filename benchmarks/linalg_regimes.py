@@ -104,7 +104,7 @@ def solves(reps: int) -> list[dict]:
             inputs.append((np.array(A, dtype=np.int64), p))
         return original(A, p)
 
-    for m in (linalg, weakpoly):  # solve_mod and rref_extend_mod call linalg's
+    for m in (linalg, weakpoly):  # solve_mod and nullspace_mod call linalg's, weak_space's last RREF weakpoly's
         m.rref_mod = recording
     try:
         run_criterion("dual-path-extension")

@@ -20,12 +20,6 @@ were eliminated.
   exactly and reduces it once (the delayed reduction of FFLAS-FFPACK, Dumas,
   Giorgi & Pernet 2008).
 
-`rref_extend_mod` uses the same uniqueness a third way: it streams rows into
-a running RREF, so a caller never holds more than the RREF and one block.
-A block is reduced against the pivots it already has, only its nonzero
-residual is eliminated, and the residual's pivots are cleared back out of
-the running RREF; the result is the RREF of all the rows at once.
-
 `solve_mod` eliminates [A | b] once.  When A x = b has no solution, its
 certificate y (y.A = 0, y.b = 1) solves [A | b]^T y = (0, ..., 0, 1): one
 more solve with cols + 1 rows, never an array of rows x rows.
@@ -147,46 +141,6 @@ def rref_mod(A, p: int) -> tuple[np.ndarray, list[int], int]:
     return M, pivots, len(pivots)
 
 
-def _subtract_pivot_rows(B: np.ndarray, R: np.ndarray, pivots: list[int], p: int) -> np.ndarray:
-    """B - B[:, pivots] R mod p, where the rows of R have pivots `pivots` in
-    RREF.  R's rows are zero in each other's pivot columns, so the product can
-    be split by pivots: each part adds at most `step` products below (p-1)^2
-    to an entry below p, which float64 holds exactly and reduces once."""
-    step = 2**53 // (p - 1) ** 2 - 1
-    for j in range(0, len(pivots), step):
-        C = pivots[j : j + step]
-        T = B[:, C].astype(np.float64) @ (-R[j : j + step] % p).astype(np.float64)
-        np.add(T, B, out=T)
-        B = np.fmod(T, p, out=T).astype(np.int64)
-    return B
-
-
-def rref_extend_mod(R, pivots: list[int], block, p: int) -> tuple[np.ndarray, list[int]]:
-    """RREF of the rows of R and `block` together, as (rows, pivot_columns).
-
-    R is a reduced row echelon form without zero rows and `pivots` its pivot
-    columns; the result has no zero rows either.  Besides R and the block,
-    only arrays of their shapes are held.
-    """
-    R = as_mod_array(R, p)
-    B = as_mod_array(block, p)
-    if R.shape[1] != B.shape[1]:
-        raise InputError("column count mismatch")
-    if (PANEL + 1) * (p - 1) ** 2 >= 2**53:
-        M, found, rank = rref_mod(np.concatenate([R, B]), p)
-        return M[:rank], found
-    B = _subtract_pivot_rows(B, R, pivots, p)
-    B = B[B.any(axis=1)]
-    if not len(B):
-        return R, list(pivots)
-    N, new, rank = rref_mod(B, p)
-    N = N[:rank]
-    R = _subtract_pivot_rows(R, N, new, p)
-    merged = pivots + new
-    order = np.argsort(merged, kind="stable")
-    return np.concatenate([R, N])[order], [merged[i] for i in order]
-
-
 def rank_mod(A, p: int) -> int:
     return rref_mod(A, p)[2]
 
@@ -195,6 +149,16 @@ def rref_steps(rows: int, cols: int) -> int:
     """The budget charge for eliminating a rows x cols matrix:
     rows * cols * min(rows, cols) element steps."""
     return rows * cols * min(rows, cols)
+
+
+def matmul_mod(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
+    """A @ B mod p, exactly, for int64 arrays with entries in [0, p) (stacked
+    as `np.matmul` stacks them).  numpy multiplies integers without BLAS, so
+    int64 is exact while the inner length times (p-1)^2 stays below 2^63;
+    past that the product runs on Python integers."""
+    if A.shape[-1] * (p - 1) ** 2 >= 2**63:
+        return ((A.astype(object) @ B.astype(object)) % p).astype(np.int64)
+    return (A @ B) % p
 
 
 def nullspace_of_rref(R: np.ndarray, pivots: list[int], p: int) -> np.ndarray:
@@ -256,11 +220,9 @@ def check_dual_certificate(A, b, y, p: int) -> None:
     bv = np.asarray(b, dtype=np.int64).reshape(-1, 1) % p
     if yv.shape[1] != M.shape[0] or bv.shape[0] != M.shape[0]:
         raise VerificationError("dual certificate has the wrong length")
-    if M.shape[0] * (p - 1) ** 2 >= 2**63:  # int64 dot products could overflow
-        M, yv, bv = M.astype(object), yv.astype(object), bv.astype(object)
-    if np.any((yv @ M) % p):
+    if np.any(matmul_mod(yv, M, p)):
         raise VerificationError("dual certificate: y.A != 0 mod p")
-    if not (yv @ bv)[0, 0] % p:
+    if not matmul_mod(yv, bv, p)[0, 0]:
         raise VerificationError("dual certificate: y.b = 0 mod p")
 
 

@@ -26,7 +26,9 @@ searched.  Its partition rank is rank(M): one RREF of M gives a rank
 factorization M = C R, hence a certificate with rank(M) products, and no
 shorter sum exists, since a form in x times a form in y is a rank-one
 matrix.  The budget is charged for that RREF, and `per_r` reads exactly as
-the search's would.  The certificate is a valid one, but not the search's.
+the search's would.  The certificate is a valid one, but not the search's:
+it is checked as M = C R, and its polynomials are re-expanded when first
+read.
 
 Schmidt rank and every other partition rank run one driver,
 `_rank_search`.  The caller supplies the target, the group sizes, the
@@ -57,7 +59,7 @@ import numpy as np
 from .analytic import CharHistogram, histogram_of_poly
 from .errors import BudgetExceededError, InputError, VerificationError
 from .gf import PrimeField
-from .linalg import rref_mod, rref_steps, solve_mod
+from .linalg import matmul_mod, rref_mod, rref_steps, solve_mod
 from .poly import AffineMap, MultilinearForm, MultiPoly, PolyFamily, monomials, multilinear_form, product_matrix
 from .runtime import Budget
 
@@ -79,18 +81,27 @@ class InfiniteRank:
 INFINITE_RANK = InfiniteRank()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RankCertificate:
     """A decomposition witness; re-expands exactly to the decomposed object.
 
     For kind "schmidt", pairs is a list of (Q, R) polynomial factors.
     For kind "partition", pairs is a list of (J, Q, R) with J the block
-    index set of Q (R lives on the complementary blocks).
+    index set of Q (R lives on the complementary blocks).  Certificates are
+    equal when their kind, pairs and provenance are.
     """
 
     kind: str
     pairs: tuple
     bound_provenance: str = ""
+
+    def __eq__(self, other):
+        if not isinstance(other, RankCertificate):
+            return NotImplemented
+        return (self.kind, self.pairs, self.bound_provenance) == (other.kind, other.pairs, other.bound_provenance)
+
+    def __hash__(self):
+        return hash((self.kind, self.pairs, self.bound_provenance))
 
     def expand(self, field: PrimeField, n: int) -> MultiPoly:
         total = MultiPoly.zero(field, n)
@@ -117,6 +128,35 @@ class RankCertificate:
                     raise VerificationError("factor not multilinear on its blocks")
         if self.expand(T.field, T.poly.n) != T.poly:
             raise VerificationError("certificate does not re-expand to the tensor")
+
+
+class _MatrixRankCertificate(RankCertificate):
+    """The partition certificate of a bilinear form x^T M y from a checked
+    factorization M = C R: the pairs ((0,), x . C_i, R_i . y) become
+    polynomials, and are verified against the form, when first read."""
+
+    def __init__(self, T: MultilinearForm, C: np.ndarray, R: np.ndarray):
+        object.__setattr__(self, "kind", "partition")
+        object.__setattr__(self, "bound_provenance", "matrix rank")
+        object.__setattr__(self, "_factors", (T, C, R))
+
+    def __getattr__(self, name: str):
+        if name != "pairs":
+            raise AttributeError(name)
+        T, C, R = self._factors
+        n1, n = T.block_dims[0], T.poly.n
+        unit = [tuple(int(v == i) for v in range(n)) for i in range(n)]
+        pairs = tuple(
+            (
+                (0,),
+                MultiPoly(T.field, n, {unit[a]: c for a, c in enumerate(C[:, i].tolist())}),
+                MultiPoly(T.field, n, {unit[n1 + b]: c for b, c in enumerate(R[i].tolist())}),
+            )
+            for i in range(len(R))
+        )
+        RankCertificate(self.kind, pairs).verify_partition(T)
+        object.__setattr__(self, "pairs", pairs)
+        return pairs
 
 
 @dataclass(frozen=True)
@@ -437,30 +477,24 @@ def _matrix_rank_partition(T: MultilinearForm, r_max: int, budget: Budget) -> Ra
     """Partition rank of a bilinear form x^T M y as rank(M).
 
     With R the nonzero rows of M's RREF and C the pivot columns of M,
-    M = C R, so x^T M y = sum_i (x . C_i)(R_i . y).
+    M = C R, so x^T M y = sum_i (x . C_i)(R_i . y).  M = C R is checked
+    here; the certificate's polynomials are built, and re-expanded, when
+    first read.
     """
     n1, n2 = T.block_dims
     budget.charge(rref_steps(n1, n2), "partition rank by matrix rank")
-    p, n = T.field.p, T.poly.n
+    p = T.field.p
     M = np.zeros((n1, n2), dtype=np.int64)
     for mono, c in T.poly.terms.items():
         M[mono.index(1), mono.index(1, n1) - n1] = c
     R, pivots, k = rref_mod(M, p)
     if k > r_max:
         return RankResult(None, r_max=r_max, per_r=tuple((r, "no") for r in range(1, r_max + 1)))
-    unit = [tuple(int(v == i) for v in range(n)) for i in range(n)]
-    pairs = tuple(
-        (
-            (0,),
-            MultiPoly(T.field, n, {unit[a]: c for a, c in enumerate(M[:, j].tolist())}),
-            MultiPoly(T.field, n, {unit[n1 + b]: c for b, c in enumerate(R[i].tolist())}),
-        )
-        for i, j in enumerate(pivots)
-    )
-    cert = RankCertificate("partition", pairs, "matrix rank")
-    cert.verify_partition(T)
+    C, R = M[:, pivots], R[:k]
+    if np.any(matmul_mod(C, R, p) != M):
+        raise VerificationError("bilinear form: M != C R mod p")
     per_r = tuple((r, "no") for r in range(1, k)) + ((k, "found"),)
-    return RankResult(k, r_max=r_max, certificate=cert, per_r=per_r)
+    return RankResult(k, r_max=r_max, certificate=_MatrixRankCertificate(T, C, R), per_r=per_r)
 
 
 def _partition_search(

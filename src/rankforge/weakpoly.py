@@ -27,9 +27,9 @@ from .errors import InputError, VerificationError
 from .gf import PrimeField
 from .linalg import (
     inv_mod,
-    nullspace_of_rref,
+    matmul_mod,
+    nullspace_mod,
     rank_mod,
-    rref_extend_mod,
     rref_mod,
     row_space_contains,
     row_space_leq,
@@ -157,9 +157,14 @@ class LinearSpaceOfFunctions:
 def weak_space(X: VarietyPoints, a: int, budget: Budget | None = None) -> LinearSpaceOfFunctions:
     """Exact solution space of all weak-degree-<= a constraints on k^X.
 
-    The constraint rows (one per forbidden monomial and subspace) are
-    streamed into a running RREF, about |X| rows at a time, so memory is
-    O(|X|^2) plus one block, however many subspaces X holds.
+    The constraint rows (one per forbidden monomial and subspace) come in
+    blocks of about |X| rows, and only a basis K (|X| x k, as columns) of the
+    functions meeting every block so far is kept.  The first block's
+    nullspace gives K.  A later block meets f = K c iff F K[L] c = 0 for each
+    of its subspaces L (K[L]: K's rows at L's points), so with N the
+    nullspace of those f x k blocks stacked, K becomes K N^T.  Memory is one
+    block plus |X| * k, however many subspaces X holds.  The basis returned
+    is the RREF of K's columns, unique for the space.
     """
     field = X.field
     p = field.p
@@ -172,16 +177,18 @@ def weak_space(X: VarietyPoints, a: int, budget: Budget | None = None) -> Linear
         return LinearSpaceOfFunctions(X, basis)
     f = F.shape[0]
     per_block = max(1, nX // f)  # subspaces per block of about |X| rows
-    R, pivots = np.zeros((0, nX), dtype=np.int64), []
+    K = None
     for s in range(0, len(subspaces), per_block):
-        block = subspaces[s : s + per_block]
-        rows = np.zeros((f * len(block), nX), dtype=np.int64)
-        for k, L in enumerate(block):
-            rows[k * f : (k + 1) * f, X.ordinals_of_indices(L.points(X.box))] = F
-        R, pivots = rref_extend_mod(R, pivots, rows, p)
-    basis = nullspace_of_rref(R, pivots, p)
-    # echelonize the basis for canonical containment tests
-    R, _, rank = rref_mod(basis, p)
+        ords = np.stack([X.ordinals_of_indices(L.points(X.box)) for L in subspaces[s : s + per_block]])
+        if K is None:
+            rows = np.zeros((f * len(ords), nX), dtype=np.int64)
+            for j, o in enumerate(ords):
+                rows[j * f : (j + 1) * f, o] = F
+            K = nullspace_mod(rows, p).T
+        else:
+            C = matmul_mod(F, K[ords], p).reshape(-1, K.shape[1])
+            K = matmul_mod(K, nullspace_mod(C, p).T, p)
+    R, _, rank = rref_mod(K.T, p)
     return LinearSpaceOfFunctions(X, R[:rank])
 
 

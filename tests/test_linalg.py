@@ -19,6 +19,7 @@ from rankforge.linalg import (
     as_mod_array,
     check_dual_certificate,
     inv_mod,
+    matmul_mod,
     nullspace_mod,
     nullspace_of_rref,
     rank_mod,
@@ -251,52 +252,6 @@ def test_panel_route_peak_memory_not_above_plain_loop():
     assert np.array_equal(R, M) and pivots == loop_pivots
 
 
-@st.composite
-def row_streams(draw):
-    """A matrix, cut into consecutive blocks of rows at random places."""
-    p = draw(st.sampled_from([2, 3, 7, 101, 11771657, 2147483647]))
-    rows = draw(st.integers(1, PANEL + 16))
-    cols = draw(st.integers(1, PANEL + 16))
-    rank = draw(st.integers(0, min(rows, cols)))
-    A = random_matrix(draw(st.integers(0, 2**31 - 1)), p, rows, cols, rank, draw(st.integers(0, 4)), draw(st.integers(0, 6)))
-    if draw(st.booleans()):  # rows with later leading entries first: later blocks add pivots to the left
-        lead = np.where(A.any(axis=1), (A != 0).argmax(axis=1), cols)
-        A = A[np.argsort(-lead, kind="stable")]
-    cuts = sorted(draw(st.sets(st.integers(1, rows - 1), max_size=6))) if rows > 1 else []
-    return p, A, cuts
-
-
-@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(row_streams())
-@example((7, np.concatenate([random_matrix(7, 7, 70, 75, 60, 3, 0)] * 2), [70]))  # the second block reduces to zero
-@example((3, np.array([[0, 0, 1, 2], [0, 1, 0, 0], [1, 2, 0, 1]]), [1, 2]))  # each block pivots left of R's pivots
-@example((101, random_matrix(8, 101, 140, 90, 80, 2, 4), [10, 75, 76]))  # residuals take the panel route
-@example((2147483647, random_matrix(9, 2147483647, 20, 12, 8, 1, 2), [5, 15]))  # large p: rref of the stack
-def test_rref_extend_matches_one_shot_rref_and_sympy(case):
-    p, A, cuts = case
-    R, pivots = np.zeros((0, A.shape[1]), dtype=np.int64), []
-    for block in np.split(A, cuts):
-        R, pivots = linalg.rref_extend_mod(R, pivots, block, p)
-    M, expect_pivots, rank = rref_mod(A, p)
-    assert R.dtype == np.int64 and R.shape == (rank, A.shape[1])
-    assert pivots == expect_pivots and np.array_equal(R, M[:rank])
-    dense, sympy_pivots = sympy_rref(A, p)
-    assert pivots == sympy_pivots and np.array_equal(R, dense[:rank])
-
-
-def test_rref_extend_keeps_r_when_the_block_reduces_to_zero():
-    p = 7
-    A = random_matrix(31, p, 12, 10, 5, 1, 0)
-    R, pivots, rank = rref_mod(A, p)
-    combos = (np.random.RandomState(32).randint(0, p, (4, 12)) @ A) % p
-    with mock.patch.object(linalg, "rref_mod", wraps=linalg.rref_mod) as spy:
-        again, again_pivots = linalg.rref_extend_mod(R[:rank], pivots, combos, p)
-    assert not spy.called  # nothing left to eliminate
-    assert again_pivots == pivots and np.array_equal(again, R[:rank])
-    with pytest.raises(InputError):
-        linalg.rref_extend_mod(R[:rank], pivots, np.zeros((1, 11), dtype=np.int64), p)
-
-
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(matrices(), st.booleans(), st.integers(0, 2**31 - 1))
 @example((7, random_matrix(10, 7, 100, 70, 50, 2, 10)), False, 12)  # tall, panel route, infeasible
@@ -348,3 +303,28 @@ def test_nullspace_of_rref_matches_double_loop(case):
     assert not np.any((A.astype(object) @ N.T.astype(object)) % p)
     assert nullspace_of_rref(R[:rank], pivots, p).tobytes() == N.tobytes()  # zero rows are not read
     assert nullspace_mod(A, p).tobytes() == N.tobytes()
+
+
+def python_product(A: np.ndarray, B: np.ndarray, p: int) -> list:
+    """A @ B mod p in Python integers, one row-by-column sum at a time."""
+    return [[sum(int(a) * int(b) for a, b in zip(row, col)) % p for col in zip(*B.tolist())] for row in A.tolist()]
+
+
+@pytest.mark.parametrize("p", [2, 7, 11771657, 2**31 - 1])
+def test_matmul_mod_matches_python_int_products(p):
+    # weak_space's products F K[L] (stacked over L) and K N^T; past
+    # `longest` the inner sums leave int64 and must still be exact
+    rng = np.random.RandomState(p % 1000)
+    longest = (2**63 - 1) // (p - 1) ** 2  # the longest inner length int64 holds
+    lengths = [1, 2, 7, 40] + ([longest, longest + 1] if longest < 10**5 else [])
+    for n in lengths:
+        top = np.full((1, n), p - 1, dtype=np.int64)  # the largest inner sum
+        for A, B in ((rng.randint(0, p, (2, n)), rng.randint(0, p, (n, 3))), (top, top.T)):
+            got = matmul_mod(A, B, p)
+            assert got.dtype == np.int64 and got.tolist() == python_product(A, B, p)
+        if n > longest:  # the plain int64 product is wrong here
+            assert ((top @ top.T) % p).tolist() != python_product(top, top.T, p)
+    F = rng.randint(0, p, (5, 7))
+    K = rng.randint(0, p, (6, 7, 3))  # K's rows at the points of six subspaces
+    got = matmul_mod(F, K, p)
+    assert got.shape == (6, 5, 3) and [g.tolist() for g in got] == [python_product(F, k, p) for k in K]

@@ -12,11 +12,13 @@ from hypothesis import strategies as st
 from sympy import GF
 from sympy.polys.matrices import DomainMatrix
 
-from rankforge import AffineMap, Budget, BudgetExceededError, InputError, MultiPoly, PolyFamily, PrimeField, multilinear_form, random_poly
+from rankforge import AffineMap, Budget, BudgetExceededError, InputError, MultiPoly, PolyFamily, PrimeField, VerificationError, multilinear_form, random_poly
 from rankforge import rank
-from rankforge.linalg import rank_mod, solve_mod
+from rankforge.linalg import rank_mod, rref_mod, solve_mod
 from rankforge.poly import MultilinearForm
 from rankforge.rank import (
+    RankCertificate,
+    RankResult,
     check_rank_axioms,
     family_rank,
     invariant_factor_dictionary,
@@ -125,6 +127,62 @@ def test_bilinear_route_charges_one_rref():
     # the search needs 13 * 9 * 3 steps for r = 1 alone
     with pytest.raises(BudgetExceededError, match="partition rank search at r=1"):
         rank._partition_search(T, 3, Budget(27))
+
+
+def matrix_rank_partition_eager(T: MultilinearForm, r_max: int) -> RankResult:
+    """The bilinear route as it was before its certificates were built on
+    read: every pair a polynomial at once, re-expanded before it returns."""
+    n1, n2 = T.block_dims
+    p, n = T.field.p, T.poly.n
+    M = np.zeros((n1, n2), dtype=np.int64)
+    for mono, c in T.poly.terms.items():
+        M[mono.index(1), mono.index(1, n1) - n1] = c
+    R, pivots, k = rref_mod(M, p)
+    if k > r_max:
+        return RankResult(None, r_max=r_max, per_r=tuple((r, "no") for r in range(1, r_max + 1)))
+    unit = [tuple(int(v == i) for v in range(n)) for i in range(n)]
+    pairs = tuple(
+        (
+            (0,),
+            MultiPoly(T.field, n, {unit[a]: c for a, c in enumerate(M[:, j].tolist())}),
+            MultiPoly(T.field, n, {unit[n1 + b]: c for b, c in enumerate(R[i].tolist())}),
+        )
+        for i, j in enumerate(pivots)
+    )
+    cert = RankCertificate("partition", pairs, "matrix rank")
+    cert.verify_partition(T)
+    per_r = tuple((r, "no") for r in range(1, k)) + ((k, "found"),)
+    return RankResult(k, r_max=r_max, certificate=cert, per_r=per_r)
+
+
+@pytest.mark.parametrize("field", [F2, F3], ids=["F2", "F3"])
+def test_bilinear_certificates_built_on_read_equal_the_eager_ones(field):
+    p = field.p
+    for n1, n2 in itertools.product(range(1, 4), repeat=2):
+        for entries in itertools.product(range(p), repeat=n1 * n2):
+            if not any(entries):
+                continue
+            T = bilinear(field, n1, n2, {(i // n2, i % n2): c for i, c in enumerate(entries) if c})
+            got, want = partition_rank(T, 3), matrix_rank_partition_eager(T, 3)
+            assert "pairs" not in vars(got.certificate)  # nothing built before the read
+            assert got.certificate.pairs == want.certificate.pairs  # verified as they are read
+            assert got == want
+
+
+def test_bilinear_factor_from_the_wrong_columns_is_refused(monkeypatch):
+    T = bilinear(F3, 2, 3, {(0, 0): 1, (1, 1): 2, (1, 2): 1})
+
+    def wrong_columns(A, p):
+        R, pivots, k = rref_mod(A, p)
+        return R, [c + 1 for c in pivots], k  # C read one column to the right
+
+    C, R = np.array([[1, 0], [0, 2]]), np.array([[1, 0, 0], [0, 1, 2]])
+    assert len(rank._MatrixRankCertificate(T, C, R).pairs) == 2  # a correct factorization reads fine
+    with pytest.raises(VerificationError, match="re-expand"):  # a wrong one is refused when read
+        rank._MatrixRankCertificate(T, C[:, ::-1], R).pairs
+    monkeypatch.setattr(rank, "rref_mod", wrong_columns)
+    with pytest.raises(VerificationError, match="M != C R"):
+        partition_rank(T, 3)
 
 
 def quadric_schmidt_rank(G: np.ndarray, p: int) -> int:
