@@ -2,21 +2,39 @@
 
 Points of F_p^n are identified with integers in [0, p^n) in row-major order
 (first coordinate most significant), which agrees with lexicographic order
-on coordinate tuples.  Arithmetic is exact on int64 numpy arrays, and
-values come back in [0, p).
+on coordinate tuples.  Values come back as int64 arrays in [0, p).
 
-`Box.eval_poly` has two routes.  Over the whole box it uses Yates'
-tensor-product transform: the function-reduced coefficients of P form a
-tensor of shape (p,)*n in the same row-major order, and multiplying axis i by
-the Vandermonde columns V[x, e] = x^e for the exponents e of x_i that occur in
-P turns exponents into coordinates (over F_2 this is the fast Moebius
-transform).  That takes sum_i k_i * p^n multiply-adds, k_i <= p the number
-of distinct exponents of x_i in P, and builds no digit table.  Over the whole
-box when n = 1, where the p x k_0 Vandermonde block can be p times the box,
-it runs Horner's rule over P's exponents on the p field elements.  At given
-indices it decodes their coordinates and evaluates term by term; no digit
-table of the box is kept.  `Box.monomial_matrix` reads the columns x^m of a
-monomial basis off the same decoded coordinates.
+`Box.eval_poly` evaluates over the whole box by Yates' tensor-product
+transform: the function-reduced coefficients of P form a tensor of shape
+(p,)*n in the same row-major order, and multiplying axis i by the Vandermonde
+columns V[x, e] = x^e for the exponents e of x_i that occur in P turns
+exponents into coordinates (over F_2 this is the fast Moebius transform).
+That takes sum_i k_i * p^n multiply-adds, k_i <= p the number of distinct
+exponents of x_i in P, and builds no digit table.  It runs the transform in
+one of two layouts, chosen from (p, n) alone:
+
+- Constant-geometry stages (Pease's layout of the FFT) when a stage fits
+  16 bits (p (p-1)^2 < 2^16, so p <= 37) and a row holds p^(n-1) >= 2^11
+  entries.  Stage s reads the leading digit as the contiguous rows A[e] of a
+  (p, p^(n-1)) view and writes column x of a (p^(n-1), p) array as
+  sum_e x^e A[e], by at most p*k_s vector multiply-adds; the output's
+  leading digit is the old second one, so after n stages the row-major order
+  is back without a transpose.  Entries are held in uint8 (p <= 7) or
+  uint16, reduced mod p only before a stage could overflow them, and
+  reduced once more at the end, where they are widened to the int64 result.
+- One int64 matmul per axis otherwise.  There the p*k_s calls per stage cost
+  more than the arithmetic saves: on the shortest rows the stages measured
+  2-4x slower (F_5^3, F_13^3, F_31^2), between 2^9 and 2^11 entries either
+  layout won by the polynomial (F_5^5, F_7^4, F_31^3, F_37^3), and from
+  2^11 on the stages won every measured case.  Past 16 bits, stages on
+  uint32 entries lost to the matmul even on long rows (F_131^3, F_257^3).
+  benchmarks/transform_vs_loop.py times both layouts on each side.
+
+Over the whole box when n = 1, where the p x k_0 Vandermonde block can be p
+times the box, it runs Horner's rule over P's exponents on the p field
+elements.  At given indices it decodes their coordinates and evaluates term
+by term; no digit table of the box is kept.  `Box.monomial_matrix` reads the
+columns x^m of a monomial basis off the same decoded coordinates.
 """
 
 from __future__ import annotations
@@ -33,6 +51,41 @@ from .poly import Monomial, MultiPoly, Point
 def _powers(p: int, exps: list[int]) -> np.ndarray:
     """p x len(exps) matrix V[x, j] = x^exps[j] mod p, with 0^0 = 1."""
     return np.array([[pow(x, e, p) for e in exps] for x in range(p)], dtype=np.int64)
+
+
+def _takes_stages(p: int, n: int) -> bool:
+    """Whether the whole-box transform runs as narrow vector stages (see the
+    module docstring for the measured crossover)."""
+    return p * (p - 1) ** 2 < 2**16 and p ** (n - 1) >= 2**11
+
+
+def _reduce(T: np.ndarray, p: int, scratch: np.ndarray) -> None:
+    """T %= p in place, as T - p (T // p): numpy divides an unsigned array by
+    a scalar many times faster than it takes the remainder."""
+    np.floor_divide(T, p, out=scratch)
+    scratch *= p
+    T -= scratch
+
+
+def _stage(A: np.ndarray, B: np.ndarray, E: list[int], p: int, acc: np.ndarray, tmp: np.ndarray) -> None:
+    """Column x of B = sum over e in E of x^e A[e]; A's other rows are zero.
+
+    acc and tmp hold a partial sum and one term, each a row long; the last
+    multiply-add of a column writes it in place."""
+    for x in range(p):
+        col = B[:, x]
+        parts = [(c, A[e]) for e in E if (c := pow(x, e, p))]
+        if not parts:
+            col.fill(0)
+            continue
+        last = len(parts) - 1
+        c, row = parts[0]
+        total = row if c == 1 else np.multiply(row, c, out=col if last == 0 else acc)
+        for j, (c, row) in enumerate(parts[1:], 1):
+            term = row if c == 1 else np.multiply(row, c, out=tmp)
+            total = np.add(total, term, out=col if j == last else acc)
+        if total is not col:  # a single term with x^e = 1
+            col[...] = total
 
 
 def _pow_mod(x: np.ndarray, e: int, p: int) -> np.ndarray:
@@ -81,13 +134,16 @@ class Box:
     def eval_poly(self, P: MultiPoly, indices: np.ndarray | None = None) -> np.ndarray:
         """Values of P at the given indices (default: the whole box).
 
-        The whole box takes Horner's rule when n = 1 and the transform
-        otherwise.  One matmul step on entries below p stays exact in int64
-        only while p^3 < 2^63, which any box with n >= 2 that fits in memory
-        satisfies.
+        The whole box takes Horner's rule when n = 1, the transform's vector
+        stages on large boxes over small fields, and its matmul otherwise.
+        One matmul step on entries below p stays exact in int64 only while
+        p^3 < 2^63, which any box with n >= 2 that fits in memory satisfies;
+        past it the whole box goes term by term.
         """
         if indices is None and self.n == 1:
             return self._eval_horner(P)
+        if indices is None and _takes_stages(self.field.p, self.n):
+            return self._eval_stages(P)
         if indices is None and self.field.p**3 < 2**63:
             return self._eval_transform(P)
         return self._eval_terms(P, self.digits() if indices is None else self.decode(indices))
@@ -129,24 +185,58 @@ class Box:
                 out = (out * xg) % p
         return out
 
-    def _eval_transform(self, P: MultiPoly) -> np.ndarray:
+    def _tensor(self, P: MultiPoly, dtype: type) -> tuple[np.ndarray, np.ndarray]:
+        """The flattened coefficient tensor of P reduced as a function (x^p = x),
+        shape (p,)*n in row-major order, so that an exponent vector indexes it
+        like a point; and those exponent vectors, one row per term."""
         p = self.field.p
-        terms = P.terms
-        if any(e >= p for mono in terms for e in mono):
-            terms = P.function_reduce().terms  # x^p = x as functions
-        T = np.zeros(self.size, dtype=np.int64)
-        if not terms:
+        if any(e >= p for mono in P.terms for e in mono):
+            P = P.function_reduce()
+        M = np.array(list(P.terms), dtype=np.int64).reshape(len(P.terms), self.n)
+        T = np.zeros(self.size, dtype=dtype)
+        T[M @ self._places] = list(P.terms.values())
+        return T, M
+
+    def _eval_transform(self, P: MultiPoly) -> np.ndarray:
+        """The transform as one int64 matmul per axis."""
+        p = self.field.p
+        T, M = self._tensor(P, np.int64)
+        if not len(M):
             return T
-        T[self.encode(list(terms))] = list(terms.values())  # exponents < p index like points
         bound = p - 1  # largest possible entry of T; reduce mod p only before int64 would overflow
         for i in range(self.n):
-            E = sorted({mono[i] for mono in terms})  # T is zero at every other exponent of x_i
+            E = sorted(set(M[:, i].tolist()))  # T is zero at every other exponent of x_i
             if bound * (p - 1) * len(E) >= 2**63:
                 T, bound = T % p, p - 1
             T = T.reshape(p**i, p, -1)
             T = np.matmul(_powers(p, E), T if len(E) == p else T[:, E, :])
             bound *= (p - 1) * len(E)
         return T.reshape(self.size) % p
+
+    def _eval_stages(self, P: MultiPoly) -> np.ndarray:
+        """The transform as constant-geometry vector stages on uint8 or uint16
+        entries (p (p-1)^2 < 2^16): stage s turns the leading digit, an
+        exponent of x_s, into the trailing digit, the coordinate x_s."""
+        p = self.field.p
+        dtype = np.uint8 if p * (p - 1) ** 2 < 2**8 else np.uint16
+        T, M = self._tensor(P, dtype)
+        if not len(M):
+            return np.zeros(self.size, dtype=np.int64)
+        U = np.empty_like(T)  # the stage's output, then the next one's input
+        acc = np.empty(self.size // p, dtype=dtype)  # a column's partial sum
+        tmp = np.empty_like(acc)  # one term x^e A[e]
+        bound = p - 1  # largest possible entry of T
+        for s in range(self.n):
+            E = sorted(set(M[:, s].tolist()))  # T is zero at every other leading digit
+            if bound * (p - 1) * len(E) > np.iinfo(dtype).max:
+                _reduce(T, p, U)
+                bound = p - 1
+            _stage(T.reshape(p, -1), U.reshape(-1, p), E, p, acc, tmp)
+            T, U = U, T
+            bound *= (p - 1) * len(E)
+        _reduce(T, p, U)
+        del U, acc, tmp  # the int64 result is the only other array alive
+        return T.astype(np.int64)
 
     def _eval_terms(self, P: MultiPoly, D: np.ndarray) -> np.ndarray:
         """Term-by-term values of P at the points whose coordinates are D's rows."""

@@ -213,6 +213,13 @@ class ProductTorus:
     def size(self) -> int:
         return self.t1_size**self.variety.n
 
+    def permutation(self, t_idx: tuple[int, ...], X: VarietyPoints) -> np.ndarray:
+        """perm[k] = ordinal in X of t . x_k, x_k the k-th point of X: every
+        coordinate column scaled by its entry of t at once (`act_point` per
+        point)."""
+        scale = np.array([self.t1[ti] for ti in t_idx], dtype=np.int64).reshape(-1)
+        return X.ordinals_of_indices(X.box.encode(X.box.decode(X.indices) * scale))
+
     def act_point(self, t_idx: tuple[int, ...], point) -> tuple[int, ...]:
         p = self.field.p
         v = list(point)
@@ -350,6 +357,16 @@ def act_gamma_point(variety: ExplicitVariety, gamma: tuple[Permutation, ...], po
     return tuple(out)
 
 
+def gamma_permutation(variety: ExplicitVariety, gamma: tuple[Permutation, ...], X: VarietyPoints) -> np.ndarray:
+    """perm[k] = ordinal in X of gamma x_k: the coordinate columns permuted at
+    once (`act_gamma_point` per point)."""
+    cols = list(range(variety.nvars))
+    for i, sigma in enumerate(gamma):
+        for slot, src in enumerate(sigma):
+            cols[variety.var(i, slot)] = variety.var(i, src)
+    return X.ordinals_of_indices(X.box.encode(X.box.decode(X.indices)[:, cols]))
+
+
 def invert_gamma(gamma: tuple[Permutation, ...]) -> tuple[Permutation, ...]:
     out = []
     for sigma in gamma:
@@ -386,14 +403,8 @@ def torus_decompose(torus: ProductTorus, f: FunctionOnX) -> dict[TorusCharacter,
     field = torus.field
     p = field.p
     inv_size = field.inv(torus.size % p)
-    perms = []
-    tvals: list[tuple[int, ...]] = []
-    for t_idx in torus.elements():
-        moved = np.array(
-            [X.ordinal(torus.act_point(t_idx, pt)) for pt in X.points], dtype=np.int64
-        )
-        perms.append(moved)
-        tvals.append(t_idx)
+    tvals = list(torus.elements())
+    perms = [torus.permutation(t_idx, X) for t_idx in tvals]
     out: dict[TorusCharacter, FunctionOnX] = {}
     for theta in torus.characters():
         acc = np.zeros(len(X), dtype=np.int64)
@@ -581,13 +592,6 @@ def explicit_extension(
     components = torus_decompose(torus, f)
     strata = stratify(variety, torus.delta, X)
 
-    # permutation arrays for gamma actions on X
-    def gamma_perm(gamma):
-        return np.array(
-            [X.ordinal(act_gamma_point(variety, gamma, pt)) for pt in X.points],
-            dtype=np.int64,
-        )
-
     pieces: list[PipelineComponent] = []
     total = MultiPoly.zero(field, variety.nvars)
     for theta, comp in components.items():
@@ -600,7 +604,7 @@ def explicit_extension(
             )
         gamma = theta.permutation_to_plus(a)
         theta_plus = theta.compose_block_permutations(gamma)
-        moved = comp.values[gamma_perm(gamma)]  # g'(x) = comp(gamma x)
+        moved = comp.values[gamma_permutation(variety, gamma, X)]  # g'(x) = comp(gamma x)
         gprime = FunctionOnX(X, moved)
 
         # interpolate g' on the embedded zero-sum grid

@@ -149,15 +149,21 @@ class MultiPoly:
         return MultiPoly(self.field, self.n, {m: (c * v) % self.field.p for m, v in self.terms.items()})
 
     def __mul__(self, other: "MultiPoly") -> "MultiPoly":
-        if other.field != self.field or other.n != self.n:
-            raise InputError("polynomial arity/field mismatch")
-        p = self.field.p
+        return MultiPoly.sum_of_products(self.field, self.n, [(self, other)])
+
+    @staticmethod
+    def sum_of_products(field: PrimeField, n: int, pairs: Iterable[tuple["MultiPoly", "MultiPoly"]]) -> "MultiPoly":
+        """The sum of Q R over the (Q, R) pairs, gathered in one dictionary."""
+        p = field.p
         acc: dict[Monomial, int] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = tuple(a + b for a, b in zip(m1, m2))
-                acc[m] = (acc.get(m, 0) + c1 * c2) % p
-        return MultiPoly(self.field, self.n, acc)
+        for Q, R in pairs:
+            if Q.field != field or R.field != field or Q.n != n or R.n != n:
+                raise InputError("polynomial arity/field mismatch")
+            for m1, c1 in Q.terms.items():
+                for m2, c2 in R.terms.items():
+                    m = tuple(a + b for a, b in zip(m1, m2))
+                    acc[m] = (acc.get(m, 0) + c1 * c2) % p
+        return MultiPoly(field, n, acc)
 
     def pow(self, e: int) -> "MultiPoly":
         if e < 0:
@@ -437,12 +443,11 @@ class MultilinearForm:
     def __post_init__(self):
         if self.poly.n != sum(self.block_dims):
             raise InputError("block dimensions do not match variable count")
-        offs = self.block_offsets()
+        # computed once per form, not a field: equality and hash are by the two fields
+        object.__setattr__(self, "_offsets", tuple(itertools.accumulate(self.block_dims, initial=0))[:-1])
         for mono in self.poly.terms:
-            for b, dim in enumerate(self.block_dims):
-                blockdeg = sum(mono[offs[b] : offs[b] + dim])
-                if blockdeg != 1:
-                    raise InputError("term is not multilinear across blocks")
+            if self.block_degrees(mono) != (1,) * self.d:
+                raise InputError("term is not multilinear across blocks")
 
     @property
     def d(self) -> int:
@@ -453,11 +458,11 @@ class MultilinearForm:
         return self.poly.field
 
     def block_offsets(self) -> tuple[int, ...]:
-        return tuple(itertools.accumulate(self.block_dims, initial=0))[:-1]
+        return self._offsets
 
     def block_degrees(self, mono: Monomial) -> tuple[int, ...]:
         """The degree of a monomial in each block's variables."""
-        return tuple(sum(mono[o : o + dim]) for o, dim in zip(self.block_offsets(), self.block_dims))
+        return tuple(sum(mono[o : o + dim]) for o, dim in zip(self._offsets, self.block_dims))
 
     def is_zero(self) -> bool:
         return self.poly.is_zero()

@@ -104,11 +104,7 @@ class RankCertificate:
         return hash((self.kind, self.pairs, self.bound_provenance))
 
     def expand(self, field: PrimeField, n: int) -> MultiPoly:
-        total = MultiPoly.zero(field, n)
-        for entry in self.pairs:
-            Q, R = entry[-2], entry[-1]
-            total = total + Q * R
-        return total
+        return MultiPoly.sum_of_products(field, n, [(entry[-2], entry[-1]) for entry in self.pairs])
 
     def verify_schmidt(self, P: MultiPoly) -> None:
         d = P.degree()
@@ -124,7 +120,8 @@ class RankCertificate:
             if not J or J == frozenset(range(T.d)):
                 raise VerificationError("bipartition must be proper and nonempty")
             for poly, side in ((Q, J), (R, frozenset(range(T.d)) - J)):
-                if any(T.block_degrees(mono) != tuple(int(b in side) for b in range(T.d)) for mono in poly.terms):
+                want = tuple(int(b in side) for b in range(T.d))
+                if any(T.block_degrees(mono) != want for mono in poly.terms):
                     raise VerificationError("factor not multilinear on its blocks")
         if self.expand(T.field, T.poly.n) != T.poly:
             raise VerificationError("certificate does not re-expand to the tensor")
@@ -551,7 +548,8 @@ def _dictionary_entry(T: MultilinearForm, entry) -> tuple[frozenset, MultiPoly]:
         raise InputError(f"dictionary block set {set(J)} is not a proper nonempty subset of the {T.d} blocks")
     if not isinstance(Q, MultiPoly) or Q.field != T.field or Q.n != T.poly.n:
         raise InputError(f"dictionary factor for blocks {sorted(J)} is not a polynomial in the tensor's {T.poly.n} variables")
-    if any(T.block_degrees(mono) != tuple(int(b in J) for b in range(T.d)) for mono in Q.terms):
+    want = tuple(int(b in J) for b in range(T.d))
+    if any(T.block_degrees(mono) != want for mono in Q.terms):
         raise InputError(f"dictionary factor for blocks {sorted(J)} is not multilinear on exactly those blocks")
     return J, Q
 

@@ -1,8 +1,9 @@
-"""Whole-box evaluation: the tensor-product transform against independent
-oracles, its routing and memory at large p and n <= 1, and the monomial
-matrix at given points."""
+"""Whole-box evaluation: the tensor-product transform, in both of its
+layouts, against independent oracles, its routing and memory, and the
+monomial matrix at given points."""
 
 import itertools
+import random
 import tracemalloc
 
 import numpy as np
@@ -17,6 +18,7 @@ from rankforge import (
     PolyFamily,
     PrimeField,
     histogram_of_poly,
+    random_poly,
     value_distribution,
 )
 from rankforge import domain
@@ -42,8 +44,70 @@ def test_whole_box_eval_matches_pointwise_and_indexed(P):
     whole = bx.eval_poly(P)
     assert whole.tolist() == oracle
     assert np.array_equal(whole, bx.eval_poly(P, np.arange(bx.size, dtype=np.int64)))
-    # the transform itself, also at n = 1, where eval_poly takes Horner's rule
+    # both layouts of the transform, also at n = 1, where eval_poly takes
+    # Horner's rule, and on boxes too small for eval_poly to take the stages
     assert bx._eval_transform(P).tolist() == oracle
+    assert bx._eval_stages(P).tolist() == oracle
+
+
+def dense_poly(p: int, n: int, rng) -> MultiPoly:
+    """Every monomial in at most two variables with exponents below p, each
+    coefficient p - 1, about half the exponents written as e + (p - 1) or
+    e + 2(p - 1) (the same function): the leading two stages are full, so a
+    skipped reduction overflows a narrow entry."""
+    terms = {}
+    for i, j in itertools.combinations(range(n), 2):
+        for a, b in itertools.product(range(p), repeat=2):
+            mono = [0] * n
+            mono[i], mono[j] = a, b
+            mono = [e + (p - 1) * rng.randrange(3) if e and rng.random() < 0.5 else e for e in mono]
+            terms[tuple(mono)] = p - 1
+    return MultiPoly(PrimeField(p), n, terms)
+
+
+@pytest.mark.parametrize(
+    "p, n",
+    [
+        # vector stages: uint8 past every delayed reduction, and uint16
+        (2, 17), (3, 11), (5, 7), (7, 6), (13, 4),
+        # the matmul, on rows just below the stages' 2^11 entries
+        (2, 11), (3, 7), (13, 3),
+    ],
+)
+def test_large_box_eval_matches_term_loop_and_histogram(p, n):
+    rng = np.random.default_rng(p * 100 + n)
+    P = dense_poly(p, n, random.Random(n))
+    assert max(max(m) for m in P.terms) >= p
+    bx = Box(P.field, n)
+    assert domain._takes_stages(p, n) == (p ** (n - 1) >= 2**11 and p <= 37)
+    whole = bx.eval_poly(P)
+    assert whole.dtype == np.int64
+    idx = np.unique(np.concatenate([[0, bx.size - 1], rng.integers(0, bx.size, 2500)]))
+    if len(idx) < 2000:
+        idx = np.arange(bx.size)
+    assert np.array_equal(whole[idx], bx._eval_terms(P, bx.decode(idx)))
+    # the full histogram from the other layout, and from the public reduction
+    other = bx._eval_transform(P) if domain._takes_stages(p, n) else bx._eval_stages(P)
+    counts = np.bincount(other, minlength=p)
+    assert np.bincount(whole, minlength=p).tolist() == counts.tolist()
+    assert list(histogram_of_poly(P).counts) == counts.tolist()
+
+
+@pytest.mark.parametrize("p, n, d", [(2, 20, 3), (5, 8, 4)])
+def test_stage_route_memory_is_the_result_plus_narrow_arrays(p, n, d):
+    F = PrimeField(p)
+    P = random_poly(F, n, d, random.Random(p))
+    bx = Box(F, n)
+    assert domain._takes_stages(p, n)
+    tracemalloc.start()
+    try:
+        whole = bx.eval_poly(P)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert whole.dtype == np.int64
+    # the int64 result is 8 bytes a point; the matmul route takes 16 or more
+    assert peak <= 12 * bx.size
 
 
 @settings(max_examples=150, deadline=None)

@@ -17,6 +17,7 @@ from rankforge.explicit import (
     build_P_from_h,
     defect,
     explicit_extension,
+    gamma_permutation,
     invert_gamma,
     mu_bias,
     nc_rank_growth_check,
@@ -152,6 +153,19 @@ def test_gamma_action_consistency():
                 for ti, sigma in zip(t_idx, gamma)
             )
             assert comp.value(t_idx) == theta.value(moved)
+
+
+@pytest.mark.parametrize("d, n, m, a", [(2, 2, 3, 1), (2, 1, 3, 1), (2, 1, 6, 2), (3, 1, 6, 1)])
+def test_point_array_permutations_match_the_point_actions(d, n, m, a):
+    xn = ExplicitVariety(d, n, F7)
+    torus = ProductTorus(xn, F7.delta_subgroup(m), a=a)
+    X = xn.points()
+    for t_idx in torus.elements():
+        want = [X.ordinal(torus.act_point(t_idx, pt)) for pt in X.points]
+        assert torus.permutation(t_idx, X).tolist() == want
+    for gamma in itertools.product(itertools.permutations(range(d)), repeat=n):
+        want = [X.ordinal(act_gamma_point(xn, gamma, pt)) for pt in X.points]
+        assert gamma_permutation(xn, gamma, X).tolist() == want
 
 
 def test_torus_decompose_reconstruction_and_equivariance():
