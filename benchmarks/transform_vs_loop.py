@@ -1,26 +1,35 @@
-"""Whole-box evaluation: the transform's two layouts, here and in a checkout
-of the parent commit.
+"""Whole-box evaluation and counting: the transform's three layouts, here and
+in a checkout of the parent commit.
 
     PYTHONPATH=src python3 benchmarks/transform_vs_loop.py [--parent DIR
-        [--pairs 10]] [--out BENCH_box_transform.json]
+        [--pairs 10]] [--out BENCH_box_counts.json]
 
 Run it from the root of a checkout.  It writes one JSON object to --out and
-prints it.  Each side is measured in its own child process, which imports
+prints it.  Each side is measured in its own child processes, which import
 rankforge from that checkout's `src` and nothing else.
 
 `cases`: a monomial, a sparse polynomial (three terms) and a random cubic on
 boxes over p <= 5 up to 10^6 points, over p = 31, 101 and 1009, and on both
 sides of the route choice (rows of p^(n-1) entries just below and above 2^11,
 and p = 37 against p = 41, the last p whose stage fits 16 bits and the first
-past it).  For each: the route `Box.eval_poly` takes here (`stages`,
-`matmul` or `horner`), the best time of the whole-box `eval_poly` on each
-side, and, here only, the best time of each layout on its own
-(`Box._eval_transform`, the matmul, and `Box._eval_stages` where p <= 37).
-The sha256 of the values must be equal on both sides and for both layouts.
+past it).  For each: the route `Box.eval_poly` takes here (`packed`,
+`stages`, `matmul` or `horner`), the best time of the whole-box `eval_poly`
+and of `histogram_of_poly` on each side, and, here only, the best time of
+each layout on its own (`Box._eval_transform`, the matmul;
+`Box._eval_stages` where p <= 37; `Box._eval_packed` where p = 2, whose
+words are unpacked only for the hash).  The sha256 of the values must be
+equal on both sides and for every layout, and so must the histograms.
 
-`acceptance`: every whole-box `Box.eval_poly` call of the 14 criteria,
-recorded while they run, each timed (best of 3) on both sides, summed by the
-route it takes here; the per-call value hashes must be equal.
+`f2_boxes`: `bias` of a random cubic over F_2^20 to F_2^26 (the largest box
+the default budget admits), each box on each side in a fresh child process:
+the best time of the call and the child's peak RSS, with nothing else
+evaluated in that child.  The counts must be equal on both sides.
+
+`acceptance`: every whole-box reduction of the 14 criteria (each call of
+`histogram_of_poly`, `value_distribution` and `enumerate_points`) and every
+whole-box `Box.eval_poly` call made outside them, recorded while they run,
+each timed (best of 3) on both sides, summed by the route it takes here; the
+per-call hashes must be equal.
 
 `end_to_end` (only with --pairs): --pairs seeds per workload of
 `perfbench/run.py --seconds 0 --trace 0` (seeds 1 to --pairs, then the next
@@ -69,6 +78,7 @@ CASES = (
     (101, 2), (101, 3), (1009, 2),
 )  # fmt: skip
 KINDS = ("monomial", "sparse", "cubic")
+F2_BOXES = (20, 21, 22, 23, 24, 25, 26)
 
 
 def best_of(fns: list, reps: int) -> list[float]:
@@ -103,13 +113,68 @@ def route(bx) -> str:
 
     if bx.n == 1:
         return "horner"
-    takes_stages = getattr(domain, "_takes_stages", None)  # absent in the parent
-    return "stages" if takes_stages and takes_stages(bx.field.p, bx.n) else "matmul"
+    packs = getattr(domain, "_packs", None)  # absent in the parent
+    if packs and packs(bx.field.p, bx.n):
+        return "packed"
+    return "stages" if domain._takes_stages(bx.field.p, bx.n) else "matmul"
+
+
+def record_reductions(run) -> list[dict]:
+    """Run `run()` and record every whole-box reduction it calls, and every
+    whole-box eval_poly call made outside one, in call order; each is timed
+    again (best of 3) after it first returns."""
+    from rankforge import analytic, geometry
+    from rankforge.domain import Box, box
+
+    calls = []
+    inside = [0]
+
+    def record(op, bx, fn, digest):
+        result = fn()
+        calls.append({"op": op, "box": f"F_{bx.field.p}^{bx.n}", "route": route(bx), "sha256": sha(digest(result)), "s": best_of([fn], 3)[0]})
+        return result
+
+    def reduction(op, fn, digest):
+        def wrapper(arg, *rest, **kw):
+            inside[0] += 1
+            try:
+                return record(op, box(arg.field, arg.n), lambda: fn(arg, *rest, **kw), digest)
+            finally:
+                inside[0] -= 1
+
+        return wrapper
+
+    eval_poly = Box.eval_poly
+
+    def recording(self, P, indices=None):
+        if indices is None and not inside[0]:
+            return record("eval_poly", self, lambda: eval_poly(self, P), lambda v: v)
+        return eval_poly(self, P, indices)
+
+    originals = {
+        analytic.histogram_of_poly: reduction("histogram_of_poly", analytic.histogram_of_poly, lambda h: h.counts),
+        analytic.value_distribution: reduction("value_distribution", analytic.value_distribution, lambda v: v.counts),
+        geometry.enumerate_points: reduction("enumerate_points", geometry.enumerate_points, lambda X: X.indices),
+    }
+    # the package imports these by name, so replace every binding of them
+    package = [m for name, m in sys.modules.items() if name == "rankforge" or name.startswith("rankforge.")]
+    bound = [(m, key, value) for m in package for key, value in vars(m).items() if any(value is f for f in originals)]
+    for m, key, value in bound:
+        setattr(m, key, originals[value])
+    Box.eval_poly = recording
+    try:
+        run()
+    finally:
+        Box.eval_poly = eval_poly
+        for m, key, value in bound:
+            setattr(m, key, value)
+    return calls
 
 
 def measure(layouts: bool) -> dict:
-    """One side's numbers; `layouts` also times the two layouts on their own."""
+    """One side's numbers; `layouts` also times each layout on its own."""
     from rankforge.acceptance import CRITERIA, run_criterion
+    from rankforge.analytic import histogram_of_poly
     from rankforge.domain import Box
     from rankforge.gf import PrimeField
 
@@ -122,46 +187,58 @@ def measure(layouts: bool) -> dict:
         for kind in KINDS:
             P = make_poly(F, n, kind, rng)
             row = {"box": f"F_{p}^{n}", "poly": kind, "terms": len(P.terms), "sha256": sha(bx.eval_poly(P))}
-            fns = {"eval_poly_s": lambda: bx.eval_poly(P)}
+            row["histogram_sha256"] = sha(histogram_of_poly(P).counts)
+            fns = {"eval_poly_s": lambda: bx.eval_poly(P), "histogram_s": lambda: histogram_of_poly(P)}
+            layout_fns = {}
             if layouts:
                 row["route"] = route(bx)
-                fns["matmul_s"] = lambda: bx._eval_transform(P)
+                layout_fns["matmul_s"] = lambda: bx._eval_transform(P)
                 if p <= 37:
-                    fns["stages_s"] = lambda: bx._eval_stages(P)
-                if any(sha(fn()) != row["sha256"] for fn in fns.values()):
-                    raise SystemExit(f"F_{p}^{n} {kind}: the layouts disagree")
+                    layout_fns["stages_s"] = lambda: bx._eval_stages(P)
+                if p == 2 and n >= 2:
+                    layout_fns["packed_s"] = lambda: bx._eval_packed(P)
+                for name, fn in layout_fns.items():
+                    values = fn()
+                    if sha(bx._unpack(values) if name == "packed_s" else values) != row["sha256"]:
+                        raise SystemExit(f"F_{p}^{n} {kind}: the layouts disagree")
+            fns.update(layout_fns)
             row.update(zip(fns, best_of(list(fns.values()), reps)))
             cases.append(row)
+    return {"cases": cases, "acceptance": record_reductions(lambda: [run_criterion(name) for name in CRITERIA])}
 
-    calls = []
-    eval_poly = Box.eval_poly
 
-    def recording(self, P, indices=None):
-        if indices is None:
-            calls.append(
-                {
-                    "box": f"F_{self.field.p}^{self.n}",
-                    "route": route(self),
-                    "sha256": sha(eval_poly(self, P)),
-                    "s": best_of([lambda: eval_poly(self, P)], 3)[0],
-                }
-            )
-        return eval_poly(self, P, indices)
+def f2_box(n: int) -> dict:
+    """`bias` of a random cubic over F_2^n, alone in this process."""
+    import resource
 
-    Box.eval_poly = recording
-    try:
-        for name in CRITERIA:
-            run_criterion(name)
-    finally:
-        Box.eval_poly = eval_poly
-    return {"cases": cases, "acceptance": calls}
+    from rankforge.analytic import bias
+    from rankforge.gf import PrimeField
+    from rankforge.poly import random_poly
+
+    P = random_poly(PrimeField(2), n, 3, random.Random(n))
+    result = bias(P)
+    return {
+        "box": f"F_2^{n}",
+        "terms": len(P.terms),
+        "counts": list(result.histogram.counts),
+        "bias_s": best_of([lambda: bias(P)], 3)[0],
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+    }
+
+
+def child(src: Path, args: list[str]) -> dict:
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    # Linux carries a process's peak RSS across exec, so a direct child would
+    # report this process's peak as its own; a shell that forks first does not
+    cmd = ["sh", "-c", '"$@"; exit $?', "sh", sys.executable, __file__, *args]
+    res = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=1800, check=True)
+    return json.loads(res.stdout)
 
 
 def side(src: Path, layouts: bool) -> dict:
-    env = {**os.environ, "PYTHONPATH": str(src)}
-    cmd = [sys.executable, __file__, "--side-only"] + (["--layouts"] if layouts else [])
-    res = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=1800, check=True)
-    return json.loads(res.stdout)
+    doc = child(src, ["--side-only"] + (["--layouts"] if layouts else []))
+    doc["f2_boxes"] = [child(src, ["--f2-box", str(n)]) for n in F2_BOXES]
+    return doc
 
 
 def merge(change: dict, parent: dict | None) -> dict:
@@ -170,25 +247,39 @@ def merge(change: dict, parent: dict | None) -> dict:
         row = dict(row)
         if parent is not None:
             other = parent["cases"][i]
-            if other["sha256"] != row["sha256"]:
+            if (other["sha256"], other["histogram_sha256"]) != (row["sha256"], row["histogram_sha256"]):
                 raise SystemExit(f"{row['box']} {row['poly']}: the parent and the change disagree")
             row["parent_eval_poly_s"] = other["eval_poly_s"]
-        if "stages_s" in row:
-            row["faster_layout"] = "stages" if row["stages_s"] < row["matmul_s"] else "matmul"
+            row["parent_histogram_s"] = other["histogram_s"]
+        timed = [name for name in ("packed", "stages", "matmul") if f"{name}_s" in row]
+        if len(timed) > 1:
+            row["faster_layout"] = min(timed, key=lambda name: row[f"{name}_s"])
             row["route_is_faster_layout"] = row["faster_layout"] == row["route"]
         cases.append(row)
+    f2_boxes = []
+    for i, row in enumerate(change["f2_boxes"]):
+        row = dict(row)
+        if parent is not None:
+            other = parent["f2_boxes"][i]
+            if other["counts"] != row["counts"]:
+                raise SystemExit(f"{row['box']}: the parent and the change disagree")
+            row["parent_bias_s"] = other["bias_s"]
+            row["parent_peak_rss_mb"] = other["peak_rss_mb"]
+        f2_boxes.append(row)
     by_route: dict = {}
     for i, call in enumerate(change["acceptance"]):
-        agg = by_route.setdefault(call["route"], {"calls": 0, "s": 0.0, "parent_s": 0.0, "boxes": set()})
+        agg = by_route.setdefault(call["route"], {"calls": 0, "s": 0.0, "parent_s": 0.0, "ops": set(), "boxes": set()})
         agg["calls"] += 1
         agg["s"] += call["s"]
+        agg["ops"].add(call["op"])
         agg["boxes"].add(call["box"])
         if parent is not None:
             other = parent["acceptance"][i]
-            if other["sha256"] != call["sha256"] or other["box"] != call["box"]:
+            if (other["op"], other["box"], other["sha256"]) != (call["op"], call["box"], call["sha256"]):
                 raise SystemExit(f"acceptance call {i}: the parent and the change disagree")
             agg["parent_s"] += other["s"]
     for agg in by_route.values():
+        agg["ops"] = sorted(agg["ops"])
         agg["boxes"] = sorted(agg["boxes"])
         if parent is None:
             del agg["parent_s"]
@@ -197,6 +288,7 @@ def merge(change: dict, parent: dict | None) -> dict:
         "cases": cases,
         "route_is_faster_layout": f"{sum(r['route_is_faster_layout'] for r in layout_rows)} of {len(layout_rows)}",
         "route_loses": [f"{r['box']} {r['poly']}" for r in layout_rows if not r["route_is_faster_layout"]],
+        "f2_boxes": f2_boxes,
         "acceptance": {"whole_box_calls": len(change["acceptance"]), "by_route": by_route},
     }
 
@@ -238,20 +330,24 @@ def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent", type=Path, help="root of a checkout of the parent commit")
     ap.add_argument("--pairs", type=int, default=0, help="with --parent: end-to-end pairs per seed set")
-    ap.add_argument("--out", type=Path, default=ROOT / "BENCH_box_transform.json")
+    ap.add_argument("--out", type=Path, default=ROOT / "BENCH_box_counts.json")
     ap.add_argument("--side-only", action="store_true", help="print this side's numbers as JSON and write nothing")
     ap.add_argument("--layouts", action="store_true", help="with --side-only: also time each layout")
+    ap.add_argument("--f2-box", type=int, help="print one f2_boxes row for F_2^N as JSON and write nothing")
     args = ap.parse_args()
 
     if args.side_only:
         print(json.dumps(measure(args.layouts)))
+        return
+    if args.f2_box is not None:
+        print(json.dumps(f2_box(args.f2_box)))
         return
     parent = side(args.parent.resolve() / "src", False) if args.parent else None
     change = side(ROOT / "src", True)
     doc = {
         "command": "python3 benchmarks/transform_vs_loop.py" + (f" --parent PARENT --pairs {args.pairs}" if args.parent else ""),
         "machine": {"nproc": len(os.sched_getaffinity(0)), "python": sys.version.split()[0], "numpy": np.__version__},
-        "route_rule": "stages when p (p-1)^2 < 2^16 and p^(n-1) >= 2^11, Horner when n = 1, else matmul",
+        "route_rule": "Horner when n = 1, packed when p = 2, stages when p (p-1)^2 < 2^16 and p^(n-1) >= 2^11, else matmul",
         **merge(change, parent),
     }
     if args.parent and args.pairs:

@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -59,9 +60,15 @@ class CharHistogram:
 
     def autocorrelation(self) -> tuple[int, ...]:
         """w_k = sum_a N_a N_{a-k}; the cyclotomic expansion of |sum e_p|^2."""
-        p = self.p
-        c = self.counts
-        return tuple(sum(c[a] * c[(a - k) % p] for a in range(p)) for k in range(p))
+        return self._autocorrelation
+
+    @cached_property
+    def _autocorrelation(self) -> tuple[int, ...]:
+        """One correlation of the counts repeated twice against the counts, p^2
+        steps in C: exact in int64 while domain_size^2 < 2^63, since every
+        w_k is at most that, and in Python integers past it."""
+        c = np.array(self.counts, dtype=np.int64 if self.domain_size**2 < 2**63 else object)
+        return tuple(int(w) for w in np.correlate(np.concatenate([c, c]), c, "valid")[: self.p])
 
     def magnitude_squared(self) -> Fraction | None:
         """|E e_p|^2 as an exact rational (normalized), or None if irrational."""
@@ -116,7 +123,7 @@ class ExactMagnitude:
 
 
 def histogram_of_poly(P: MultiPoly, budget: Budget | None = None) -> CharHistogram:
-    """Histogram of P over all of k^n, from one whole-box evaluation.
+    """Histogram of P over all of k^n, from one whole-box count.
 
     The charge covers the p bins as well as the p^n points.
     """
@@ -124,7 +131,7 @@ def histogram_of_poly(P: MultiPoly, budget: Budget | None = None) -> CharHistogr
     b = box(field, P.n)
     p = field.p
     (budget or Budget()).charge(max(b.size, p), "histogram enumeration")
-    return CharHistogram.from_counts(p, np.bincount(b.eval_poly(P), minlength=p))
+    return CharHistogram.from_counts(p, b.value_counts([P]))
 
 
 def bias(
@@ -132,8 +139,15 @@ def bias(
     budget: Budget | None = None,
     ctx: object = None,  # unused; perfbench/workloads.py passes a ParallelContext here
 ) -> ExactMagnitude:
-    """|E_{x in k^n} e_p(P(x))| as an exact magnitude."""
-    return ExactMagnitude.from_histogram(histogram_of_poly(P, budget))
+    """|E_{x in k^n} e_p(P(x))| as an exact magnitude.
+
+    Reading it off the histogram correlates the p counts with themselves,
+    p^2 steps, charged after the histogram's own charge.
+    """
+    budget = budget or Budget()
+    hist = histogram_of_poly(P, budget)
+    budget.charge(P.field.p**2, "histogram read-out")
+    return ExactMagnitude.from_histogram(hist)
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +334,7 @@ def value_distribution(
     ctx: object = None,  # unused; perfbench/workloads.py passes a ParallelContext here
 ) -> ValueDistribution:
     """Exact fiber counts of the map x -> (P_1(x), ..., P_c(x)) on k^n,
-    from one whole-box evaluation per member."""
+    from one whole-box count of the family."""
     field = family.field
     p = field.p
     n = family.n
@@ -328,10 +342,7 @@ def value_distribution(
     b = box(field, n)
     # p^c bins and a Fraction per bin: refuse a large c before allocating them
     (budget or Budget()).charge(max(b.size * c, p**c), "value distribution enumeration")
-    key = np.zeros(b.size, dtype=np.int64)
-    for P in family:
-        key = key * p + b.eval_poly(P)
-    counts = np.bincount(key, minlength=p**c)
+    counts = b.value_counts(family)
     total = p**n
     qc = p**c
     eps = max(Fraction(abs(int(cnt) * qc - total), total) for cnt in counts)

@@ -8,11 +8,21 @@ on coordinate tuples.  Values come back as int64 arrays in [0, p).
 transform: the function-reduced coefficients of P form a tensor of shape
 (p,)*n in the same row-major order, and multiplying axis i by the Vandermonde
 columns V[x, e] = x^e for the exponents e of x_i that occur in P turns
-exponents into coordinates (over F_2 this is the fast Moebius transform).
-That takes sum_i k_i * p^n multiply-adds, k_i <= p the number of distinct
-exponents of x_i in P, and builds no digit table.  It runs the transform in
-one of two layouts, chosen from (p, n) alone:
+exponents into coordinates.  That takes sum_i k_i * p^n multiply-adds, k_i <=
+p the number of distinct exponents of x_i in P, and builds no digit table.
+It runs the transform in one of three layouts, chosen from (p, n) alone:
 
+- Packed bits over F_2 (n >= 2).  There the transform is the fast Moebius
+  transform, value(x) = XOR of the coefficients at the exponents m <= x, and
+  every entry is one bit: point 64 w + b is bit b of little-endian word w.
+  Index bit k < 6 lies inside a word and takes one stage
+  W ^= (W & LOW_k) << 2^k, LOW_k the bits whose in-word index has bit k
+  clear; each higher index bit XORs the lower half of every block of
+  2^(k-5) words into its upper half.  A box of fewer than 64 points uses the
+  low 2^n bits of one word.  `Box.value_counts` reads one member's
+  histogram off the words by popcount and unpacks them to a byte a point
+  only to key several members; `Box.common_zeros` ORs the members' words;
+  `eval_poly` unpacks them and widens the bytes to int64.
 - Constant-geometry stages (Pease's layout of the FFT) when a stage fits
   16 bits (p (p-1)^2 < 2^16, so p <= 37) and a row holds p^(n-1) >= 2^11
   entries.  Stage s reads the leading digit as the contiguous rows A[e] of a
@@ -21,20 +31,27 @@ one of two layouts, chosen from (p, n) alone:
   leading digit is the old second one, so after n stages the row-major order
   is back without a transpose.  Entries are held in uint8 (p <= 7) or
   uint16, reduced mod p only before a stage could overflow them, and
-  reduced once more at the end, where they are widened to the int64 result.
+  reduced once more at the end.  The box reductions read these narrow values
+  as they are; `eval_poly` widens them to int64.
 - One int64 matmul per axis otherwise.  There the p*k_s calls per stage cost
   more than the arithmetic saves: on the shortest rows the stages measured
   2-4x slower (F_5^3, F_13^3, F_31^2), between 2^9 and 2^11 entries either
   layout won by the polynomial (F_5^5, F_7^4, F_31^3, F_37^3), and from
   2^11 on the stages won every measured case.  Past 16 bits, stages on
   uint32 entries lost to the matmul even on long rows (F_131^3, F_257^3).
-  benchmarks/transform_vs_loop.py times both layouts on each side.
+  benchmarks/transform_vs_loop.py times the layouts on each side.
 
 Over the whole box when n = 1, where the p x k_0 Vandermonde block can be p
 times the box, it runs Horner's rule over P's exponents on the p field
 elements.  At given indices it decodes their coordinates and evaluates term
 by term; no digit table of the box is kept.  `Box.monomial_matrix` reads the
 columns x^m of a monomial basis off the same decoded coordinates.
+
+The whole-box reductions are `Box.value_counts`, the joint value histogram
+of a family, and `Box.common_zeros`, the points where every member vanishes.
+Neither widens packed or narrow values to int64: a family's value tuple is
+folded into the narrowest unsigned key that holds it, and the key is counted
+a chunk at a time.
 """
 
 from __future__ import annotations
@@ -57,6 +74,35 @@ def _takes_stages(p: int, n: int) -> bool:
     """Whether the whole-box transform runs as narrow vector stages (see the
     module docstring for the measured crossover)."""
     return p * (p - 1) ** 2 < 2**16 and p ** (n - 1) >= 2**11
+
+
+def _packs(p: int, n: int) -> bool:
+    """Whether the whole-box transform runs on packed bits."""
+    return p == 2 and n >= 2
+
+
+_WORD = np.dtype("<u8")  # 64 points, point 64 w + b at bit b of word w
+# _LOW[k]: the bits of a word whose in-word index has bit k clear
+_LOW = tuple(_WORD.type(sum(1 << b for b in range(64) if not b >> k & 1)) for k in range(6))
+_CHUNK = 2**16  # key entries widened at a time by _bincount
+
+
+def _key_dtype(bins: int) -> type:
+    """The narrowest dtype whose entries reach bins - 1 and that np.bincount reads."""
+    for dtype in (np.uint8, np.uint16, np.uint32):
+        if bins - 1 <= np.iinfo(dtype).max:
+            return dtype
+    return np.int64
+
+
+def _bincount(key: np.ndarray, bins: int) -> np.ndarray:
+    """np.bincount(key, minlength=bins) a chunk at a time, so that no int64
+    copy of the whole key is made; a chunk is never shorter than the bins."""
+    step = max(_CHUNK, bins)
+    counts = np.zeros(bins, dtype=np.int64)
+    for lo in range(0, len(key), step):
+        counts += np.bincount(key[lo : lo + step], minlength=bins)
+    return counts
 
 
 def _reduce(T: np.ndarray, p: int, scratch: np.ndarray) -> None:
@@ -134,19 +180,66 @@ class Box:
     def eval_poly(self, P: MultiPoly, indices: np.ndarray | None = None) -> np.ndarray:
         """Values of P at the given indices (default: the whole box).
 
-        The whole box takes Horner's rule when n = 1, the transform's vector
-        stages on large boxes over small fields, and its matmul otherwise.
-        One matmul step on entries below p stays exact in int64 only while
-        p^3 < 2^63, which any box with n >= 2 that fits in memory satisfies;
-        past it the whole box goes term by term.
+        The whole box takes one of the layouts of the module docstring, or
+        Horner's rule when n = 1, and is widened to int64 at the end.
         """
-        if indices is None and self.n == 1:
+        if indices is None:
+            return self._values(P).astype(np.int64, copy=False)
+        return self._eval_terms(P, self.decode(indices))
+
+    def value_counts(self, polys) -> np.ndarray:
+        """Joint value histogram of a family over the whole box: entry
+        sum_i v_i p^(c-1-i) counts the points where (P_1, ..., P_c) takes the
+        value (v_1, ..., v_c); p^c int64 counts.
+
+        One member over F_2 is counted by popcount on its packed words.
+        Otherwise each member's values are folded into a key of the narrowest
+        dtype that holds p^c values, and the key is counted a chunk at a time.
+        """
+        polys = list(polys)
+        p, bins = self.field.p, self.field.p ** len(polys)
+        if len(polys) == 1 and _packs(p, self.n):
+            ones = int(np.bitwise_count(self._eval_packed(polys[0])).sum(dtype=np.int64))
+            return np.array([self.size - ones, ones], dtype=np.int64)
+        values = (self._values(P) for P in polys)  # each a fresh array
+        key = next(values, np.zeros(self.size, dtype=np.uint8))
+        if len(polys) > 1:
+            key = key.astype(_key_dtype(bins), copy=False)
+        for v in values:
+            key *= p
+            np.add(key, v, out=key, casting="unsafe")  # values < p fit the key
+        return _bincount(key, bins)
+
+    def common_zeros(self, polys) -> np.ndarray:
+        """Ascending indices of the points where every member vanishes; over
+        F_2 the complement of the OR of the members' packed words."""
+        if _packs(self.field.p, self.n):
+            W = np.zeros(self._words(), dtype=_WORD)
+            for P in polys:
+                W |= self._eval_packed(P)
+            good = self._unpack(~W)
+        else:
+            good = np.ones(self.size, dtype=bool)
+            for P in polys:
+                good &= self._values(P) == 0
+        return np.flatnonzero(good)
+
+    def _values(self, P: MultiPoly) -> np.ndarray:
+        """Values of P over the whole box in [0, p), as its route leaves
+        them: unpacked bits (uint8) over F_2, uint8 or uint16 from the vector
+        stages, int64 otherwise.  One matmul step on entries below p stays
+        exact in int64 only while p^3 < 2^63, which any box with n >= 2 that
+        fits in memory satisfies; past it the whole box goes term by term."""
+        p, n = self.field.p, self.n
+        if n == 1:
             return self._eval_horner(P)
-        if indices is None and _takes_stages(self.field.p, self.n):
+        if _packs(p, n):
+            return self._unpack(self._eval_packed(P))
+        if _takes_stages(p, n):
             return self._eval_stages(P)
-        if indices is None and self.field.p**3 < 2**63:
+        if p**3 < 2**63:
             return self._eval_transform(P)
-        return self._eval_terms(P, self.digits() if indices is None else self.decode(indices))
+        return self._eval_terms(P, self.digits())
 
     def monomial_matrix(self, monos: list[Monomial], indices: np.ndarray) -> np.ndarray:
         """(len(indices), len(monos)) matrix of x^m mod p, 0^0 = 1, at the
@@ -185,17 +278,47 @@ class Box:
                 out = (out * xg) % p
         return out
 
-    def _tensor(self, P: MultiPoly, dtype: type) -> tuple[np.ndarray, np.ndarray]:
-        """The flattened coefficient tensor of P reduced as a function (x^p = x),
-        shape (p,)*n in row-major order, so that an exponent vector indexes it
-        like a point; and those exponent vectors, one row per term."""
+    def _exponents(self, P: MultiPoly) -> tuple[np.ndarray, list[int]]:
+        """The exponent vectors of P reduced as a function (x^p = x), one row
+        per term, and their coefficients."""
         p = self.field.p
         if any(e >= p for mono in P.terms for e in mono):
             P = P.function_reduce()
-        M = np.array(list(P.terms), dtype=np.int64).reshape(len(P.terms), self.n)
+        return np.array(list(P.terms), dtype=np.int64).reshape(len(P.terms), self.n), list(P.terms.values())
+
+    def _tensor(self, P: MultiPoly, dtype: type) -> tuple[np.ndarray, np.ndarray]:
+        """The flattened coefficient tensor of P reduced as a function, shape
+        (p,)*n in row-major order, so that an exponent vector indexes it like a
+        point; and those exponent vectors, one row per term."""
+        M, coeffs = self._exponents(P)
         T = np.zeros(self.size, dtype=dtype)
-        T[M @ self._places] = list(P.terms.values())
+        T[M @ self._places] = coeffs
         return T, M
+
+    def _words(self) -> int:
+        return -(-self.size // 64)
+
+    def _unpack(self, W: np.ndarray) -> np.ndarray:
+        """The box's bits of packed words, one uint8 a point; the bits past
+        the box in a partial word are dropped."""
+        return np.unpackbits(W.view(np.uint8), count=self.size, bitorder="little")
+
+    def _eval_packed(self, P: MultiPoly) -> np.ndarray:
+        """The transform over F_2 on packed bits: P's values, bit b of word w
+        the value at point 64 w + b (see the module docstring)."""
+        M, _ = self._exponents(P)  # every coefficient is 1
+        idx = M @ self._places
+        W = np.zeros(self._words(), dtype=_WORD)
+        np.bitwise_or.at(W, idx >> 6, np.left_shift(_WORD.type(1), (idx & 63).astype(_WORD)))
+        tmp = np.empty_like(W)
+        for k in range(min(self.n, 6)):  # index bits inside a word
+            np.bitwise_and(W, _LOW[k], out=tmp)
+            np.left_shift(tmp, _WORD.type(1 << k), out=tmp)
+            W ^= tmp
+        for k in range(6, self.n):  # index bit k: word bit k - 6
+            V = W.reshape(-1, 2, 1 << (k - 6))
+            V[:, 1] ^= V[:, 0]
+        return W
 
     def _eval_transform(self, P: MultiPoly) -> np.ndarray:
         """The transform as one int64 matmul per axis."""
@@ -216,12 +339,13 @@ class Box:
     def _eval_stages(self, P: MultiPoly) -> np.ndarray:
         """The transform as constant-geometry vector stages on uint8 or uint16
         entries (p (p-1)^2 < 2^16): stage s turns the leading digit, an
-        exponent of x_s, into the trailing digit, the coordinate x_s."""
+        exponent of x_s, into the trailing digit, the coordinate x_s.  The
+        values come back in that dtype."""
         p = self.field.p
         dtype = np.uint8 if p * (p - 1) ** 2 < 2**8 else np.uint16
         T, M = self._tensor(P, dtype)
         if not len(M):
-            return np.zeros(self.size, dtype=np.int64)
+            return T
         U = np.empty_like(T)  # the stage's output, then the next one's input
         acc = np.empty(self.size // p, dtype=dtype)  # a column's partial sum
         tmp = np.empty_like(acc)  # one term x^e A[e]
@@ -235,8 +359,7 @@ class Box:
             T, U = U, T
             bound *= (p - 1) * len(E)
         _reduce(T, p, U)
-        del U, acc, tmp  # the int64 result is the only other array alive
-        return T.astype(np.int64)
+        return T
 
     def _eval_terms(self, P: MultiPoly, D: np.ndarray) -> np.ndarray:
         """Term-by-term values of P at the points whose coordinates are D's rows."""

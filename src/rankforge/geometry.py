@@ -99,10 +99,7 @@ def enumerate_points(
     whole-box evaluation per member."""
     bx = box(family.field, family.n)
     (budget or Budget()).charge(bx.size * family.c, "variety point enumeration")
-    good = np.ones(bx.size, dtype=bool)
-    for P in family:
-        good &= bx.eval_poly(P) == 0
-    return VarietyPoints(family, np.flatnonzero(good))
+    return VarietyPoints(family, bx.common_zeros(family))
 
 
 def slice_variety(X: VarietyPoints, functional: Hyperplane, levels) -> VarietyPoints:

@@ -165,7 +165,9 @@ def nullspace_of_rref(R: np.ndarray, pivots: list[int], p: int) -> np.ndarray:
     """Right nullspace basis of a matrix with RREF R (zero rows optional) and
     these pivots: per free column f, 1 at f and -R[j, f] at pivot j's column."""
     cols = R.shape[1]
-    free = np.setdiff1d(np.arange(cols), pivots)
+    is_free = np.ones(cols, dtype=bool)
+    is_free[pivots] = False
+    free = np.flatnonzero(is_free)
     basis = np.zeros((len(free), cols), dtype=np.int64)
     basis[np.arange(len(free)), free] = 1
     basis[:, pivots] = (-R[: len(pivots)][:, free].T) % p

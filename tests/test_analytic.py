@@ -1,12 +1,17 @@
 import itertools
+import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rankforge import (
     Budget,
     BudgetExceededError,
+    CharHistogram,
     InputError,
     MultiPoly,
     PolyFamily,
@@ -16,6 +21,7 @@ from rankforge import (
     count_points_char_sum,
     gowers_norm,
     gowers_norm_direct,
+    histogram_of_poly,
     random_poly,
     value_distribution,
 )
@@ -158,6 +164,81 @@ def test_irrational_magnitude_is_stored_not_faked():
     assert b.mag_sq is None
     assert list(b.histogram.counts) == [1, 3, 0, 0, 0, 0, 3]
     assert b.float_view > 0
+
+
+def autocorrelation_loop(counts) -> tuple[int, ...]:
+    """w_k = sum_a N_a N_{a-k} by the Python p^2 loop: the reference."""
+    p = len(counts)
+    return tuple(sum(counts[a] * counts[(a - k) % p] for a in range(p)) for k in range(p))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([2, 3, 5, 7, 11, 101]), st.data())
+def test_autocorrelation_matches_the_loop(p, data):
+    counts = data.draw(st.lists(st.integers(0, 10**6), min_size=p, max_size=p))
+    h = CharHistogram.from_counts(p, counts)
+    assert h.autocorrelation() == autocorrelation_loop(counts)
+    assert h.autocorrelation() is h.autocorrelation()  # computed once
+
+
+@pytest.mark.parametrize(
+    "counts",
+    [
+        [math.isqrt(2**63 - 1) - 1, 1],  # domain_size^2 just below 2^63: int64 is exact
+        [2**31, 2**31 + 1],  # just past it
+        [2**40 + 3, 2**41 - 1, 7],
+    ],
+)
+def test_autocorrelation_past_int64_uses_python_ints(counts):
+    h = CharHistogram.from_counts(len(counts), counts)
+    w = h.autocorrelation()
+    assert w == autocorrelation_loop(counts) and all(type(x) is int for x in w)
+
+
+@pytest.mark.parametrize(
+    "P",
+    [
+        poly_of(F7, 1, [(1, (3,))]),  # irrational: the float comes from w
+        poly_of(PrimeField(1009), 1, [(1, (3,)), (5, (1,))]),
+        poly_of(F5, 2, [(1, (2, 0)), (3, (1, 1)), (1, (0, 0))]),
+        poly_of(F2, 3, [(1, (1, 1, 0)), (1, (0, 1, 1))]),
+    ],
+)
+def test_bias_read_out_is_unchanged(P):
+    # mag_sq and the float as the p^2 loop gave them
+    b = bias(P)
+    p, N = P.field.p, b.histogram.domain_size
+    w = autocorrelation_loop(b.histogram.counts)
+    tail = w[1:]
+    mag_sq = Fraction(w[0] - w[1], N**2) if all(t == tail[0] for t in tail) else None
+    assert b.mag_sq == mag_sq
+    if mag_sq is None:
+        val = sum(wk * math.cos(2 * math.pi * k / p) for k, wk in enumerate(w)) / N**2
+        assert b.float_view == math.sqrt(max(val, 0.0))
+    else:
+        assert b.float_view == math.sqrt(float(mag_sq))
+
+
+def test_bias_over_a_prime_near_4099_reads_out_in_time():
+    # the Python read-out took about 4 s here, twice p^2 multiply-adds
+    P = poly_of(PrimeField(4099), 1, [(1, (3,))])
+    t0 = time.perf_counter()
+    b = bias(P)
+    assert time.perf_counter() - t0 < 1.0
+    # 4099 = 1 mod 3: 0 has one cube root, each nonzero cube three
+    assert b.histogram.counts[0] == 1 and sorted(set(b.histogram.counts)) == [0, 1, 3]
+    assert b.mag_sq is None and 0 < b.float_view < 1
+
+
+def test_bias_refuses_a_read_out_past_the_budget():
+    P = poly_of(PrimeField(10007), 1, [(1, (3,))])
+    # the histogram is within the default budget, its p^2 read-out is not
+    assert histogram_of_poly(P).domain_size == 10007
+    with pytest.raises(BudgetExceededError, match="histogram read-out"):
+        bias(P)
+    with pytest.raises(BudgetExceededError, match="histogram read-out"):
+        bias(poly_of(F7, 1, [(1, (3,))]), Budget(48))
+    assert bias(poly_of(F7, 1, [(1, (3,))]), Budget(49)).mag_sq is None
 
 
 def _direct_histogram_oracle(P, d):

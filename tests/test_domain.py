@@ -1,5 +1,6 @@
-"""Whole-box evaluation: the tensor-product transform, in both of its
-layouts, against independent oracles, its routing and memory, and the
+"""Whole-box evaluation: the tensor-product transform, in each of its
+layouts, against independent oracles, its routing and memory; the box
+reductions (value counts and common zeros) against the term loop; and the
 monomial matrix at given points."""
 
 import itertools
@@ -23,6 +24,7 @@ from rankforge import (
 )
 from rankforge import domain
 from rankforge.domain import Box
+from rankforge.geometry import enumerate_points
 
 
 @st.composite
@@ -73,7 +75,7 @@ def dense_poly(p: int, n: int, rng) -> MultiPoly:
         # the matmul, on rows just below the stages' 2^11 entries
         (2, 11), (3, 7), (13, 3),
     ],
-)
+)  # over F_2 eval_poly takes the packed words, checked here against both other layouts
 def test_large_box_eval_matches_term_loop_and_histogram(p, n):
     rng = np.random.default_rng(p * 100 + n)
     P = dense_poly(p, n, random.Random(n))
@@ -86,7 +88,7 @@ def test_large_box_eval_matches_term_loop_and_histogram(p, n):
     if len(idx) < 2000:
         idx = np.arange(bx.size)
     assert np.array_equal(whole[idx], bx._eval_terms(P, bx.decode(idx)))
-    # the full histogram from the other layout, and from the public reduction
+    # the full histogram from another layout, and from the public reduction
     other = bx._eval_transform(P) if domain._takes_stages(p, n) else bx._eval_stages(P)
     counts = np.bincount(other, minlength=p)
     assert np.bincount(whole, minlength=p).tolist() == counts.tolist()
@@ -106,8 +108,133 @@ def test_stage_route_memory_is_the_result_plus_narrow_arrays(p, n, d):
     finally:
         tracemalloc.stop()
     assert whole.dtype == np.int64
-    # the int64 result is 8 bytes a point; the matmul route takes 16 or more
+    # the int64 result is 8 bytes a point; the matmul route takes 16 or more.
+    # Over F_2 eval_poly takes the packed words (two bit arrays and the byte
+    # a point they unpack to), within the same bound
     assert peak <= 12 * bx.size
+
+
+@st.composite
+def f2_polys(draw):
+    """A random polynomial over F_2 in up to 14 variables: boxes below one
+    word, at the word boundary (n = 6, 7) and of many words; exponents up to
+    4, so function_reduce is needed; the zero and constant polynomials."""
+    n = draw(st.integers(0, 14))
+    monos = st.tuples(*[st.integers(0, 4)] * n)
+    terms = draw(st.dictionaries(monos, st.integers(0, 3), max_size=30))
+    return MultiPoly(PrimeField(2), n, terms)
+
+
+def unpacked(bx: Box, P: MultiPoly) -> np.ndarray:
+    """Every bit of P's packed words, in point order, past the box too."""
+    return np.unpackbits(bx._eval_packed(P).view(np.uint8), bitorder="little")
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(f2_polys())
+def test_packed_route_matches_term_loop(P):
+    bx = Box(P.field, P.n)
+    oracle = bx._eval_terms(P, bx.digits())
+    whole = bx.eval_poly(P)
+    assert whole.dtype == np.int64 and np.array_equal(whole, oracle)
+    if P.n >= 2:
+        bits = unpacked(bx, P)
+        assert len(bits) == 64 * -(-bx.size // 64)
+        assert np.array_equal(bits[: bx.size], oracle) and not bits[bx.size :].any()
+    # the popcount counts are the counts of the values
+    assert bx.value_counts([P]).tolist() == np.bincount(whole, minlength=2).tolist()
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 5, 6, 7, 12, 13])
+def test_packed_route_on_zero_constant_and_reduced_polys(n):
+    F2 = PrimeField(2)
+    bx = Box(F2, n)
+    polys = [MultiPoly.zero(F2, n), MultiPoly.constant(F2, n, 1)]
+    if n:  # x_0^3 x_{n-1}^2 + x_0 is x_0 x_{n-1} + x_0 as a function
+        cube = MultiPoly(F2, n, {(3,) + (0,) * (n - 1): 1})
+        polys.append(cube * MultiPoly(F2, n, {(0,) * (n - 1) + (2,): 1}) + MultiPoly.variable(F2, n, 0))
+    for P in polys:
+        oracle = bx._eval_terms(P, bx.digits())
+        assert np.array_equal(bx.eval_poly(P), oracle)
+        if n >= 2:
+            assert np.array_equal(unpacked(bx, P)[: bx.size], oracle)
+        assert bx.value_counts([P]).tolist() == np.bincount(oracle, minlength=2).tolist()
+        assert bx.common_zeros([P]).tolist() == np.flatnonzero(oracle == 0).tolist()
+
+
+def family_oracle(bx: Box, family: PolyFamily) -> tuple[list[int], list[int]]:
+    """Joint value counts and common zeros from the term loop."""
+    p, D = bx.field.p, bx.digits()
+    vals = [bx._eval_terms(P, D) for P in family]
+    key = np.zeros(bx.size, dtype=np.int64)
+    for v in vals:
+        key = key * p + v
+    zero = np.all([v == 0 for v in vals], axis=0) if vals else np.ones(bx.size, dtype=bool)
+    return np.bincount(key, minlength=p**family.c).tolist(), np.flatnonzero(zero).tolist()
+
+
+@pytest.mark.parametrize(
+    "p, n",
+    [
+        (2, 0), (2, 1), (2, 2), (2, 5), (2, 6), (2, 7), (2, 12),  # packed, about a word boundary
+        (3, 8), (7, 5),  # vector stages, uint8 and uint16
+        (5, 3), (11, 2), (7, 1),  # matmul and Horner
+    ],
+)  # fmt: skip
+@pytest.mark.parametrize("c", [1, 2, 3])
+def test_family_reductions_match_term_loop(p, n, c):
+    F = PrimeField(p)
+    rng = random.Random(p * 1000 + n * 10 + c)
+    members = [random_poly(F, n, d, rng) for d in (3, 2, 1)[:c]]
+    if n:  # a member with exponents >= p, so the reduced tensor is used
+        members[-1] = members[-1] + MultiPoly(F, n, {(p + 1,) + (0,) * (n - 1): 1})
+    family = PolyFamily(members)
+    bx = Box(F, n)
+    counts, zeros = family_oracle(bx, family)
+    vd = value_distribution(family)
+    assert list(vd.counts) == bx.value_counts(family).tolist() == counts
+    assert vd.domain_size == bx.size
+    assert enumerate_points(family).indices.tolist() == bx.common_zeros(family).tolist() == zeros
+
+
+@pytest.mark.parametrize("p, n", [(2, 17), (3, 11)])
+def test_value_counts_past_a_narrow_key(p, n):
+    # the coordinate functions take every value tuple once: p^n bins, more
+    # than a uint16 key holds and more than one chunk of _bincount
+    F = PrimeField(p)
+    bx = Box(F, n)
+    assert domain._key_dtype(p**n) == np.uint32 and bx.size > domain._CHUNK
+    counts = bx.value_counts(MultiPoly.variable(F, n, i) for i in range(n))
+    assert counts.dtype == np.int64 and counts.tolist() == [1] * bx.size
+    assert domain._key_dtype(256) == np.uint8 and domain._key_dtype(257) == np.uint16
+    assert domain._key_dtype(2**32 + 1) == np.int64
+
+
+def test_empty_family_reductions():
+    bx = Box(PrimeField(2), 7)
+    assert bx.value_counts([]).tolist() == [bx.size]
+    assert bx.common_zeros([]).tolist() == list(range(bx.size))
+
+
+def test_packed_counts_keep_memory_in_bits():
+    F2 = PrimeField(2)
+    n = 22
+    P = random_poly(F2, n, 3, random.Random(n))
+    bx = Box(F2, n)
+    tracemalloc.start()
+    try:
+        counts = histogram_of_poly(P).counts
+        peak_counts = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        zeros = bx.common_zeros([P])
+        peak_zeros = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counts[0] == len(zeros)
+    # the words and one scratch array: 2 bits a point, not a byte or 8
+    assert peak_counts <= bx.size // 2
+    # and the unpacked zero set, a byte a point, with its int64 indices
+    assert peak_zeros <= bx.size // 2 + bx.size + 8 * len(zeros)
 
 
 @settings(max_examples=150, deadline=None)

@@ -2,7 +2,11 @@
 nullspaces and solutions and dual certificates, and the memory of the panel
 route and of tall infeasible solves."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -51,6 +55,20 @@ def test_inverse_roundtrip():
 def test_inverse_singular_raises():
     with pytest.raises(InputError):
         inv_mod(np.zeros((2, 2), dtype=np.int64), 3)
+
+
+def test_nullspace_imports_no_masked_arrays():
+    # np.setdiff1d imports numpy.ma on first use, 20-28 ms of a cold run
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = (
+        "import sys\n"
+        "from rankforge.linalg import nullspace_mod\n"
+        "assert nullspace_mod([[1, 2, 0], [0, 0, 1]], 5).tolist() == [[3, 1, 0]]\n"
+        "assert 'numpy.ma' not in sys.modules\n"
+    )
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
 
 
 def test_nullspace():
