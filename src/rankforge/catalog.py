@@ -42,7 +42,11 @@ def counterexample_variety() -> VarietyPoints:
 
 def counterexample_function(X: VarietyPoints) -> FunctionOnX:
     """Zero on the two axes, the identity on the diagonal: weakly linear but
-    not the restriction of any linear polynomial."""
+    not the restriction of any linear polynomial.  X must be the zero set of
+    `counterexample_poly()`; on any other variety it is an input error."""
+    Z = counterexample_variety()
+    if X.field != Z.field or X.n != Z.n or not np.array_equal(X.indices, Z.indices):
+        raise InputError("the counterexample function is defined only on the zero set of xy(x-y) over F_5")
     vals = []
     for x, y in X.points:
         vals.append(x if x == y else 0)

@@ -376,11 +376,11 @@ def cmd_extend(args) -> int:
     if args.slices:
         coeffs = _int_list(args.slices, "--slices")
         try:
-            F, log = extend_by_slices(f, coeffs, args.a, budget=budget)
+            F = extend_by_slices(f, coeffs, args.a, budget=budget)
         except RankforgeError as exc:
             _emit(args, {"feasible": False, "error": str(exc)})
             return EXIT_NEGATIVE
-        _emit(args, {"feasible": True, "poly": _poly_doc(F), "level_order": list(log.level_order)})
+        _emit(args, {"feasible": True, "poly": _poly_doc(F), "level_order": list(range(X.field.p))})
         return EXIT_OK
     res = extend_by_solve(f, args.a, budget)
     if res.feasible:

@@ -266,12 +266,6 @@ class TorusCharacter:
                     out = (out * field.pow(tup[j], ej)) % field.p
         return out
 
-    def inverse(self) -> "TorusCharacter":
-        m = self.torus.delta.m
-        return TorusCharacter(
-            self.torus, tuple(tuple((-ej) % m for ej in e) for e in self.exponents)
-        )
-
     def alpha(self, block: int, j: int, jp: int) -> int:
         """Centered representative of e_j - e_j' in (-m/2, m/2]."""
         m = self.torus.delta.m
@@ -314,14 +308,10 @@ class TorusCharacter:
     def compose_block_permutations(self, gamma: tuple[Permutation, ...]) -> "TorusCharacter":
         """The character t -> theta(gamma(t)) for gamma acting blockwise by
         coordinate permutation (gamma(t))_i^j = t_i^{sigma_i[j]}."""
-        new = []
-        for e, sigma in zip(self.exponents, gamma):
-            # theta(gamma t) = prod_j (t^{sigma[j]})^{e_j} = prod_k (t^k)^{e_{sigma^{-1}[k]}}
-            inv = [0] * len(sigma)
-            for slot, src in enumerate(sigma):
-                inv[src] = slot
-            new.append(tuple(e[inv[k]] for k in range(len(sigma))))
-        return TorusCharacter(self.torus, tuple(new))
+        # theta(gamma t) = prod_j (t^{sigma[j]})^{e_j} = prod_k (t^k)^{e_{sigma^{-1}[k]}}
+        return TorusCharacter(
+            self.torus, tuple(tuple(e[k] for k in inv) for e, inv in zip(self.exponents, invert_gamma(gamma)))
+        )
 
     def permutation_to_plus(self, a: int) -> tuple[Permutation, ...]:
         """Blockwise permutations gamma with (theta o gamma) in plus form."""
@@ -417,23 +407,6 @@ def torus_decompose(torus: ProductTorus, f: FunctionOnX) -> dict[TorusCharacter,
         total = (total + g.values) % p
     if not np.array_equal(total, f.values % p):
         raise VerificationError("character components do not sum back to the function")
-    return out
-
-
-def admissible_filter(
-    torus: ProductTorus,
-    components: dict[TorusCharacter, FunctionOnX],
-    a: int,
-) -> dict[str, list[TorusCharacter]]:
-    """Partition characters into plus-form admissible, admissible, and rest."""
-    out = {"admissible_plus": [], "admissible": [], "rest": []}
-    for theta in components:
-        if theta.is_plus(a):
-            out["admissible_plus"].append(theta)
-        elif theta.is_admissible(a):
-            out["admissible"].append(theta)
-        else:
-            out["rest"].append(theta)
     return out
 
 

@@ -21,6 +21,7 @@ time, and merging the chunks' counts.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,7 +32,7 @@ from .domain import Box, box
 from .errors import InputError, VerificationError
 from .gf import PrimeField
 from .linalg import rank_mod, rref_mod
-from .poly import AffineMap, MultiPoly, Point, PolyFamily, interpolate_grid, monomials
+from .poly import MultiPoly, Point, PolyFamily, interpolate_grid, monomials
 from .runtime import Budget
 
 
@@ -52,18 +53,26 @@ class Hyperplane:
 
 
 class VarietyPoints:
-    """The enumerated k-points of a polynomial family, sorted and indexed."""
+    """The enumerated k-points of a polynomial family, by their box indices
+    in strictly ascending order (as `Box.common_zeros` returns them)."""
 
     def __init__(self, family: PolyFamily, indices: np.ndarray):
         self.family = family
         self.field = family.field
         self.n = family.n
         self.box = box(self.field, self.n)
-        self.indices = np.sort(np.asarray(indices, dtype=np.int64))
-        self.indicator = np.zeros(self.box.size, dtype=bool)
-        self.indicator[self.indices] = True
+        self.indices = np.asarray(indices, dtype=np.int64)
+        if np.any(self.indices[1:] <= self.indices[:-1]):
+            raise InputError("variety indices must be strictly ascending")
         self._points: tuple[Point, ...] | None = None
         self._index_of: dict[Point, int] | None = None
+
+    @functools.cached_property
+    def indicator(self) -> np.ndarray:
+        """Membership mask over the whole box."""
+        out = np.zeros(self.box.size, dtype=bool)
+        out[self.indices] = True
+        return out
 
     @property
     def points(self) -> tuple[Point, ...]:
@@ -151,12 +160,6 @@ class AffineSubspace:
 
     def points(self, bx: Box) -> np.ndarray:
         return bx.subspace_points(self.base, np.array(self.basis, dtype=np.int64).reshape(self.dim, self.n))
-
-    def parameterization(self) -> AffineMap:
-        """phi: k^dim -> k^n with phi(t) = base + sum t_i basis_i."""
-        cols = list(zip(*self.basis)) if self.basis else [() for _ in range(self.n)]
-        matrix = [tuple(col) for col in cols]
-        return AffineMap.make(self.field, matrix, self.base)
 
     def contains_subspace(self, other: "AffineSubspace") -> bool:
         p = self.field.p
@@ -402,30 +405,6 @@ def census_extension(
     extendable = {_section(M, W.coeffs, W.b) for M in bigger.subspaces(budget)} if bigger else set()
     Y = tuple(L for L in Z if L not in extendable)
     return SubspaceCensus(m, tuple(Z), Y)
-
-
-def line_plane_extension_fraction(
-    X: VarietyPoints,
-    l_coeffs: tuple[int, ...],
-    b: int,
-    m: int,
-    budget: Budget | None = None,
-) -> Fraction | None:
-    """Fraction of m-subspaces of the level-b slice of X that extend to an
-    (m+1)-subspace of X meeting the zero slice.  None when there are no
-    m-subspaces at that level."""
-    p = X.field.p
-    budget = budget or Budget()
-    Ls, bigger = _slice_and_extensions(X, l_coeffs, b, m, budget)
-    if not Ls:
-        return None
-    # l not constant on M: M meets the zero level, and level b in one m-subspace
-    good = {_section(M, l_coeffs, b) for M in bigger.subspaces(budget)} if bigger else set()
-    if bigger and b % p == 0:  # an M inside the zero level extends every m-subspace it holds
-        inside = bigger.subspaces(budget, bigger.inside(l_coeffs, 0))
-        good.update(L for L in Ls if any(M.contains_subspace(L) for M in inside))
-    hits = sum(1 for L in Ls if L in good)
-    return Fraction(hits, len(Ls))
 
 
 # ---------------------------------------------------------------------------

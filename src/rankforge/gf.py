@@ -63,12 +63,6 @@ class PrimeField:
     def add(self, a: FieldElem, b: FieldElem) -> FieldElem:
         return (a + b) % self.p
 
-    def sub(self, a: FieldElem, b: FieldElem) -> FieldElem:
-        return (a - b) % self.p
-
-    def neg(self, a: FieldElem) -> FieldElem:
-        return (-a) % self.p
-
     def mul(self, a: FieldElem, b: FieldElem) -> FieldElem:
         return (a * b) % self.p
 
@@ -81,9 +75,6 @@ class PrimeField:
         if e < 0:
             return pow(self.inv(a), -e, self.p)
         return pow(a, e, self.p)
-
-    def div(self, a: FieldElem, b: FieldElem) -> FieldElem:
-        return self.mul(a, self.inv(b))
 
     # -- additive character ---------------------------------------------------
 
@@ -168,12 +159,3 @@ class DeltaSubgroup:
 
     def __len__(self) -> int:
         return self.m
-
-    def log(self, x: FieldElem) -> int:
-        """Discrete log base the generator; x must lie in the subgroup."""
-        y = 1
-        for k in range(self.m):
-            if y == x:
-                return k
-            y = self.field.mul(y, self.generator)
-        raise InputError(f"{x} is not in the subgroup")

@@ -228,15 +228,6 @@ def check_dual_certificate(A, b, y, p: int) -> None:
         raise VerificationError("dual certificate: y.b = 0 mod p")
 
 
-def row_space_contains(A, v, p: int) -> bool:
-    """Whether v lies in the row space of A (exact rank comparison)."""
-    M = as_mod_array(A, p)
-    vv = np.asarray(v, dtype=np.int64).reshape(1, -1) % p
-    if vv.shape[1] != M.shape[1]:
-        raise InputError("vector length mismatch")
-    return rank_mod(np.concatenate([M, vv]), p) == rank_mod(M, p)
-
-
 def row_space_leq(A, B, p: int) -> bool:
     """Whether rowspace(A) is contained in rowspace(B)."""
     A = as_mod_array(A, p)

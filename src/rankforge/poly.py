@@ -93,9 +93,6 @@ class MultiPoly:
             return -1
         return max(sum(m) for m in self.terms)
 
-    def coefficient(self, mono: Monomial) -> int:
-        return self.terms.get(tuple(mono), 0)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, MultiPoly)

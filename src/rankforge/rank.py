@@ -44,8 +44,9 @@ only the hit is solved, by `solve_mod` on its rebuilt blocks, so the
 certificate is the one a solve per admissible tuple would give, and only
 the hit's Q and R become polynomials.
 
-The rank of a nonzero polynomial of degree <= 1 is an infinite sentinel
-(such polynomials admit no factors of lower degree), never a large integer.
+A nonzero polynomial of degree <= 1 admits no factors of lower degree, so
+its rank is infinite: `RankResult.infinite` is set and `value` is None,
+never a large integer.
 """
 
 from __future__ import annotations
@@ -60,25 +61,8 @@ from .analytic import CharHistogram, histogram_of_poly
 from .errors import BudgetExceededError, InputError, VerificationError
 from .gf import PrimeField
 from .linalg import matmul_mod, rref_mod, rref_steps, solve_mod
-from .poly import AffineMap, MultilinearForm, MultiPoly, PolyFamily, monomials, multilinear_form, product_matrix
+from .poly import MultilinearForm, MultiPoly, PolyFamily, monomials, multilinear_form, product_matrix
 from .runtime import Budget
-
-
-class InfiniteRank:
-    """Sentinel for the infinite rank of nonzero affine polynomials."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "InfiniteRank"
-
-
-INFINITE_RANK = InfiniteRank()
 
 
 @dataclass(frozen=True, eq=False)
@@ -724,119 +708,3 @@ def prank_lower_bound_from_bias(T: MultilinearForm, budget: Budget | None = None
     while bias_fr < Fraction(1, q ** (r + 1)):
         r += 1
     return BiasPrankBound(r, bias_fr, False, hist)
-
-
-# ---------------------------------------------------------------------------
-# Rank axioms on instances
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class AxiomCheck:
-    name: str
-    status: str  # "ok" | "violated" | "untested"
-    detail: str = ""
-
-
-@dataclass(frozen=True)
-class RankAxiomReport:
-    checks: tuple[AxiomCheck, ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(c.status != "violated" for c in self.checks)
-
-
-def _rank_value(res: RankResult):
-    if res.infinite:
-        return INFINITE_RANK
-    return res.value
-
-
-def check_rank_axioms(
-    P: MultiPoly,
-    r_max: int,
-    subspace: AffineMap | None = None,
-    phi: AffineMap | None = None,
-    budget: Budget | None = None,
-) -> RankAxiomReport:
-    """Instance checks: restriction drop vs codimension, invariance under an
-    invertible affine substitution, and the partition/Schmidt sandwich on the
-    difference form.  Budget refusals surface as "untested", never failures.
-    """
-    budget = budget or Budget()
-    checks: list[AxiomCheck] = []
-
-    try:
-        base = schmidt_rank(P, r_max, budget)
-    except BudgetExceededError as exc:
-        names = []
-        if subspace is not None:
-            names.append("subspace-drop")
-        if phi is not None:
-            names.append("affine-invariance")
-        if P.degree() >= 2:
-            names.append("schmidt-partition-sandwich")
-        return RankAxiomReport(tuple(AxiomCheck(n, "untested", str(exc)) for n in names))
-
-    if subspace is not None:
-        try:
-            restricted = schmidt_rank(P.compose(subspace), r_max, budget)
-            codim = subspace.n_out - subspace.n_in
-            if base.value is not None and restricted.value is not None:
-                ok = restricted.value >= base.value - codim
-                checks.append(
-                    AxiomCheck(
-                        "subspace-drop",
-                        "ok" if ok else "violated",
-                        f"rank {restricted.value} >= {base.value} - {codim}",
-                    )
-                )
-            else:
-                checks.append(AxiomCheck("subspace-drop", "untested", "rank undecided"))
-        except BudgetExceededError as exc:
-            checks.append(AxiomCheck("subspace-drop", "untested", str(exc)))
-
-    if phi is not None:
-        if phi.n_in != phi.n_out:
-            raise InputError("invariance check needs an invertible (square) map")
-        try:
-            moved = schmidt_rank(P.compose(phi), r_max, budget)
-            if base.decided and moved.decided:
-                ok = _rank_value(base) is _rank_value(moved) or _rank_value(base) == _rank_value(moved)
-                checks.append(
-                    AxiomCheck(
-                        "affine-invariance",
-                        "ok" if ok else "violated",
-                        f"{base.display()} vs {moved.display()}",
-                    )
-                )
-            else:
-                checks.append(AxiomCheck("affine-invariance", "untested", "rank undecided"))
-        except BudgetExceededError as exc:
-            checks.append(AxiomCheck("affine-invariance", "untested", str(exc)))
-
-    if P.degree() >= 2:
-        try:
-            form = multilinear_form(P)
-            if form.is_zero():
-                checks.append(AxiomCheck("schmidt-partition-sandwich", "ok", "zero form"))
-            else:
-                r_form = schmidt_rank(form.poly, r_max, budget)
-                pr_form = partition_rank(form, r_max, budget)
-                if r_form.value is not None and pr_form.value is not None:
-                    d = P.degree()
-                    ok = r_form.value <= pr_form.value <= (4**d) * r_form.value
-                    checks.append(
-                        AxiomCheck(
-                            "schmidt-partition-sandwich",
-                            "ok" if ok else "violated",
-                            f"r={r_form.value}, pr={pr_form.value}, 4^d r={(4 ** d) * r_form.value}",
-                        )
-                    )
-                else:
-                    checks.append(AxiomCheck("schmidt-partition-sandwich", "untested", "rank undecided"))
-        except BudgetExceededError as exc:
-            checks.append(AxiomCheck("schmidt-partition-sandwich", "untested", str(exc)))
-
-    return RankAxiomReport(tuple(checks))

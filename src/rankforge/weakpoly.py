@@ -26,17 +26,14 @@ import numpy as np
 from .errors import InputError, VerificationError
 from .gf import PrimeField
 from .linalg import (
-    inv_mod,
     matmul_mod,
     nullspace_mod,
-    rank_mod,
     rref_mod,
-    row_space_contains,
     row_space_leq,
     solve_mod,
 )
-from .poly import AffineMap, MultiPoly, PolyFamily, monomials, vandermonde_inverse
-from .geometry import AffineSubspace, Hyperplane, VarietyPoints, enumerate_points, enumerate_subspaces_in, slice_variety
+from .poly import MultiPoly, monomials, vandermonde_inverse
+from .geometry import AffineSubspace, Hyperplane, VarietyPoints, enumerate_subspaces_in, slice_variety
 from .runtime import Budget
 
 
@@ -143,9 +140,6 @@ class LinearSpaceOfFunctions:
     @property
     def dim(self) -> int:
         return self.basis.shape[0]
-
-    def contains_function(self, f: FunctionOnX) -> bool:
-        return row_space_contains(self.basis, f.values, self.X.field.p)
 
     def contains_space(self, other: "LinearSpaceOfFunctions") -> bool:
         return row_space_leq(other.basis, self.basis, self.X.field.p)
@@ -341,149 +335,38 @@ def slice_extension_step(
     return Q
 
 
-@dataclass
-class SliceExtensionLog:
-    level_order: tuple[int, ...]
-    inner_degrees: tuple[int, ...]  # measured minimal feasible degree per processed level
-
-
 def extend_by_slices(
     f: FunctionOnX,
     l_coeffs: tuple[int, ...],
     a: int,
-    assume_zero_levels: set[int] | None = None,
     budget: Budget | None = None,
-) -> tuple[MultiPoly, SliceExtensionLog]:
-    """Assemble a global extension of f by sweeping the levels of a linear
-    functional, subtracting one slice-step polynomial per level.
+) -> MultiPoly:
+    """Assemble a global extension of f by sweeping the levels 0, ..., p-1 of
+    a linear functional, subtracting one slice-step polynomial per level.
 
     Raises with the failing level when a residual refuses to extend at its
     level's degree cap; on success the result is re-verified pointwise on X.
     """
     X = f.X
     field = X.field
-    p = field.p
-    S = {s % p for s in (assume_zero_levels or set())}
     H = Hyperplane(tuple(l_coeffs), 0)
-    if S:
-        X_S = slice_variety(X, H, S)
-        if not f.restrict_to(X_S).is_zero():
-            raise InputError("function does not vanish on the assumed levels")
     g = f
     total = MultiPoly.zero(field, X.n)
-    order = [b for b in range(p) if b not in S]
-    inner_degrees = []
-    for b in order:
-        X_b = slice_variety(X, H, {b})
-        g_b = g.restrict_to(X_b)
-        if g_b.is_zero():
-            S.add(b)
-            inner_degrees.append(-1)
-            continue
-        measured = _minimal_feasible_degree(g_b, a, budget)
-        inner_degrees.append(measured if measured is not None else -2)
-        try:
-            Q = slice_extension_step(g, tuple(l_coeffs), S, b, a, budget)
-        except (InputError, VerificationError) as exc:
-            raise VerificationError(f"slice pipeline failed at level {b}: {exc}") from exc
-        g = g.subtract_poly(Q)
-        total = total + Q
+    S: set[int] = set()
+    for b in range(field.p):
+        if not g.restrict_to(slice_variety(X, H, {b})).is_zero():
+            try:
+                Q = slice_extension_step(g, tuple(l_coeffs), S, b, a, budget)
+            except (InputError, VerificationError) as exc:
+                raise VerificationError(f"slice pipeline failed at level {b}: {exc}") from exc
+            g = g.subtract_poly(Q)
+            total = total + Q
         S.add(b)
     if not g.is_zero():
         raise VerificationError("slice pipeline residual is nonzero after all levels")
     if total.degree() > a:
         raise VerificationError("assembled extension exceeds the degree bound")
-    return total, SliceExtensionLog(tuple(order), tuple(inner_degrees))
-
-
-def _minimal_feasible_degree(f_b: FunctionOnX, a: int, budget: Budget | None) -> int | None:
-    for e in range(a + 1):
-        if extend_by_solve(f_b, e, budget).feasible:
-            return e
-    return None
-
-
-# ---------------------------------------------------------------------------
-# Flag induction for higher codimension
-# ---------------------------------------------------------------------------
-
-
-def flag_extension(
-    f: FunctionOnX,
-    W: AffineSubspace,
-    a: int,
-    budget: Budget | None = None,
-) -> MultiPoly:
-    """Extend f from X by solving for its extension on X cap W (in W-local
-    coordinates), then walking a flag of subspaces from W up to the whole
-    space one dimension at a time.
-
-    Each step reduces to the hyperplane case via a coordinate projection.
-    """
-    X = f.X
-    field = X.field
-    p = field.p
-    n = X.n
-    if W.dim == n:
-        res = extend_by_solve(f, a, budget)
-        if not res.feasible:
-            raise VerificationError("full-space extension infeasible")
-        return res.poly
-
-    # flag directions: W's basis extended by standard vectors
-    basis_rows = [np.array(r, dtype=np.int64) for r in W.basis]
-    added = []
-    for j in range(n):
-        e = np.zeros(n, dtype=np.int64)
-        e[j] = 1
-        trial = np.stack(basis_rows + added + [e])
-        if rank_mod(trial, p) == len(basis_rows) + len(added) + 1:
-            added.append(e)
-        if len(basis_rows) + len(added) == n:
-            break
-    base_pt = np.array(W.base, dtype=np.int64)
-
-    def local_variety(dim: int) -> FunctionOnX:
-        """f on the points of X in the flag's dim-dimensional member, in its
-        local coordinates t (the point psi(t) = base + sum t_i row_i)."""
-        rows = basis_rows + added[: dim - W.dim]
-        cols = [tuple(int(r[i]) for r in rows) for i in range(n)]
-        psi = AffineMap.make(field, cols, tuple(int(v) for v in base_pt))
-        fam = PolyFamily([P.compose(psi) for P in X.family.polys], X.family.degrees)
-        Xi = enumerate_points(fam, budget)
-        pts = np.array([psi.apply(pt) for pt in Xi.points], dtype=np.int64).reshape(len(Xi), n)
-        return FunctionOnX(Xi, f.values_at_box_indices(X.box.encode(pts)))
-
-    # base space
-    res = extend_by_solve(local_variety(W.dim), a, budget)
-    if not res.feasible:
-        raise VerificationError("no base extension on W")
-    R = res.poly
-
-    for dim in range(W.dim + 1, n + 1):
-        fi = local_variety(dim)
-        # embed R (dim-1 vars) into dim vars via dropping the last coordinate
-        R_up = MultiPoly(field, dim, {m + (0,): c for m, c in R.terms.items()})
-        g = fi.subtract_poly(R_up)
-        l_coeffs = tuple(0 for _ in range(dim - 1)) + (1,)
-        F_prime, _ = extend_by_slices(g, l_coeffs, a, assume_zero_levels={0}, budget=budget)
-        R = F_prime + R_up
-        if R.degree() > a:
-            raise VerificationError("flag step exceeded the degree bound")
-
-    # R lives in full-space local coordinates; convert back through psi^{-1}
-    rows = basis_rows + added
-    B = np.stack(rows)  # n x n, invertible
-    Binv = inv_mod(B.T, p)  # psi(t) = B^T t + base  =>  t = Binv (x - base)
-    inv_map = AffineMap.make(
-        field,
-        [[int(Binv[i, j]) for j in range(n)] for i in range(n)],
-        [int(v) for v in (-(Binv @ base_pt)) % p],
-    )
-    F = R.compose(inv_map)
-    if not np.array_equal(X.box.eval_poly(F, X.indices), f.values):
-        raise VerificationError("flag extension failed final re-evaluation")
-    return F
+    return total
 
 
 # ---------------------------------------------------------------------------

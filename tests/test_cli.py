@@ -92,6 +92,15 @@ def test_cli_extend_counterexample(capsys):
     assert doc["feasible"] is False and "dual_certificate" in doc
 
 
+@pytest.mark.parametrize("family", ["xn:d=2,n=2,q=7", "xn:d=2,n=1,q=7"])
+@pytest.mark.parametrize("command", ["weaktest", "extend"])
+def test_cli_counterexample_function_only_on_its_variety(capsys, command, family):
+    code, out, err = run_cli(capsys, command, "--family", family, "--a", "1", "--named-function", "counterexample")
+    assert code == 2 and out == ""
+    doc = json.loads(err)
+    assert doc["error"] == "input" and "zero set" in doc["detail"]
+
+
 def test_cli_rank_certificate(capsys):
     code, out, _ = run_cli(capsys, "rank", "--poly", "xn:d=2,n=2,q=2", "--rmax", "2")
     assert code == 0

@@ -12,7 +12,6 @@ from rankforge.explicit import (
     ProductTorus,
     TorusCharacter,
     act_gamma_point,
-    admissible_filter,
     base_stratum_orbit_check,
     build_P_from_h,
     defect,
@@ -200,16 +199,6 @@ def test_torus_decompose_constant_and_equivariant_monomial():
     comps = torus_decompose(torus, FunctionOnX.from_poly(X, mono))
     nonzero = [th for th, g in comps.items() if not g.is_zero()]
     assert len(nonzero) == 1
-
-
-def test_admissible_filter_partition():
-    xn = ExplicitVariety(2, 1, F7)
-    torus = ProductTorus(xn, F7.delta_subgroup(3), a=1)
-    comps = {theta: None for theta in torus.characters()}
-    out = admissible_filter(torus, comps, 1)
-    assert len(out["admissible_plus"]) + len(out["admissible"]) + len(out["rest"]) == 3
-    # m=3, a=1: alpha values are in {-1,0,1}, so every character is admissible
-    assert not out["rest"]
 
 
 def test_stratification_and_base_orbit():

@@ -23,7 +23,6 @@ from rankforge.geometry import (
     enumerate_points,
     enumerate_subspaces_in,
     kappa_fibers,
-    line_plane_extension_fraction,
     missed_targets,
     slice_variety,
     universality_check,
@@ -54,6 +53,19 @@ def test_enumerate_points_examples():
         [MultiPoly.variable(F2, 1, 0), poly_of(F2, 1, [(1, (1,)), (1, (0,))])]
     )
     assert len(enumerate_points(incons)) == 0
+
+
+@pytest.mark.parametrize("indices", [[2, 1], [0, 3, 3]], ids=["unsorted", "repeated"])
+def test_variety_points_refuse_indices_out_of_order(indices):
+    with pytest.raises(InputError):
+        VarietyPoints(PolyFamily([MultiPoly.zero(F3, 2)]), indices)
+
+
+def test_variety_indicator_is_built_on_first_use():
+    X = enumerate_points(xy_f3())
+    assert "indicator" not in vars(X)
+    assert (0, 2) in X and (1, 1) not in X
+    assert X.indicator.sum() == len(X)
 
 
 def test_points_complete_and_sorted():
@@ -297,15 +309,6 @@ def test_canonicalization_random_reparameterizations():
         assert AffineSubspace.from_span(F5, nb, nd) == L0
 
 
-def test_subspace_parameterization_roundtrip():
-    L = AffineSubspace.from_span(F5, (1, 2, 0), [(0, 1, 3)])
-    phi = L.parameterization()
-    pts = {phi.apply((t,)) for t in range(5)}
-    bx_pts = {L.points(enumerate_points(PolyFamily([MultiPoly.zero(F5, 3)])).box)[t] for t in range(5)}
-    box = enumerate_points(PolyFamily([MultiPoly.zero(F5, 3)])).box
-    assert pts == {box.point_of(int(i)) for i in L.points(box)}
-
-
 def test_slice_examples():
     X = enumerate_points(xy_f3())
     H = Hyperplane((1, 0), 0)
@@ -347,15 +350,6 @@ def test_degenerate_census_has_unextendable_line():
     diag = AffineSubspace.from_span(F3, (0, 0, 0, 0), [(1, 1, 1, 0)])
     assert diag in set(cen.Y)
     assert len(cen.Y) > 0
-
-
-def test_line_plane_extension_fraction_trivial_cases():
-    X = enumerate_points(quadric_f3())
-    fr = line_plane_extension_fraction(X, (1, 0, 0, 0), 1, 1)
-    assert fr is None or 0 <= fr <= 1
-    # no lines at an empty level of a tiny variety: undefined
-    fam = PolyFamily([poly_of(F3, 2, [(1, (2, 0)), (1, (0, 2))])])
-    assert line_plane_extension_fraction(enumerate_points(fam), (1, 0), 1, 1) is None
 
 
 def test_kappa_linear_polynomial_uniform():
@@ -487,24 +481,6 @@ def test_kappa_fiber_mass_conservation():
     assert stats.mass() == stats.total_maps
 
 
-def test_line_plane_extension_fraction_explicit_family():
-    # oracle-computed: every line at level 1 of the 2-block quadric extends
-    # to a plane of X meeting the zero level already at n=2
-    from rankforge.explicit import ExplicitVariety
-
-    xn = ExplicitVariety(2, 2, F3)
-    X = xn.points()
-    fr = line_plane_extension_fraction(X, (1, 0, 0, 0), 1, 1)
-    assert fr == 1
-
-
-def test_line_plane_extension_fraction_hyperplane_self():
-    # X a hyperplane, b = 0: every line is trivially extendable when n > m+1
-    fam = PolyFamily([MultiPoly.variable(F3, 4, 0)])
-    X = enumerate_points(fam)
-    assert line_plane_extension_fraction(X, (1, 0, 0, 0), 0, 1) == 1
-
-
 def _random_small_varieties(seed, count):
     """Random small varieties over F_2 and F_3 with n in {3, 4}, each with a random
     nonzero functional: quadrics, pairs of quadrics, and products of two
@@ -547,19 +523,6 @@ def test_census_extension_matches_brute_force():
                 assert list(cen.Y) == Y
 
 
-def test_line_plane_extension_fraction_matches_brute_force():
-    # hits by definition: some (m+1)-subspace of X meeting the zero level contains L
-    for X, coeffs in _random_small_varieties(12, 30):
-        vals = Hyperplane(coeffs, 0).values(X.box)
-        for b in range(X.field.p):
-            for m in (0, 1):
-                Ls = scan_subspaces_in(X, m, Hyperplane(coeffs, b))
-                meeting = [M for M in scan_subspaces_in(X, m + 1) if (vals[M.points(X.box)] == 0).any()]
-                hits = sum(1 for L in Ls if any(M.contains_subspace(L) for M in meeting))
-                expected = Fraction(hits, len(Ls)) if Ls else None
-                assert line_plane_extension_fraction(X, coeffs, b, m) == expected
-
-
 def test_census_reduces_large_hyperplane_coefficients():
     # coefficients past int64 (and near 2^62, where an int64 dot product
     # wraps) act through their residues mod p
@@ -573,7 +536,6 @@ def test_census_reduces_large_hyperplane_coefficients():
                 cen = census_extension(X, Hyperplane(coeffs, b), m)
                 for cs in (lifted, huge):
                     assert census_extension(X, Hyperplane(cs, b + p * big), m) == cen
-                    assert line_plane_extension_fraction(X, cs, b - p * big, m) == line_plane_extension_fraction(X, coeffs, b, m)
 
 
 def test_section_is_canonical_and_exact():

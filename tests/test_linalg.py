@@ -27,7 +27,6 @@ from rankforge.linalg import (
     nullspace_mod,
     nullspace_of_rref,
     rank_mod,
-    row_space_contains,
     row_space_leq,
     rref_mod,
     solve_mod,
@@ -98,8 +97,6 @@ def test_solve_infeasible_with_certificate():
 
 def test_row_space_predicates():
     A = np.array([[1, 0, 1], [0, 1, 1]], dtype=np.int64)
-    assert row_space_contains(A, [1, 1, 2], 3)
-    assert not row_space_contains(A, [0, 0, 1], 3)
     B = np.array([[1, 0, 1]], dtype=np.int64)
     assert row_space_leq(B, A, 3)
     assert not row_space_leq(A, B, 3)

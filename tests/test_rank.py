@@ -12,14 +12,13 @@ from hypothesis import strategies as st
 from sympy import GF
 from sympy.polys.matrices import DomainMatrix
 
-from rankforge import AffineMap, Budget, BudgetExceededError, InputError, MultiPoly, PolyFamily, PrimeField, VerificationError, multilinear_form, random_poly
+from rankforge import Budget, BudgetExceededError, InputError, MultiPoly, PolyFamily, PrimeField, VerificationError, multilinear_form, random_poly
 from rankforge import rank
 from rankforge.linalg import rank_mod, rref_mod, solve_mod
 from rankforge.poly import MultilinearForm
 from rankforge.rank import (
     RankCertificate,
     RankResult,
-    check_rank_axioms,
     family_rank,
     invariant_factor_dictionary,
     nc_rank,
@@ -304,26 +303,6 @@ def test_bias_prank_bound_edges():
     hh = bilinear(F2, 1, 1, {(0, 0): 1})
     bh = prank_lower_bound_from_bias(hh)
     assert bh.bias_value == Fraction(1, 2) and bh.bound == 0
-
-
-def test_rank_axioms_report():
-    P = poly_of(F2, 4, [(1, (1, 1, 0, 0)), (1, (0, 0, 1, 1))])
-    emb = AffineMap.make(F2, [[1, 0, 0], [0, 1, 0], [0, 0, 0], [0, 0, 1]], [0, 0, 0, 0])
-    phi = AffineMap.make(F2, [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [1, 0, 1, 1]], [1, 0, 1, 0])
-    rep = check_rank_axioms(P, 3, subspace=emb, phi=phi)
-    assert rep.ok
-    names = {c.name for c in rep.checks}
-    assert {"subspace-drop", "affine-invariance", "schmidt-partition-sandwich"} <= names
-
-
-def test_rank_axioms_budget_reports_untested():
-    from rankforge import Budget
-
-    P = poly_of(F2, 4, [(1, (1, 1, 0, 0)), (1, (0, 0, 1, 1))])
-    phi = AffineMap.make(F2, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], [0, 0, 0, 0])
-    rep = check_rank_axioms(P, 3, phi=phi, budget=Budget(10))
-    assert all(c.status in ("untested", "ok") for c in rep.checks)
-    assert any(c.status == "untested" for c in rep.checks)
 
 
 def test_partial_budget_answer_is_honest():

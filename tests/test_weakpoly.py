@@ -1,6 +1,7 @@
 import random
 import tracemalloc
 from fractions import Fraction
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -9,16 +10,16 @@ from rankforge import MultiPoly, PolyFamily, PrimeField, VerificationError, rand
 from rankforge.catalog import counterexample_function, counterexample_variety
 from rankforge.errors import InputError
 from rankforge.explicit import ExplicitVariety
-from rankforge.geometry import AffineSubspace, VarietyPoints, enumerate_points, enumerate_subspaces_in
+from rankforge.geometry import VarietyPoints, enumerate_points, enumerate_subspaces_in
 from rankforge.linalg import check_dual_certificate, nullspace_mod, rank_mod, rref_mod
 from rankforge.poly import monomials
 from rankforge.weakpoly import (
     FunctionOnX,
+    LinearSpaceOfFunctions,
     _forbidden_coefficient_rows,
     density_certificate,
     extend_by_slices,
     extend_by_solve,
-    flag_extension,
     is_weakly_polynomial,
     restriction_space,
     slice_extension_step,
@@ -95,7 +96,7 @@ def test_weak_space_dims_counterexample():
     H = np.array(handmade, dtype=np.int64)
     assert rank_mod(H, 5) == 4
     for row in H:
-        assert ws.contains_function(FunctionOnX(X, row))
+        assert ws.contains_space(LinearSpaceOfFunctions(X, row[None, :]))
 
 
 def test_restriction_space_dims():
@@ -231,22 +232,33 @@ def test_extend_by_slices_pipeline_and_bookkeeping():
     X = xn.points()
     Fsrc = poly_of(F7, 4, [(1, (2, 0, 0, 0)), (1, (1, 1, 0, 0))])
     f = FunctionOnX.from_poly(X, Fsrc)
-    F, log = extend_by_slices(f, (1, 0, 0, 0), 2, assume_zero_levels={0})
+    F = extend_by_slices(f, (1, 0, 0, 0), 2)
     assert (FunctionOnX.from_poly(X, F) - f).is_zero()
     assert F.degree() <= 2
-    # measured inner degree at step i stays within a - |S| (counting the
-    # assumed level), realizing the degree bookkeeping claim
-    covered = 1
-    for measured in log.inner_degrees:
-        if measured >= 0:
-            assert measured <= 2 - covered
-        covered += 1
+
+
+def test_extend_by_slices_solves_once_per_nonzero_level():
+    # On x0 x1 + x2 x3 = 0 a function of degree <= 2 that vanishes on the
+    # levels 0, 1, 2 of x0 vanishes on X, so a generic quadratic takes exactly
+    # one solve on each of those levels and none after them.
+    X = ExplicitVariety(2, 2, F7).points()
+    f = FunctionOnX.from_poly(X, poly_of(F7, 4, [(1, (2, 0, 0, 0)), (3, (0, 1, 1, 0)), (1, (1, 0, 0, 1)), (2, (0, 0, 0, 0))]))
+    levels = []
+
+    def counted(g, a, budget=None):
+        levels.append(sorted({int(v) for v in g.X.box.decode(g.X.indices)[:, 0]}))
+        return extend_by_solve(g, a, budget)
+
+    with patch("rankforge.weakpoly.extend_by_solve", counted):
+        F = extend_by_slices(f, (1, 0, 0, 0), 2)
+    assert levels == [[0], [1], [2]]
+    assert (FunctionOnX.from_poly(X, F) - f).is_zero()
 
 
 def test_extend_by_slices_zero_function():
     X = counterexample_variety()
     f = FunctionOnX(X, np.zeros(len(X), dtype=np.int64))
-    F, _ = extend_by_slices(f, (1, 0), 1)
+    F = extend_by_slices(f, (1, 0), 1)
     assert F.is_zero()
 
 
@@ -269,40 +281,13 @@ def test_slices_agree_with_solver_when_both_succeed():
             [(rng.randrange(7), (1, 0, 0, 0)), (rng.randrange(7), (0, 0, 1, 0)), (rng.randrange(7), (0, 0, 0, 0))],
         )
         f = FunctionOnX.from_poly(X, F0)
-        F, _ = extend_by_slices(f, (1, 0, 0, 0), 1)
+        F = extend_by_slices(f, (1, 0, 0, 0), 1)
         solved = extend_by_solve(f, 1)
         assert solved.feasible
         assert (FunctionOnX.from_poly(X, F) - f).is_zero()
         assert np.array_equal(
             X.box.eval_poly(F, X.indices), X.box.eval_poly(solved.poly, X.indices)
         )
-
-
-def test_flag_extension_codim_levels():
-    xn = ExplicitVariety(2, 2, F5)
-    X = xn.points()
-    F0 = poly_of(F5, 4, [(1, (1, 0, 0, 0)), (2, (0, 0, 1, 0)), (3, (0, 0, 0, 0))])
-    f = FunctionOnX.from_poly(X, F0)
-    for dirs in (
-        [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)],  # codim 1
-        [(1, 0, 0, 0), (0, 1, 0, 0)],  # codim 2
-    ):
-        W = AffineSubspace.from_span(F5, (0, 0, 0, 0), dirs)
-        F = flag_extension(f, W, 1)
-        assert (FunctionOnX.from_poly(X, F) - f).is_zero()
-        assert F.degree() <= 1
-
-
-def test_flag_extension_codim2_on_three_blocks():
-    xn = ExplicitVariety(2, 3, F5)
-    X = xn.points()
-    F0 = poly_of(F5, 6, [(1, (0, 1, 0, 0, 0, 0)), (3, (0, 0, 0, 0, 1, 0))])
-    f = FunctionOnX.from_poly(X, F0)
-    W = AffineSubspace.from_span(
-        F5, (0,) * 6, [(1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0), (0, 0, 0, 1, 0, 0)]
-    )
-    F = flag_extension(f, W, 1)
-    assert (FunctionOnX.from_poly(X, F) - f).is_zero()
 
 
 def test_homogeneous_reduction_membership():
@@ -323,7 +308,7 @@ def test_homogeneous_reduction_membership():
             u = combo[: R2.dim]
             vec = (u @ R2.basis) % 7
             if vec.any():
-                assert R1.contains_function(FunctionOnX(X, vec))
+                assert R1.contains_space(LinearSpaceOfFunctions(X, vec[None, :]))
 
 
 def test_density_certificate_statuses():
