@@ -9,8 +9,9 @@ prints it.
 
 `subspaces`: the six subspace enumerations the census-ratio criterion needed
 (for X_2, X_3 and the degenerate family: the m = 1 subspaces inside W and all
-m = 2 subspaces) and the enumerations of dual-path-extension's `weak_space`
-calls, recorded while that criterion runs.  Each is timed by the growth
+m = 2 subspaces) and the growths of dual-path-extension's `weak_space`
+calls, recorded at `geometry.subspace_flats` while that criterion runs.
+Each is timed by the growth
 (`geometry.enumerate_subspaces_in`) and by the scan over every affine
 subspace of k^n that it replaced (`scan_subspaces_in` in
 tests/test_geometry.py); the two lists must be equal, in the same order.
@@ -93,21 +94,24 @@ def census_calls() -> list[tuple[str, object, int, object]]:
 
 
 def weak_space_calls() -> list[tuple[str, object, int, object]]:
-    """The enumerations dual-path-extension's weak_space calls make."""
+    """The growths dual-path-extension's weak_space calls make, recorded at
+    the flats' array entry point, `geometry.subspace_flats`."""
     from rankforge import weakpoly
 
     calls = []
-    original = weakpoly.enumerate_subspaces_in
+    original = weakpoly.subspace_flats
 
     def recording(X, m, within=None, budget=None):
         calls.append((f"weak_space F_{X.field.p}^{X.n} m={m}", X, m, within))
         return original(X, m, within=within, budget=budget)
 
-    weakpoly.enumerate_subspaces_in = recording
+    weakpoly.subspace_flats = recording
     try:
         run_criterion("dual-path-extension")
     finally:
-        weakpoly.enumerate_subspaces_in = original
+        weakpoly.subspace_flats = original
+    if not calls:
+        raise SystemExit("dual-path-extension grew no flats through weakpoly.subspace_flats")
     return calls
 
 

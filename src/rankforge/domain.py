@@ -57,7 +57,6 @@ a chunk at a time.
 from __future__ import annotations
 
 import collections
-import itertools
 
 import numpy as np
 
@@ -384,17 +383,19 @@ class Box:
             out = (out + t) % p
         return out
 
-    def subspace_points(self, base: Point, basis: np.ndarray) -> np.ndarray:
-        """Indices of base + span(basis rows), enumerated over all q^m parameters.
+    def subspace_points(self, base: np.ndarray, basis: np.ndarray) -> np.ndarray:
+        """Indices of base + span(basis rows), for a base (..., n) and a basis
+        (..., m, n) with entries in [0, p), or stacks of them: shape
+        (..., q^m), over all q^m parameters.
 
         Parameter tuples run in row-major order, so position
         sum_i t_i q^(m-1-i) holds the point base + sum_i t_i basis[i].
         """
         p = self.field.p
-        m = basis.shape[0] if basis.size else 0
-        params = np.array(list(itertools.product(range(p), repeat=m)), dtype=np.int64)
-        coords = (params @ (np.asarray(basis, dtype=np.int64) % p) + np.array(base, dtype=np.int64)) % p
-        return self.encode(coords)
+        basis = np.asarray(basis, dtype=np.int64)
+        m = basis.shape[-2]
+        params = np.arange(p**m, dtype=np.int64)[:, None] // p ** np.arange(m - 1, -1, -1, dtype=np.int64) % p
+        return self.encode(params @ basis + np.asarray(base, dtype=np.int64)[..., None, :])
 
 
 _BOX_CACHE: dict[tuple[int, int], Box] = {}

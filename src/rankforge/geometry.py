@@ -9,10 +9,16 @@ comes from exactly one canonical (k-1)-flat of the set, by one new row whose
 pivot follows the old ones, and only its new points are tested.  Nothing
 scans the subspaces of k^n, and nothing needs deduplication.
 
-The extension census grows once to dimension m+1, reads the m-subspaces in
-the hyperplane off level m, and reads the section of each (m+1)-subspace by
-the hyperplane off its canonical form (`_section`) instead of listing its
-m-subspaces.
+Inside the library the flats stay arrays (`_Flats`: base points and RREF
+rows as box indices) from the growth to every consumer: `subspace_flats`
+hands over a level in canonical order, `_Flats.points` gives the points of a
+whole stack of flats at once, and `AffineSubspace` objects are built only
+where a caller lists or returns them.
+
+The extension census grows once to dimension m+1, reads the m-flats in the
+hyperplane off level m, reads the sections of the (m+1)-flats by the
+hyperplane off their canonical forms as arrays (`_Flats.sections`), and
+matches the two by their (base, rows) keys; no (m+1)-subspace is listed.
 
 Composition fibers are counted by sorting the maps' value tuples, each
 packed into a base-p integer when that fits in int64, one chunk of maps at a
@@ -28,7 +34,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .domain import Box, box
+from .domain import Box, _pow_mod, box
 from .errors import InputError, VerificationError
 from .gf import PrimeField
 from .linalg import rank_mod, rref_mod
@@ -44,12 +50,20 @@ class Hyperplane:
     b: int
 
     def indicator(self, bx: Box) -> np.ndarray:
-        vals = self.values(bx)
-        return vals == self.b % bx.field.p
+        return _functional(bx, self.coeffs, np.arange(bx.size)) == self.b % bx.field.p
 
-    def values(self, bx: Box) -> np.ndarray:
-        form = {tuple(int(i == j) for j in range(bx.n)): c for i, c in enumerate(self.coeffs)}
-        return bx.eval_poly(MultiPoly(bx.field, bx.n, form))
+
+def _functional(bx: Box, coeffs, indices: np.ndarray) -> np.ndarray:
+    """sum_i coeffs[i] x_i at the points with the given box indices (an array
+    of any shape).  Each coefficient is reduced mod p as a Python int, then
+    each product, then the sum, so coefficients past int64 act through their
+    residues and nothing overflows.  A zero coefficient reads no coordinate."""
+    p, idx = bx.field.p, np.asarray(indices, dtype=np.int64)
+    total = np.zeros(idx.shape, dtype=np.int64)
+    for i, c in enumerate(coeffs):
+        if c % p:
+            total += idx // p ** (bx.n - 1 - i) % p * (int(c) % p) % p
+    return total % p
 
 
 class VarietyPoints:
@@ -94,7 +108,7 @@ class VarietyPoints:
     def ordinals_of_indices(self, idx: np.ndarray) -> np.ndarray:
         """Map box indices (must lie on the variety) to ordinals."""
         pos = np.searchsorted(self.indices, idx)
-        if not np.all(self.indices[pos] == idx):
+        if np.any(pos == len(self.indices)) or not np.all(self.indices[pos] == idx):
             raise InputError("some indices are not points of the variety")
         return pos
 
@@ -112,11 +126,10 @@ def enumerate_points(
 
 
 def slice_variety(X: VarietyPoints, functional: Hyperplane, levels) -> VarietyPoints:
-    """X intersected with {x : l(x) in levels}; an exact filter."""
-    p = X.field.p
-    levels = {v % p for v in levels}
-    vals = functional.values(X.box)[X.indices]
-    keep = np.isin(vals, np.array(sorted(levels), dtype=np.int64)) if levels else np.zeros(len(X.indices), dtype=bool)
+    """X intersected with {x : l(x) in levels}; an exact filter that reads l
+    on X's points only."""
+    vals = _functional(X.box, functional.coeffs, X.indices)
+    keep = np.isin(vals, np.array([v % X.field.p for v in levels], dtype=np.int64))
     return VarietyPoints(X.family, X.indices[keep])
 
 
@@ -207,29 +220,51 @@ class _Flats:
     def __len__(self) -> int:
         return len(self.base)
 
+    def __getitem__(self, key) -> "_Flats":
+        """The flats a slice, mask or index array selects, in its order."""
+        return _Flats(self.box, self.base[key], self.rows[key])
+
+    def keys(self) -> np.ndarray:
+        """(N, k+1): each flat's base and rows, which name it."""
+        return np.concatenate([self.base[:, None], self.rows], axis=1)
+
+    def points(self) -> np.ndarray:
+        """(N, p^k) box indices of each flat's points, in parameter order."""
+        return self.box.subspace_points(self.box.decode(self.base), self.box.decode(self.rows))
+
     def inside(self, coeffs, level: int) -> np.ndarray:
         """Mask of the flats inside {x : sum_i coeffs[i] x_i = level}."""
         p = self.box.field.p
-        l = np.array([int(c) % p for c in coeffs], dtype=np.int64)
+        return (_functional(self.box, coeffs, self.base) == level % p) & ~_functional(self.box, coeffs, self.rows).any(axis=1)
 
-        def values(idx):
-            return (self.box.decode(idx) * l % p).sum(axis=-1) % p
-
-        return (values(self.base) == level % p) & ~values(self.rows).any(axis=1)
-
-    def subspaces(self, budget: Budget, keep=slice(None)) -> list[AffineSubspace]:
-        """The flats (those that keep selects) in (pivots, basis, base) order,
-        the order of a scan over pivot sets, then RREF fillings, then bases,
-        each lexicographic.  A nonempty list is charged before it is built
-        as the (k+1)(n+1) words of each flat's k+1 coordinate tuples."""
+    def sections(self, coeffs, level: int) -> "_Flats":
+        """The sections by {x : sum_i coeffs[i] x_i = level} of the flats on
+        which that functional l is not constant, in canonical form and in
+        their order; the other flats are dropped.  With row_j the last row
+        where l is nonzero, the other rows become row_i - (l(row_i)/l(row_j))
+        row_j and the base moves along row_j onto the level.  Only rows before
+        j change, and not on a pivot, so the form stays canonical with no
+        rref_mod call."""
         bx = self.box
-        base, rows = self.base[keep], self.rows[keep]
-        if len(base):
-            budget.charge(len(base) * (rows.shape[1] + 1) * (bx.n + 1), "subspace list")
-        order = np.lexsort(np.concatenate([_pivots(bx, rows), rows, base[:, None]], axis=1).T[::-1])
+        p, k = bx.field.p, self.rows.shape[1]
+        ls = _functional(bx, coeffs, self.rows)
+        j = ((ls != 0) * np.arange(1, k + 1)).max(axis=1, initial=0) - 1  # -1 where l is constant
+        live = j >= 0
+        ls, j, at = ls[live], j[live], np.arange(int(live.sum()))
+        base, rows = bx.decode(self.base[live]), bx.decode(self.rows[live])
+        row_j = rows[at, j]
+        inv = _pow_mod(ls[at, j], p - 2, p)  # 1 / l(row_j), by Fermat
+        t = (int(level) % p - _functional(bx, coeffs, self.base[live])) * inv % p
+        rows = rows - (ls * inv[:, None] % p)[:, :, None] * row_j[:, None, :]  # encode reduces mod p
+        rest = rows[np.arange(k) != j[:, None]].reshape(len(j), max(k - 1, 0), bx.n)
+        return _Flats(bx, bx.encode(base + t[:, None] * row_j), bx.encode(rest))
+
+    def subspaces(self) -> list[AffineSubspace]:
+        """The flats as AffineSubspace objects, in their order."""
+        bx = self.box
         return [
             AffineSubspace(bx.field, tuple(b), tuple(map(tuple, r)))
-            for b, r in zip(bx.decode(base[order]).tolist(), bx.decode(rows[order]).tolist())
+            for b, r in zip(bx.decode(self.base).tolist(), bx.decode(self.rows).tolist())
         ]
 
 
@@ -313,14 +348,31 @@ def _extend(level: _Flats, allowed: np.ndarray, pts: np.ndarray, budget: Budget,
 
 def _level(X: VarietyPoints, levels, m: int) -> _Flats:
     """The m-flats from a _grow generator over X (an empty level if growth
-    stops first).  No m-flat fits in k^n when m > n: then nothing is grown."""
+    stops first) in (pivots, basis, base) order, the order of a scan over
+    pivot sets, then RREF fillings, then bases, each lexicographic.  No m-flat
+    fits in k^n when m > n: then nothing is grown."""
     if m < 0:
         raise InputError(f"subspace dimension must be >= 0, got {m}")
     if m > X.n:
         return _Flats(X.box, np.zeros(0, dtype=np.int64), np.zeros((0, m), dtype=np.int64))
     for k, flats in enumerate(levels):
         if k == m or not len(flats):
-            return flats
+            return flats[np.lexsort(np.concatenate([_pivots(X.box, flats.rows), flats.rows, flats.base[:, None]], axis=1).T[::-1])]
+
+
+def subspace_flats(X: VarietyPoints, m: int, within: Hyperplane | None = None, budget: Budget | None = None) -> _Flats:
+    """All m-flats fully contained in X (and in the hyperplane, when given),
+    canonical, in (pivots, basis, base) order, as arrays; charged as if the
+    level were listed (see _grow)."""
+    return _level(X, _grow(X, within, budget or Budget(), m), m)
+
+
+def _listed(flats: _Flats, budget: Budget) -> list[AffineSubspace]:
+    """flats.subspaces(), charged before it is built as the (k+1)(n+1) words
+    of each flat's k+1 coordinate tuples when it is nonempty."""
+    if len(flats):
+        budget.charge(len(flats) * (flats.rows.shape[1] + 1) * (flats.box.n + 1), "subspace list")
+    return flats.subspaces()
 
 
 def enumerate_subspaces_in(
@@ -332,30 +384,7 @@ def enumerate_subspaces_in(
     """All m-dimensional affine subspaces fully contained in X (and in the
     hyperplane, when given), canonical, in (pivots, basis, base) order."""
     budget = budget or Budget()
-    return _level(X, _grow(X, within, budget, m), m).subspaces(budget)
-
-
-def _section(M: AffineSubspace, coeffs, level: int) -> AffineSubspace | None:
-    """M cap {x : sum_i coeffs[i] x_i = level} in canonical form, or None when
-    that functional l is constant on M.  With row_j the last basis row where l
-    is nonzero, the other rows become row_i - (l(row_i)/l(row_j)) row_j and the
-    base moves along row_j onto the level.  Only rows before j change, and not
-    on a pivot, so the form stays canonical with no rref_mod call.
-    """
-    p = M.field.p
-    ls = [sum(a * x for a, x in zip(coeffs, row)) % p for row in M.basis]
-    j = max((i for i, v in enumerate(ls) if v), default=None)
-    if j is None:
-        return None
-    inv, row_j = pow(ls[j], -1, p), M.basis[j]
-    t = (level - sum(a * x for a, x in zip(coeffs, M.base))) * inv
-    base = tuple((x + t * r) % p for x, r in zip(M.base, row_j))
-    basis = tuple(
-        tuple((x - ls[i] * inv * r) % p for x, r in zip(row, row_j))
-        for i, row in enumerate(M.basis)
-        if i != j
-    )
-    return AffineSubspace(M.field, base, basis)
+    return _listed(subspace_flats(X, m, within, budget), budget)
 
 
 # ---------------------------------------------------------------------------
@@ -379,18 +408,6 @@ class SubspaceCensus:
         return Fraction(len(self.Y), len(self.Z))
 
 
-def _slice_and_extensions(X: VarietyPoints, coeffs, level: int, m: int, budget: Budget):
-    """The m-subspaces of X inside {x : sum_i coeffs[i] x_i = level}, in
-    (pivots, basis, base) order, and all (m+1)-subspaces of X (None, and not
-    grown, when the first list is empty).  One growth inside X gives both:
-    the first are the m-flats with l(base) = level and l(rows) = 0."""
-    levels = _grow(X, None, budget, m + 1)
-    flats = _level(X, levels, m)
-    Ls = flats.subspaces(budget, flats.inside(coeffs, level))
-    bigger = next(levels, None) if Ls else None
-    return Ls, bigger
-
-
 def census_extension(
     X: VarietyPoints,
     W: Hyperplane,
@@ -398,13 +415,22 @@ def census_extension(
     budget: Budget | None = None,
 ) -> SubspaceCensus:
     """Classify m-subspaces of X cap W by extendability to an (m+1)-subspace
-    of X that leaves W."""
+    of X that leaves W.
+
+    One growth inside X gives both levels: Z is the m-flats with l(base) = b
+    and l(rows) = 0, and level m+1 (not grown when Z is empty) is read as its
+    sections by W."""
     budget = budget or Budget()
-    Z, bigger = _slice_and_extensions(X, W.coeffs, W.b, m, budget)
-    # an M that leaves W meets it in one m-subspace or not at all
-    extendable = {_section(M, W.coeffs, W.b) for M in bigger.subspaces(budget)} if bigger else set()
-    Y = tuple(L for L in Z if L not in extendable)
-    return SubspaceCensus(m, tuple(Z), Y)
+    levels = _grow(X, None, budget, m + 1)
+    flats = _level(X, levels, m)
+    Z = flats[flats.inside(W.coeffs, W.b)]
+    listed = _listed(Z, budget)
+    # an M that leaves W meets it in one m-flat, and one on which l is
+    # constant lies in W or misses it; an empty Z has nothing to match
+    sections = next(levels).sections(W.coeffs, W.b).keys() if len(Z) else Z.keys()
+    _, label = np.unique(np.concatenate([sections, Z.keys()]), axis=0, return_inverse=True)
+    extendable = np.isin(label[len(sections) :], label[: len(sections)])
+    return SubspaceCensus(m, tuple(listed), tuple(L for L, e in zip(listed, extendable) if not e))
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ from .linalg import (
     solve_mod,
 )
 from .poly import MultiPoly, monomials, vandermonde_inverse
-from .geometry import AffineSubspace, Hyperplane, VarietyPoints, enumerate_subspaces_in, slice_variety
+from .geometry import AffineSubspace, Hyperplane, VarietyPoints, slice_variety, subspace_flats
 from .runtime import Budget
 
 
@@ -112,21 +112,32 @@ def _forbidden_coefficient_rows(field: PrimeField, l: int, a: int) -> np.ndarray
     return np.zeros((0, p**l), dtype=np.int64)
 
 
+def _flat_blocks(X: VarietyPoints, a: int, budget: Budget | None):
+    """The forbidden-coefficient rows F of the testing dimension l, the
+    l-flats inside X in canonical order, and their ordinals in X in blocks of
+    about |X| constraint rows: (first flat, (flats, p^l) ordinals) pairs,
+    none when F is empty.  The flats are grown before this returns."""
+    l = local_testing_dimension(X.field, a)
+    flats = subspace_flats(X, l, budget=budget)
+    F = _forbidden_coefficient_rows(X.field, l, a)
+    per_block = max(1, len(X) // max(1, len(F)))
+    starts = range(0, len(flats) if len(F) else 0, per_block)
+    return F, flats, ((s, X.ordinals_of_indices(flats[s : s + per_block].points())) for s in starts)
+
+
 def is_weakly_polynomial(
     f: FunctionOnX,
     a: int,
     budget: Budget | None = None,
 ) -> tuple[bool, AffineSubspace | None]:
-    """Test weak degree <= a; on failure also return an offending subspace."""
-    X = f.X
-    field = X.field
-    l = local_testing_dimension(field, a)
-    F = _forbidden_coefficient_rows(field, l, a)
-    p = field.p
-    for L in enumerate_subspaces_in(X, l, budget=budget):
-        vals = f.values_at_box_indices(L.points(X.box))
-        if F.shape[0] and ((F @ vals) % p).any():
-            return False, L
+    """Test weak degree <= a; on failure also return the first offending
+    subspace in canonical order."""
+    p = f.X.field.p
+    F, flats, blocks = _flat_blocks(f.X, a, budget)
+    for s, ords in blocks:
+        bad = np.flatnonzero((f.values[ords] @ F.T % p).any(axis=1))
+        if len(bad):
+            return False, flats[s + bad[:1]].subspaces()[0]
     return True, None
 
 
@@ -151,37 +162,30 @@ class LinearSpaceOfFunctions:
 def weak_space(X: VarietyPoints, a: int, budget: Budget | None = None) -> LinearSpaceOfFunctions:
     """Exact solution space of all weak-degree-<= a constraints on k^X.
 
-    The constraint rows (one per forbidden monomial and subspace) come in
-    blocks of about |X| rows, and only a basis K (|X| x k, as columns) of the
-    functions meeting every block so far is kept.  The first block's
-    nullspace gives K.  A later block meets f = K c iff F K[L] c = 0 for each
-    of its subspaces L (K[L]: K's rows at L's points), so with N the
-    nullspace of those f x k blocks stacked, K becomes K N^T.  Memory is one
-    block plus |X| * k, however many subspaces X holds.  The basis returned
-    is the RREF of K's columns, unique for the space.
+    The constraint rows (one per forbidden monomial and flat) come in blocks
+    of about |X| rows, each read off one (flats, p^l) array of the block's
+    ordinals in X, and only a basis K (|X| x k, as columns) of the functions
+    meeting every block so far is kept.  The first block's nullspace gives K.
+    A later block meets f = K c iff F K[L] c = 0 for each of its flats L
+    (K[L]: K's rows at L's points), so with N the nullspace of those f x k
+    blocks stacked, K becomes K N^T.  Memory is one block plus |X| * k,
+    however many flats X holds.  The basis returned is the RREF of K's
+    columns, unique for the space.
     """
-    field = X.field
-    p = field.p
-    l = local_testing_dimension(field, a)
-    subspaces = enumerate_subspaces_in(X, l, budget=budget)
-    F = _forbidden_coefficient_rows(field, l, a)
-    nX = len(X)
-    if F.shape[0] == 0 or not subspaces:
-        basis = np.eye(nX, dtype=np.int64)
-        return LinearSpaceOfFunctions(X, basis)
-    f = F.shape[0]
-    per_block = max(1, nX // f)  # subspaces per block of about |X| rows
+    p, nX = X.field.p, len(X)
+    F, _, blocks = _flat_blocks(X, a, budget)
     K = None
-    for s in range(0, len(subspaces), per_block):
-        ords = np.stack([X.ordinals_of_indices(L.points(X.box)) for L in subspaces[s : s + per_block]])
+    for _, ords in blocks:
         if K is None:
-            rows = np.zeros((f * len(ords), nX), dtype=np.int64)
+            rows = np.zeros((len(F) * len(ords), nX), dtype=np.int64)
             for j, o in enumerate(ords):
-                rows[j * f : (j + 1) * f, o] = F
+                rows[j * len(F) : (j + 1) * len(F), o] = F
             K = nullspace_mod(rows, p).T
         else:
             C = matmul_mod(F, K[ords], p).reshape(-1, K.shape[1])
             K = matmul_mod(K, nullspace_mod(C, p).T, p)
+    if K is None:
+        return LinearSpaceOfFunctions(X, np.eye(nX, dtype=np.int64))
     R, _, rank = rref_mod(K.T, p)
     return LinearSpaceOfFunctions(X, R[:rank])
 

@@ -15,7 +15,8 @@ from rankforge import geometry
 from rankforge.explicit import ExplicitVariety
 from rankforge.geometry import (
     AffineSubspace,
-    _section,
+    _Flats,
+    _functional,
     Hyperplane,
     VarietyPoints,
     census_extension,
@@ -25,6 +26,7 @@ from rankforge.geometry import (
     kappa_fibers,
     missed_targets,
     slice_variety,
+    subspace_flats,
     universality_check,
 )
 
@@ -317,6 +319,34 @@ def test_slice_examples():
     assert len(slice_variety(X, H, set())) == 0
 
 
+def test_slice_never_evaluates_the_whole_box(monkeypatch):
+    # X on a box of 7^6 points: the functional is read on X's points only
+    X = ExplicitVariety(2, 3, PrimeField(7)).points()
+    eval_poly = Box.eval_poly
+
+    def at_indices_only(self, P, indices=None):
+        assert indices is not None, "whole-box evaluation"
+        return eval_poly(self, P, indices)
+
+    monkeypatch.setattr(Box, "eval_poly", at_indices_only)
+    X03 = slice_variety(X, Hyperplane((1, 0, 0, 2, 0, 0), 0), {3, 7})
+    coords = X.box.decode(X.indices)
+    assert X03.indices.tolist() == X.indices[np.isin((coords[:, 0] + 2 * coords[:, 3]) % 7, [0, 3])].tolist()
+
+
+def test_ordinals_of_indices_refuse_points_off_the_variety():
+    zero = PolyFamily([MultiPoly.zero(F3, 2)])
+    X = VarietyPoints(zero, [0, 4])
+    assert X.ordinals_of_indices(np.array([[4, 0], [0, 4]])).tolist() == [[1, 0], [0, 1]]
+    for idx in ([8], [5], [0, 8], [[0, 4], [4, 8]]):  # 8: past the last point
+        with pytest.raises(InputError):
+            X.ordinals_of_indices(np.array(idx))
+    empty = VarietyPoints(zero, [])
+    assert empty.ordinals_of_indices(np.zeros(0, dtype=np.int64)).tolist() == []
+    with pytest.raises(InputError):
+        empty.ordinals_of_indices(np.array([0]))
+
+
 def test_census_explicit_family():
     X = enumerate_points(quadric_f3())
     W = Hyperplane((1, 0, 0, 0), 0)
@@ -331,6 +361,13 @@ def test_census_explicit_family():
             if w_ind[M.points(X.box)].all():
                 continue
             assert not M.contains_subspace(L)
+
+
+@pytest.mark.parametrize("indices, m", [([], 0), ([], 1), ([0, 1], 2)], ids=["empty X", "growth stops at 0", "growth stops at 1"])
+def test_census_when_growth_stops_below_m(indices, m):
+    X = VarietyPoints(PolyFamily([MultiPoly.zero(F3, 3)]), indices)
+    cen = census_extension(X, Hyperplane((1, 0, 0), 0), m)
+    assert cen.Z == cen.Y == () and cen.ratio is None
 
 
 def test_census_empty_Z_reported_as_undefined():
@@ -523,6 +560,13 @@ def test_census_extension_matches_brute_force():
                 assert list(cen.Y) == Y
 
 
+def test_flat_points_equal_subspace_points():
+    for X, _ in _random_small_varieties(11, 30):
+        for m in range(3):
+            flats = subspace_flats(X, m)
+            assert flats.points().tolist() == [L.points(X.box).tolist() for L in flats.subspaces()]
+
+
 def test_census_reduces_large_hyperplane_coefficients():
     # coefficients past int64 (and near 2^62, where an int64 dot product
     # wraps) act through their residues mod p
@@ -536,6 +580,22 @@ def test_census_reduces_large_hyperplane_coefficients():
                 cen = census_extension(X, Hyperplane(coeffs, b), m)
                 for cs in (lifted, huge):
                     assert census_extension(X, Hyperplane(cs, b + p * big), m) == cen
+
+
+def flats_of(bx, subspaces, k):
+    """The canonical k-subspaces as one _Flats stack, in their order."""
+    base = np.array([bx.index_of(M.base) for M in subspaces], dtype=np.int64)
+    rows = np.array([[bx.index_of(r) for r in M.basis] for M in subspaces], dtype=np.int64).reshape(len(subspaces), k)
+    return _Flats(bx, base, rows)
+
+
+def section_by_points(M, coeffs, level):
+    """M cap {l = level} from its points alone: canonical, spanned by the
+    differences of the points of M on the level."""
+    field, bx = M.field, box(M.field, M.n)
+    pts = [bx.point_of(int(i)) for i in M.points(bx)]
+    on = [x for x in pts if sum(c * v for c, v in zip(coeffs, x)) % field.p == level]
+    return AffineSubspace.from_span(field, on[0], [[(v - u) % field.p for u, v in zip(on[0], x)] for x in on[1:]])
 
 
 def test_section_is_canonical_and_exact():
@@ -554,14 +614,41 @@ def test_section_is_canonical_and_exact():
         level = rng.randrange(p)
         bx = box(field, n)
         vals = np.array([bx.point_of(int(i)) for i in M.points(bx)]).reshape(-1, n) @ coeffs % p
-        assert list(Hyperplane(tuple(coeffs), 0).values(bx)[M.points(bx)]) == list(vals)
-        S = _section(M, coeffs, level)
-        if S is None:
-            assert (vals == vals[0]).all()  # l constant on M
+        assert list(_functional(bx, coeffs, M.points(bx))) == list(vals)
+        sections = flats_of(bx, [M], M.dim).sections(coeffs, level).subspaces()
+        if (vals == vals[0]).all():  # l constant on M: no section
+            assert sections == []
             continue
+        [S] = sections
         assert S == AffineSubspace.from_span(field, S.base, S.basis)
         assert S.dim == M.dim - 1
         assert sorted(S.points(bx)) == sorted(M.points(bx)[vals == level])
+
+
+def test_stacked_sections_drop_the_flats_where_l_is_constant():
+    # stacks of six k-flats, the second and fifth with every direction in
+    # the kernel of l: the sections of the other four, in stack order, each
+    # equal to the one read off its points
+    rng = random.Random(4)
+    for _ in range(60):
+        field = rng.choice((F2, F3, F5))
+        p = field.p
+        n = rng.randint(2, 4)
+        k = rng.randint(1, n - 1)
+        coeffs = [0] * n
+        while not any(coeffs):
+            coeffs = [rng.randrange(p) for _ in range(n)]
+        level = rng.randrange(p)
+        bx = box(field, n)
+        stack = []
+        while len(stack) < 6:
+            dirs = [[rng.randrange(p) for _ in range(n)] for _ in range(k)]
+            M = AffineSubspace.from_span(field, [rng.randrange(p) for _ in range(n)], dirs)
+            constant = not any(sum(c * v for c, v in zip(coeffs, row)) % p for row in M.basis)
+            if M.dim == k and constant == (len(stack) % 3 == 1):
+                stack.append(M)
+        expect = [section_by_points(M, coeffs, level) for i, M in enumerate(stack) if i % 3 != 1]
+        assert flats_of(bx, stack, k).sections(coeffs, level).subspaces() == expect
 
 
 @pytest.mark.parametrize(

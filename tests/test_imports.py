@@ -1,15 +1,18 @@
-"""Every name a module of the package imports is used by that module, and
-every definition of the package is reached from outside the tests, except a
-pinned few.
+"""Every name a module of the package imports is used by that module, every
+definition of the package is reached from outside the tests, except a pinned
+few, and every benchmark script imports.
 
-No linter runs on this project, so both checks are AST scans.  A name bound
-by `import` or `from ... import` must be read somewhere in the same module
-(as a name, or as the base of an attribute), or be listed in `__all__`.  A
-module-level function or class, or a method, must be referenced outside its
-own body somewhere in src/, demos/, perfbench/ or benchmarks/.
+No linter runs on this project, so the first two checks are AST scans.  A
+name bound by `import` or `from ... import` must be read somewhere in the
+same module (as a name, or as the base of an attribute), or be listed in
+`__all__`.  A module-level function or class, or a method, must be
+referenced outside its own body somewhere in src/, demos/, perfbench/ or
+benchmarks/.
 """
 
 import ast
+import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -123,3 +126,12 @@ def test_scan_flags_a_definition_only_its_own_body_reaches():
     )
     assert unreferenced_definitions({"m": source}, []) == ["m.alone", "m.C.log", "m.C.sub", "m.f"]
     assert unreferenced_definitions({"m": source}, ["from rankforge.m import f, alone\nx.log\n"]) == ["m.C.sub"]
+
+
+@pytest.mark.parametrize("script", sorted((ROOT / "benchmarks").glob("*.py")), ids=lambda path: path.name)
+def test_benchmark_script_imports(monkeypatch, script):
+    # a name a script imports from the package, or from a test module it
+    # reuses, must still exist; only the module body runs, not main()
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    spec = importlib.util.spec_from_file_location(f"benchmark_{script.stem}", script)
+    spec.loader.exec_module(importlib.util.module_from_spec(spec))

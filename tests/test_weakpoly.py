@@ -402,3 +402,43 @@ def test_weak_space_memory_is_near_x_squared():
         tracemalloc.stop()
     assert ws.dim == 5
     assert peak < 10 * 2**20
+
+
+def first_offending_by_subspace_loop(f, a):
+    """is_weakly_polynomial as a loop over the listed subspaces of the testing
+    dimension, one object at a time: the verdict and the first subspace whose
+    restriction has a coefficient of degree > a."""
+    X = f.X
+    l = local_testing_dimension(X.field, a)
+    F = _forbidden_coefficient_rows(X.field, l, a)
+    for L in enumerate_subspaces_in(X, l):
+        vals = f.values_at_box_indices(L.points(X.box))
+        if F.shape[0] and ((F @ vals) % X.field.p).any():
+            return False, L
+    return True, None
+
+
+@pytest.mark.parametrize("X, a", random_varieties())
+def test_offending_subspace_is_the_first_of_the_subspace_loop(X, a):
+    # functions that fail on the first subspace or far into the order (one
+    # nonzero value), that fail on some subspaces only (a polynomial of
+    # degree a + 1), and that pass (a polynomial of degree a)
+    field, p = X.field, X.field.p
+    rng = random.Random(len(X))
+    functions = [FunctionOnX(X, [rng.randrange(p) for _ in range(len(X))])]
+    for i in (len(X) - 1, len(X) // 2, rng.randrange(len(X))):
+        spike = np.zeros(len(X), dtype=np.int64)
+        spike[i] = 1 + rng.randrange(p - 1)
+        functions.append(FunctionOnX(X, spike))
+    for d in (a + 1, a):
+        functions.append(FunctionOnX.from_poly(X, random_poly(field, X.n, d, rng)))
+    for f in functions:
+        assert is_weakly_polynomial(f, a) == first_offending_by_subspace_loop(f, a)
+
+
+def test_restriction_to_points_off_the_variety_is_an_input_error():
+    zero = PolyFamily([MultiPoly.zero(PrimeField(3), 2)])
+    f = FunctionOnX(VarietyPoints(zero, [0, 4]), [1, 2])
+    for indices in ([4, 8], [5], [0, 4, 8]):
+        with pytest.raises(InputError):
+            f.restrict_to(VarietyPoints(zero, indices))
