@@ -1,15 +1,9 @@
 """Streamed weak-space rows and chunked composition fibers, against the code
-they replaced, and end-to-end runs against a checkout of the parent commit.
-
-    PYTHONPATH=src python3 benchmarks/memory_peaks.py [--reps 3]
-        [--parent DIR --pairs 10] [--out BENCH_memory.json]
-
-Run it from the root of a checkout.  It writes one JSON object to --out and
-prints it.
+they replaced.  Options, output and the end-to-end runs: see ab.py.
 
 `calls`: each call is run by the current code and by the code it replaced,
-with its traced peak (tracemalloc, in MB) and its best time of --reps runs
-(default 3), untraced; the two results must be equal.
+with its traced peak (tracemalloc, in MB) and its best time; the two results
+must be equal.
 - `weak_space F_7^4`: dual-path-extension's `weak_space` on the 385 points of
   the F_7^4 variety, against one dense matrix of all 4,160 constraint rows
   and its nullspace (`weak_space_one_shot` in tests/test_weakpoly.py);
@@ -21,35 +15,19 @@ with its traced peak (tracemalloc, in MB) and its best time of --reps runs
 - `extend_by_solve F_7^4`: the `solve_mod` calls of dual-path-extension's
   five extensions at n = 2, against solving [A | b | I] every time
   (`solve_always_tracked` below); equal means the same solutions.
-
-`payloads` (only with --parent): the sha256 of every acceptance criterion's
-`payload_bytes()` in the parent checkout and here.
-
-`end_to_end` (only with --parent): --pairs seeds per workload of
-`perfbench/run.py --seconds 0 --trace 0`, each seed run once in the parent
-checkout and once here, the side that runs first alternating by seed; then
-one traced run (`--trace 1`, seed 1) of acceptance-serial per side.
 """
 
 from __future__ import annotations
 
-import argparse
 import itertools
-import json
-import os
-import subprocess
 import sys
-import time
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
 
-ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "tests"))
-sys.path.insert(0, str(ROOT / "benchmarks"))
+sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from geometry_growth import end_to_end  # noqa: E402
+import ab  # noqa: E402
 from test_weakpoly import weak_space_one_shot  # noqa: E402
 
 from rankforge import linalg  # noqa: E402
@@ -60,25 +38,6 @@ from rankforge.gf import PrimeField  # noqa: E402
 from rankforge.linalg import as_mod_array, rref_mod  # noqa: E402
 from rankforge.poly import PolyFamily  # noqa: E402
 from rankforge.weakpoly import extend_by_solve, weak_space  # noqa: E402
-
-TRACED = (
-    "runtime.budget.refusals",
-    "weakpoly.weak_space.self_s",
-    "weakpoly.weak_space.rows",
-    "geometry.kappa_fibers.self_s",
-    "linalg.rref_mod.large.calls",
-    "linalg.rref_mod.large.self_s",
-    "linalg.rref_mod.large.cells",
-    "linalg.solve_mod.tracked_bytes",
-    "acceptance.dual-path-extension.wall_s",
-    "acceptance.kappa-uniformity-trend.wall_s",
-)
-
-PAYLOADS = (
-    "import hashlib, json\n"
-    "from rankforge.acceptance import CRITERIA, run_criterion\n"
-    "print(json.dumps({name: hashlib.sha256(run_criterion(name).payload_bytes()).hexdigest() for name in sorted(CRITERIA)}))\n"
-)
 
 
 def kappa_fibers_one_shot(family: PolyFamily, m: int) -> dict:
@@ -124,104 +83,37 @@ def solve_always_tracked(A, b, p: int):
     return x, None
 
 
-def measure(fn, reps: int) -> tuple[float, float, object]:
-    """(best time in s, traced peak in MB, result)."""
-    times, out = [], None
-    for _ in range(reps):
-        t0 = time.perf_counter()
-        out = fn()
-        times.append(time.perf_counter() - t0)
-    tracemalloc.start()
-    try:
-        fn()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    return min(times), peak / 2**20, out
-
-
-def extension_solves() -> list[tuple]:
+def extension_solves(X) -> list[tuple]:
     """The (A, b, p) of every solve_mod call of dual-path-extension's
     extend_by_solve on the F_7^4 weak-space basis."""
-    X = ExplicitVariety(2, 2, PrimeField(7)).points()
-    calls = []
-    original = linalg.solve_mod
-
-    def recording(A, b, p):
-        calls.append((np.array(A), np.array(b), p))
-        return original(A, b, p)
-
-    from rankforge import weakpoly
-
-    weakpoly.solve_mod = recording
-    try:
+    with ab.recorded(linalg.solve_mod) as calls:
         for f in weak_space(X, 1).functions():
             extend_by_solve(f, 1)
-    finally:
-        weakpoly.solve_mod = original
-    return calls
+    return [(call.arguments["A"], call.arguments["b"], call.arguments["p"]) for _, call, _ in calls]
 
 
-def compare(name: str, reps: int, new, old, same) -> dict:
-    new_s, new_mb, new_out = measure(new, reps)
-    old_s, old_mb, old_out = measure(old, reps)
-    if not same(new_out, old_out):
-        raise SystemExit(f"{name}: the current and the replaced code disagree")
-    return {"call": name, "new_s": new_s, "new_peak_mb": new_mb, "replaced_s": old_s, "replaced_peak_mb": old_mb}
+def same_solutions(xs, ys) -> bool:
+    return all((x is None) == (y is None) and (x is None or np.array_equal(x, y)) for (x, _), (y, _) in zip(xs, ys))
 
 
-def time_calls(reps: int) -> list[dict]:
-    X = ExplicitVariety(2, 2, PrimeField(7)).points()
-    fam = PolyFamily([ExplicitVariety(2, 3, PrimeField(3)).polynomial()])
-    solves = extension_solves()
+def cases(X, fam: PolyFamily) -> list[tuple]:
+    """(name, new, replaced, same) on the points X and the family fam."""
+    q, solves = X.field.p, extension_solves(X)
 
     def solve_all(solver):
         return lambda: [solver(A, b, p) for A, b, p in solves]
 
-    def same_solutions(xs, ys):
-        return all((x is None) == (y is None) and (x is None or np.array_equal(x, y)) for (x, _), (y, _) in zip(xs, ys))
-
     return [
-        compare("weak_space F_7^4", reps, lambda: weak_space(X, 1).basis, lambda: weak_space_one_shot(X, 1), lambda a, b: a.tobytes() == b.tobytes()),
-        compare(
-            "kappa_fibers F_3^12",
-            reps,
-            lambda: kappa_fibers(fam, 1).fibers,
-            lambda: kappa_fibers_one_shot(fam, 1),
-            lambda a, b: list(a.items()) == list(b.items()),
-        ),
-        compare(f"extend_by_solve F_7^4 ({len(solves)} solves)", reps, solve_all(linalg.solve_mod), solve_all(solve_always_tracked), same_solutions),
+        (f"weak_space F_{q}^{X.n}", lambda: weak_space(X, 1).basis, lambda: weak_space_one_shot(X, 1), lambda a, b: a.tobytes() == b.tobytes()),
+        (f"kappa_fibers F_{fam.field.p}^{2 * fam.n}", lambda: kappa_fibers(fam, 1).fibers, lambda: kappa_fibers_one_shot(fam, 1), lambda a, b: list(a.items()) == list(b.items())),
+        (f"extend_by_solve F_{q}^{X.n} ({len(solves)} solves)", solve_all(linalg.solve_mod), solve_all(solve_always_tracked), same_solutions),
     ]
 
 
-def payloads(checkout: Path) -> dict:
-    env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
-    res = subprocess.run([sys.executable, "-c", PAYLOADS], cwd=checkout, env=env, capture_output=True, text=True, timeout=600, check=True)
-    return json.loads(res.stdout)
-
-
-def main() -> None:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--reps", type=int, default=3)
-    ap.add_argument("--parent", type=Path, help="root of a checkout of the parent commit")
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--out", type=Path, default=ROOT / "BENCH_memory.json")
-    args = ap.parse_args()
-
-    doc = {
-        "command": f"python3 benchmarks/memory_peaks.py --reps {args.reps}" + (f" --parent PARENT --pairs {args.pairs}" if args.parent else ""),
-        "machine": {"nproc": len(os.sched_getaffinity(0)), "python": sys.version.split()[0], "numpy": np.__version__},
-        "calls": time_calls(args.reps),
-    }
-    if args.parent is not None:
-        parent = args.parent.resolve()
-        before, after = payloads(parent), payloads(ROOT)
-        doc["payloads"] = {"criteria": len(after), "identical": before == after, "parent": before, "change": after}
-        doc["end_to_end"] = end_to_end(parent, args.pairs, TRACED)
-    text = json.dumps(doc, indent=1)
-    args.out.write_text(text + "\n")
-    print(text)
+def calls(reps: int) -> list[dict]:
+    fam = PolyFamily([ExplicitVariety(2, 3, PrimeField(3)).polynomial()])
+    return [ab.compare(name, ("new", new), ("replaced", old), same, reps, peaks=True)[0] for name, new, old, same in cases(ExplicitVariety(2, 2, PrimeField(7)).points(), fam)]
 
 
 if __name__ == "__main__":
-    main()
+    ab.main(cases={"calls": calls})

@@ -1,8 +1,5 @@
 """The rank layer: the difference form and the rank searches' candidate blocks.
-
-    PYTHONPATH=src python3 benchmarks/rank_layer.py [--reps 3]
-
-Run it from the root of a checkout.  It prints one JSON object with two parts.
+Options, output and the end-to-end runs: see ab.py.
 
 `multilinear_form`: every `multilinear_form` call the acceptance battery makes,
 grouped by criterion.  Each call is timed by the closed form
@@ -21,54 +18,27 @@ before the first charge.  The blocks the driver built must equal the eager
 ones.  Calls that never reach the driver (zero inputs, degree <= 1, and
 bilinear forms without a factor dictionary, which their matrix rank decides)
 build nothing either way; `searches` counts the rest.  `search_s` is the
-whole of every call, for scale.  Times are the best of `--reps` runs
-(default 3).
+whole of every call, for scale.
 """
 
 from __future__ import annotations
 
-import argparse
 import itertools
-import json
 import sys
 import time
+from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 
-from rankforge import poly, rank
-from rankforge.acceptance import CRITERIA, run_criterion
-from rankforge.errors import InputError, VerificationError
-from rankforge.poly import MultilinearForm, MultiPoly
+sys.path.insert(0, str(Path(__file__).resolve().parent))
 
+import ab  # noqa: E402
 
-def best_of(fn, reps: int) -> float:
-    times = []
-    for _ in range(reps):
-        t0 = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - t0)
-    return min(times)
-
-
-def recorded(fn, criteria) -> dict:
-    """{criterion: [(args, kwargs), ...]} of the calls to fn, wherever rankforge binds it."""
-    calls: dict = {}
-    owners = [m for n, m in sorted(sys.modules.items()) if n.startswith("rankforge") and getattr(m, fn.__name__, None) is fn]
-    for criterion in criteria:
-        batch = calls[criterion] = []
-
-        def recording(*args, **kwargs):
-            batch.append((args, kwargs))
-            return fn(*args, **kwargs)
-
-        for m in owners:
-            setattr(m, fn.__name__, recording)
-        try:
-            run_criterion(criterion)
-        finally:
-            for m in owners:
-                setattr(m, fn.__name__, fn)
-    return calls
+from rankforge import poly, rank  # noqa: E402
+from rankforge.acceptance import CRITERIA  # noqa: E402
+from rankforge.errors import InputError, VerificationError  # noqa: E402
+from rankforge.poly import MultilinearForm, MultiPoly  # noqa: E402
 
 
 # -- the replaced difference form ------------------------------------------------
@@ -110,33 +80,28 @@ def substitution_form(P: MultiPoly, d: int | None = None) -> MultilinearForm:
     return MultilinearForm((n,) * d, MultiPoly(P.field, d * n, terms))
 
 
-def form_outcome(fn, args, kwargs):
+def form_outcome(fn, call):
     try:
-        form = fn(*args, **kwargs)
+        form = fn(*call.args, **call.kwargs)
     except (InputError, VerificationError) as exc:
         return type(exc).__name__, str(exc)
     return form.block_dims, form.poly.terms
 
 
 def forms(reps: int) -> dict:
-    closed = poly.multilinear_form
     out = {}
-    for criterion, batch in recorded(closed, CRITERIA).items():
+    for criterion, batch in ab.criterion_calls(poly.multilinear_form, CRITERIA).items():
         if not batch:
             continue
-        slower = 0
-        for args, kwargs in batch:
-            if form_outcome(closed, args, kwargs) != form_outcome(substitution_form, args, kwargs):
-                raise SystemExit(f"{criterion}: the two forms disagree on {args} {kwargs}")
-            new = best_of(lambda: form_outcome(closed, args, kwargs), reps)
-            old = best_of(lambda: form_outcome(substitution_form, args, kwargs), reps)
-            slower += new > old
-        out[criterion] = {
-            "calls": len(batch),
-            "closed_form_s": best_of(lambda: [form_outcome(closed, a, k) for a, k in batch], reps),
-            "substitution_s": best_of(lambda: [form_outcome(substitution_form, a, k) for a, k in batch], reps),
-            "slower_calls": slower,
-        }
+
+        def both(calls):
+            closed = ("closed_form", lambda: [form_outcome(poly.multilinear_form, c) for c in calls])
+            return ab.compare(f"{criterion} {calls[0].arguments}", closed, ("substitution", lambda: [form_outcome(substitution_form, c) for c in calls]), reps=reps)[0]
+
+        each = [both([call]) for call in batch]
+        whole = both(batch)
+        slower = sum(r["closed_form_s"] > r["substitution_s"] for r in each)
+        out[criterion] = {"calls": len(batch), "closed_form_s": whole["closed_form_s"], "substitution_s": whole["substitution_s"], "slower_calls": slower}
     return out
 
 
@@ -152,7 +117,7 @@ def _eager_block(row_of: dict, q_terms, monos_r, q: int) -> np.ndarray:
     return B
 
 
-def eager_schmidt(P: MultiPoly, *rest, **kwargs) -> list[np.ndarray]:
+def eager_schmidt(P: MultiPoly) -> list[np.ndarray]:
     d, q = P.degree(), P.field.p
     factor_monos = poly.monomials(P.n, d - 1)
     row_of = {m: i for i, m in enumerate(poly.monomials(P.n, 2 * (d - 1)))}
@@ -160,7 +125,7 @@ def eager_schmidt(P: MultiPoly, *rest, **kwargs) -> list[np.ndarray]:
     return [_eager_block(row_of, [(m, c) for m, c in zip(factor_monos, vec) if c], factor_monos, q) for vec in qvecs]
 
 
-def eager_partition(T: MultilinearForm, *rest, factor_dictionary=None, **kwargs) -> list[np.ndarray]:
+def eager_partition(T: MultilinearForm, factor_dictionary=None) -> list[np.ndarray]:
     q, d, dims, offs = T.field.p, T.d, T.block_dims, T.block_offsets()
     total = sum(dims)
     every = frozenset(range(d))
@@ -180,42 +145,31 @@ def eager_partition(T: MultilinearForm, *rest, factor_dictionary=None, **kwargs)
 
 def candidates(reps: int) -> dict:
     out = {}
-    names = ("rank-axioms", "bias-prank-consistency")
-    schmidt = recorded(rank.schmidt_rank, names)
-    partition = recorded(rank.partition_rank, names)
-    block, init = rank._SpanSearch.block, rank._SpanSearch.__init__
-    for criterion in names:
+    block = rank._SpanSearch.block
+    for criterion in ("rank-axioms", "bias-prank-consistency"):
         row = {}
-        for fn, eager, batch in (
-            (rank.schmidt_rank, eager_schmidt, schmidt[criterion]),
-            (rank.partition_rank, eager_partition, partition[criterion]),
-        ):
-            searches, spent = [], [0.0]
+        for fn, eager in ((rank.schmidt_rank, lambda a: eager_schmidt(a["P"])), (rank.partition_rank, lambda a: eager_partition(a["T"], a.get("factor_dictionary")))):
+            batch = ab.criterion_calls(fn, [criterion])[criterion]
+            searched = [call for call in batch if _searched(call.arguments)]
+            spent = [0.0]
 
-            def timed(self, i):
+            def timed_block(self, i):
                 t0 = time.perf_counter()
                 try:
                     return block(self, i)
                 finally:
                     spent[0] += time.perf_counter() - t0
 
-            def recording(self, *args):
-                init(self, *args)
-                searches.append(self)
-
             def driver():
                 spent[0] = 0.0
-                searches.clear()
-                rank._SpanSearch.block, rank._SpanSearch.__init__ = timed, recording
-                try:
-                    for args, kwargs in batch:
-                        fn(*args, **kwargs)
-                finally:
-                    rank._SpanSearch.block, rank._SpanSearch.__init__ = block, init
-                return spent[0]
+                with ab.recorded(rank._SpanSearch.__init__) as inits, patch.object(rank._SpanSearch, "block", timed_block):
+                    for call in batch:
+                        fn(*call.args, **call.kwargs)
+                return spent[0], [init.arguments["self"] for _, init, _ in inits]
 
-            lazy = min(driver() for _ in range(reps))
-            built = [eager(*args, **kwargs) for args, kwargs in batch if _searched(args, kwargs)]
+            lazy = min(driver()[0] for _ in range(reps))
+            searches = driver()[1]
+            built = [eager(call.arguments) for call in searched]
             if len(built) != len(searches):
                 raise SystemExit(f"{criterion} {fn.__name__}: {len(built)} eager builds for {len(searches)} searches")
             for blocks, search in zip(built, searches):
@@ -227,30 +181,22 @@ def candidates(reps: int) -> dict:
                 "candidates": sum(s.count for s in searches),
                 "candidates_read": sum(len(s.read) for s in searches),
                 "lazy_s": lazy,
-                "eager_s": best_of(lambda: [eager(*a, **k) for a, k in batch if _searched(a, k)], reps),
-                "search_s": best_of(lambda: [fn(*a, **k) for a, k in batch], reps),
+                "eager_s": ab.best_of(lambda: [eager(call.arguments) for call in searched], reps)[0],
+                "search_s": ab.best_of(lambda: [fn(*call.args, **call.kwargs) for call in batch], reps)[0],
             }
         out[criterion] = row
     return out
 
 
-def _searched(args, kwargs) -> bool:
+def _searched(arguments) -> bool:
     """Whether the call reaches the search: a nonzero input of degree >= 2,
     and not a bilinear form without a factor dictionary (its matrix rank
     decides it)."""
-    obj = args[0]
-    if isinstance(obj, MultilinearForm):
-        dictionary = args[3] if len(args) > 3 else kwargs.get("factor_dictionary")
-        return not obj.is_zero() and (obj.d != 2 or dictionary is not None)
-    return not obj.is_zero() and obj.degree() >= 2
-
-
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--reps", type=int, default=3)
-    args = parser.parse_args()
-    print(json.dumps({"multilinear_form": forms(args.reps), "candidates": candidates(args.reps)}, indent=1))
+    if "T" in arguments:
+        T = arguments["T"]
+        return not T.is_zero() and (T.d != 2 or arguments.get("factor_dictionary") is not None)
+    return not arguments["P"].is_zero() and arguments["P"].degree() >= 2
 
 
 if __name__ == "__main__":
-    main()
+    ab.main(cases={"multilinear_form": forms, "candidates": candidates})

@@ -269,9 +269,10 @@ def cmd_points(args) -> int:
 
 def cmd_subspaces(args) -> int:
     fam = catalog.parse_family_arg(args.family)
-    X = enumerate_points(fam, Budget(args.budget))
+    budget = Budget(args.budget)
+    X = enumerate_points(fam, budget)
     within = catalog.parse_hyperplane(args.hyperplane, fam.field, fam.n) if args.hyperplane else None
-    subs = enumerate_subspaces_in(X, args.m, within=within, budget=Budget(args.budget))
+    subs = enumerate_subspaces_in(X, args.m, within=within, budget=budget)
     _emit(
         args,
         {
@@ -284,9 +285,10 @@ def cmd_subspaces(args) -> int:
 
 def cmd_census(args) -> int:
     fam = catalog.parse_family_arg(args.family)
-    X = enumerate_points(fam, Budget(args.budget))
+    budget = Budget(args.budget)
+    X = enumerate_points(fam, budget)
     W = catalog.parse_hyperplane(args.hyperplane, fam.field, fam.n)
-    cen = census_extension(X, W, args.m, Budget(args.budget))
+    cen = census_extension(X, W, args.m, budget)
     ratio = _frac(cen.ratio) if cen.ratio is not None else "undefined/empty"
     _emit(
         args,
@@ -339,9 +341,10 @@ def cmd_universal(args) -> int:
 
 def cmd_weaktest(args) -> int:
     fam = catalog.parse_family_arg(args.family)
-    X = enumerate_points(fam, Budget(args.budget))
+    budget = Budget(args.budget)
+    X = enumerate_points(fam, budget)
     f = _load_function(args, X)
-    ok, offending = is_weakly_polynomial(f, args.a, Budget(args.budget))
+    ok, offending = is_weakly_polynomial(f, args.a, budget)
     doc = {"weakly_polynomial": ok}
     if offending is not None:
         doc["offending_subspace"] = {
@@ -354,8 +357,9 @@ def cmd_weaktest(args) -> int:
 
 def cmd_star(args) -> int:
     fam = catalog.parse_family_arg(args.family)
-    X = enumerate_points(fam, Budget(args.budget))
-    rep = star_check(X, args.a, Budget(args.budget))
+    budget = Budget(args.budget)
+    X = enumerate_points(fam, budget)
+    rep = star_check(X, args.a, budget)
     _emit(
         args,
         {

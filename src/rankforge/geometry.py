@@ -80,6 +80,7 @@ class VarietyPoints:
             raise InputError("variety indices must be strictly ascending")
         self._points: tuple[Point, ...] | None = None
         self._index_of: dict[Point, int] | None = None
+        self._levels: tuple[tuple, np.ndarray] | None = None
 
     @functools.cached_property
     def indicator(self) -> np.ndarray:
@@ -105,6 +106,17 @@ class VarietyPoints:
             self._index_of = {pt: i for i, pt in enumerate(self.points)}
         return self._index_of[point]
 
+    def levels(self, coeffs) -> np.ndarray:
+        """The linear functional sum_i coeffs[i] x_i at each point, in X's
+        order.  The last functional asked for is kept, so that a sweep over
+        its level sets reads it once."""
+        key, kept = tuple(int(c) for c in coeffs), self._levels
+        if kept is None or kept[0] != key:
+            values = _functional(self.box, key, self.indices)
+            values.flags.writeable = False
+            kept = self._levels = (key, values)
+        return kept[1]
+
     def ordinals_of_indices(self, idx: np.ndarray) -> np.ndarray:
         """Map box indices (must lie on the variety) to ordinals."""
         pos = np.searchsorted(self.indices, idx)
@@ -128,8 +140,7 @@ def enumerate_points(
 def slice_variety(X: VarietyPoints, functional: Hyperplane, levels) -> VarietyPoints:
     """X intersected with {x : l(x) in levels}; an exact filter that reads l
     on X's points only."""
-    vals = _functional(X.box, functional.coeffs, X.indices)
-    keep = np.isin(vals, np.array([v % X.field.p for v in levels], dtype=np.int64))
+    keep = np.isin(X.levels(functional.coeffs), np.array([v % X.field.p for v in levels], dtype=np.int64))
     return VarietyPoints(X.family, X.indices[keep])
 
 

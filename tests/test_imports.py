@@ -8,6 +8,11 @@ same module (as a name, or as the base of an attribute), or be listed in
 `__all__`.  A module-level function or class, or a method, must be
 referenced outside its own body somewhere in src/, demos/, perfbench/ or
 benchmarks/.
+
+Importing a script of benchmarks/ (the harness `ab.py` among them) checks
+only the names it imports; tests/test_benchmarks.py runs one case of each
+through the harness, which also checks the names a script records or
+patches at run time.
 """
 
 import ast

@@ -255,6 +255,27 @@ def test_extend_by_slices_solves_once_per_nonzero_level():
     assert (FunctionOnX.from_poly(X, F) - f).is_zero()
 
 
+@pytest.mark.parametrize("l_coeffs", [(1, 0, 0, 0), (1, 1, 1, 1)])
+def test_extend_by_slices_reads_the_functional_once_per_sweep(monkeypatch, l_coeffs):
+    # a generic quadratic takes three steps, so reading l per slice would
+    # take 7 level tests and 2 slices in each step: 13 reads
+    from rankforge import geometry
+
+    X = ExplicitVariety(2, 2, F7).points()
+    f = FunctionOnX.from_poly(X, poly_of(F7, 4, [(1, (2, 0, 0, 0)), (3, (0, 1, 1, 0)), (1, (1, 0, 0, 1)), (2, (0, 0, 0, 0))]))
+    reads = []
+
+    def counted(bx, coeffs, indices):
+        reads.append(tuple(coeffs))
+        return functional(bx, coeffs, indices)
+
+    functional = geometry._functional
+    monkeypatch.setattr(geometry, "_functional", counted)
+    F = extend_by_slices(f, l_coeffs, 2)
+    assert reads == [l_coeffs]
+    assert (FunctionOnX.from_poly(X, F) - f).is_zero()
+
+
 def test_extend_by_slices_zero_function():
     X = counterexample_variety()
     f = FunctionOnX(X, np.zeros(len(X), dtype=np.int64))
