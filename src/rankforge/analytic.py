@@ -24,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .domain import box
+from .domain import _bincount, _key_dtype, box
 from .errors import InputError, VerificationError
 from .poly import MultiPoly, PolyFamily, multilinear_form
 from .runtime import Budget
@@ -243,7 +243,8 @@ def gowers_norm_direct(
     n = P.n
     (budget or Budget()).charge(p ** (n * (d + 1)) * (1 << d), "direct Gowers enumeration")
     bx = box(field, n)
-    F = bx.eval_poly(P, np.arange(bx.size))[:, None]  # rows x, columns (h_1..h_k)
+    # values in the narrowest unsigned dtype that holds F + p - G <= 2p - 1
+    F = bx.eval_poly(P, np.arange(bx.size)).astype(_key_dtype(2 * p))[:, None]  # rows x, columns (h_1..h_k)
     if d:  # the p^(2n)-entry addition table is within the charge only for d >= 1
         D = bx.digits()
         add = np.zeros((bx.size, bx.size), dtype=np.int64)  # add[x, h] = index of x + h
@@ -251,10 +252,11 @@ def gowers_norm_direct(
             add += (D[:, i, None] + D[None, :, i]) % p * p ** (n - 1 - i)
         for _ in range(d):
             G = F[add]  # G[x, h, :] = F[x + h, :]
-            np.subtract(F[:, None, :], G, out=G)
+            np.subtract(p, G, out=G)
+            G += F[:, None, :]
             G %= p
             F = G.reshape(bx.size, -1)
-    hist = CharHistogram.from_counts(p, np.bincount(F.ravel(), minlength=p))
+    hist = CharHistogram.from_counts(p, _bincount(F.ravel(), p))
     val = hist.char_sum_rational()
     if val is not None:
         val = Fraction(val, hist.domain_size)

@@ -279,7 +279,7 @@ class _Flats:
         ]
 
 
-def _grow(X: VarietyPoints, within: Hyperplane | None, budget: Budget, listed: int):
+def _grow(X: VarietyPoints, within: Hyperplane | None, budget: Budget, listed: int | None = None):
     """Yield the canonical k-flats inside X (and within the hyperplane, when
     given) for k = 0, 1, 2, ...; the generator ends after an empty level.
 
@@ -295,7 +295,8 @@ def _grow(X: VarietyPoints, within: Hyperplane | None, budget: Budget, listed: i
     (parent, b) pairs times the p^k points of each candidate (the parent's
     p^(k-1) rebuilt, the p^(k-1)(p-1) new ones tested), which also covers
     the k+1 indices each kept flat stores.  The level the caller will list,
-    `listed`, is charged first as (k+1)(n+1) words a pair, as if listed.
+    `listed` (none by default), is charged first as (k+1)(n+1) words a pair,
+    as if listed.
     """
     bx = X.box
     budget.charge(bx.size, "subspace enumeration")
@@ -309,7 +310,7 @@ def _grow(X: VarietyPoints, within: Hyperplane | None, budget: Budget, listed: i
         level = _extend(level, allowed, pts, budget, listed)
 
 
-def _extend(level: _Flats, allowed: np.ndarray, pts: np.ndarray, budget: Budget, listed: int) -> _Flats:
+def _extend(level: _Flats, allowed: np.ndarray, pts: np.ndarray, budget: Budget, listed: int | None) -> _Flats:
     """The canonical (k+1)-flats inside the allowed points (indicator, and its
     sorted indices pts), each from the one canonical k-flat in level it
     extends (see _grow, also for `listed`)."""
@@ -373,9 +374,9 @@ def _level(X: VarietyPoints, levels, m: int) -> _Flats:
 
 def subspace_flats(X: VarietyPoints, m: int, within: Hyperplane | None = None, budget: Budget | None = None) -> _Flats:
     """All m-flats fully contained in X (and in the hyperplane, when given),
-    canonical, in (pivots, basis, base) order, as arrays; charged as if the
-    level were listed (see _grow)."""
-    return _level(X, _grow(X, within, budget or Budget(), m), m)
+    canonical, in (pivots, basis, base) order, as arrays; charged for their
+    growth only (see _grow)."""
+    return _level(X, _grow(X, within, budget or Budget()), m)
 
 
 def _listed(flats: _Flats, budget: Budget) -> list[AffineSubspace]:
@@ -395,7 +396,7 @@ def enumerate_subspaces_in(
     """All m-dimensional affine subspaces fully contained in X (and in the
     hyperplane, when given), canonical, in (pivots, basis, base) order."""
     budget = budget or Budget()
-    return _listed(subspace_flats(X, m, within, budget), budget)
+    return _listed(_level(X, _grow(X, within, budget, m), m), budget)
 
 
 # ---------------------------------------------------------------------------

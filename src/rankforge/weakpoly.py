@@ -9,6 +9,20 @@ automatically, and on higher-dimensional ones the full-space testing
 criterion applies.  For prime fields this l is ceil((a+1)/(p-1)), so 1 or 2
 in every shipped experiment.
 
+The weak space W (the weakly polynomial functions) is computed by
+propagation along the l-flats inside X, with no elimination over |X|
+columns.  On each flat a function in W is a polynomial of degree <= a, so
+its values on a few known points of the flat fix the rest (Kaufman and Ron,
+"Testing polynomials over general fields", SIAM J. Comput. 2006).  Seeded at
+the pivot points of the restriction space R (R lies in W), propagation
+writes every function in W as V f[S] through its values on a seed set S;
+when no wave stalls, |S| = dim R certifies W = R and no constraint is read.
+Otherwise W is cut out of V's column space by the constraints of every flat,
+on |S| columns only.  The paper's extension theorem, that weakly polynomial
+functions on high-rank X extend, is the case W = R (see also Kazhdan and
+Ziegler, "Extending weakly polynomial functions from high rank varieties",
+2018).
+
 Extension is realized twice: `extend_by_solve` is the exact linear solver
 with a dual certificate on infeasibility, and `extend_by_slices` builds the
 polynomial level set by level set along a linear functional, dividing out
@@ -23,11 +37,12 @@ from fractions import Fraction
 
 import numpy as np
 
+from .domain import box
 from .errors import InputError, VerificationError
 from .gf import PrimeField
 from .linalg import (
     matmul_mod,
-    nullspace_mod,
+    nullspace_of_rref,
     rref_mod,
     row_space_leq,
     solve_mod,
@@ -159,35 +174,151 @@ class LinearSpaceOfFunctions:
         return [FunctionOnX(self.X, row) for row in self.basis]
 
 
-def weak_space(X: VarietyPoints, a: int, budget: Budget | None = None) -> LinearSpaceOfFunctions:
-    """Exact solution space of all weak-degree-<= a constraints on k^X.
+# Words of the largest array that one propagation or constraint step builds:
+# a chunk of flats, times their p^l points, times the seeds.
+_CHUNK_WORDS = 2**18
 
-    The constraint rows (one per forbidden monomial and flat) come in blocks
-    of about |X| rows, each read off one (flats, p^l) array of the block's
-    ordinals in X, and only a basis K (|X| x k, as columns) of the functions
-    meeting every block so far is kept.  The first block's nullspace gives K.
-    A later block meets f = K c iff F K[L] c = 0 for each of its flats L
-    (K[L]: K's rows at L's points), so with N the nullspace of those f x k
-    blocks stacked, K becomes K N^T.  Memory is one block plus |X| * k,
-    however many flats X holds.  The basis returned is the RREF of K's
-    columns, unique for the space.
+
+def weak_space(X: VarietyPoints, a: int, budget: Budget | None = None) -> LinearSpaceOfFunctions:
+    """Exact solution space W of all weak-degree-<= a constraints on k^X.
+
+    Computed by propagation along the l-flats inside X, with no elimination
+    over |X| columns (see `_weak_space`).  The basis returned is the RREF of
+    W's functions as rows, unique for the space.
     """
+    return _weak_space(X, a, budget)[0]
+
+
+def _weak_space(
+    X: VarietyPoints, a: int, budget: Budget | None
+) -> tuple[LinearSpaceOfFunctions, LinearSpaceOfFunctions | None]:
+    """W, and the restriction space R when it was computed on the way.
+
+    On each l-flat L a function f in W is a polynomial of degree <= a, so f
+    on L is fixed by its values on any of L's points whose columns span those
+    of B, the values of the monomials of degree <= a on L's parameter grid
+    (rows), which span the value vectors with no forbidden coefficient.
+    Stages, each charged before it builds its arrays:
+    - seeds S: the pivot points of R, which fix every function in R (R lies
+      in W always);
+    - propagation (`_propagate`): V (|X| x |S|) with f = V f[S] for every f
+      in W, filled wave by wave along the flats; a wave that fills nothing
+      adds a seed;
+    - constraints (`_constraint_nullspace`), only when |S| > dim R: W is then
+      V ker(C), with C the stacked F V[L] of every flat, on |S| columns.
+      When |S| = dim R, dim R <= dim W <= |S| gives W = R, and no constraint
+      is read;
+    - the basis: the RREF of the columns of V N^T, with N a basis (rows) of
+      ker C, or the identity.
+    """
+    budget = budget or Budget()
     p, nX = X.field.p, len(X)
-    F, _, blocks = _flat_blocks(X, a, budget)
-    K = None
-    for _, ords in blocks:
-        if K is None:
-            rows = np.zeros((len(F) * len(ords), nX), dtype=np.int64)
-            for j, o in enumerate(ords):
-                rows[j * len(F) : (j + 1) * len(F), o] = F
-            K = nullspace_mod(rows, p).T
-        else:
-            C = matmul_mod(F, K[ords], p).reshape(-1, K.shape[1])
-            K = matmul_mod(K, nullspace_mod(C, p).T, p)
-    if K is None:
-        return LinearSpaceOfFunctions(X, np.eye(nX, dtype=np.int64))
-    R, _, rank = rref_mod(K.T, p)
-    return LinearSpaceOfFunctions(X, R[:rank])
+    F, flats, blocks = _flat_blocks(X, a, budget)
+    if not len(F) or not len(flats):
+        return LinearSpaceOfFunctions(X, np.eye(nX, dtype=np.int64)), None
+    rs = restriction_space(X, a, budget)
+    pivots = (rs.basis != 0).argmax(axis=1)  # the first nonzero entry of each RREF row
+    l = local_testing_dimension(X.field, a)
+    B = box(X.field, l).monomial_matrix(monomials(l, a, cap=p - 1), np.arange(p**l)).T  # rows: t^e on the grid
+    V, ords = _propagate(B, len(flats), blocks, nX, pivots, p, budget)
+    N = _constraint_nullspace(F, V, ords, p, budget) if V.shape[1] > rs.dim else None
+    return LinearSpaceOfFunctions(X, _basis(V, N, p, budget)), rs
+
+
+def _fill_rule(B: np.ndarray, known: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """What a mask of known points on a flat fixes: known positions K, the
+    unknown positions U they fix, and T (|U| x |K|) with f[U] = T f[K] for
+    every value vector f in B's row space.  A position is fixed when its
+    column of B lies in the span of the known columns; the RREF of
+    [B_known | B_unknown] reads off both the test and the combination."""
+    K, U = np.flatnonzero(known), np.flatnonzero(~known)
+    R, pivots, _ = rref_mod(np.concatenate([B[:, K], B[:, U]], axis=1), p)
+    r = int(np.searchsorted(pivots, len(K)))  # pivots among the known columns
+    fixed = np.flatnonzero(~R[r:, len(K) :].any(axis=0))
+    return K[pivots[:r]], U[fixed], R[:r, len(K) + fixed].T
+
+
+def _propagate(
+    B: np.ndarray, nflats: int, blocks, nX: int, seeds: np.ndarray, p: int, budget: Budget
+) -> tuple[np.ndarray, np.ndarray]:
+    """V (nX x |S|), one column per seed, with f = V f[S] for every f whose
+    values on each flat lie in B's row space, and the flats' ordinals in X
+    (nflats x p^l, read from the (first flat, ordinals) blocks).
+
+    A wave charges (nX + open flats x p^l) x |S| words, reads the known
+    points of each open flat as a packed mask, and groups the flats by mask.
+    The points a mask fixes (`_fill_rule`, cached per mask) are filled for
+    its flats a chunk at a time, by one product per chunk.  A wave reads only
+    points known when it starts and writes only the others, so the order of
+    its fills does not matter; a point that several flats fix takes the
+    first combination met, since each holds on W.  A wave that fills nothing
+    adds the first unknown point as a seed, or every unknown point when no
+    flat is open, since those lie on no flat.  The first wave is charged
+    once more before the ordinals and V are built.
+    """
+    s = B.shape[1]
+    budget.charge((nX + nflats * s) * len(seeds), "weak space propagation")
+    ords = np.empty((nflats, s), dtype=np.min_scalar_type(nX - 1))
+    for start, block in blocks:
+        ords[start : start + len(block)] = block
+    V = np.zeros((nX, len(seeds)), dtype=np.int64)
+    V[seeds, np.arange(len(seeds))] = 1
+    known = np.zeros(nX, dtype=bool)
+    known[seeds] = True
+    full = np.packbits(np.ones(s, dtype=bool))
+    rules: dict[bytes, tuple] = {}
+    active = np.arange(nflats)
+    while not known.all():
+        S = V.shape[1]
+        budget.charge((nX + len(active) * s) * S, "weak space propagation")
+        step = max(1, _CHUNK_WORDS // (s * S))
+        masks = np.concatenate([np.packbits(known[ords[active[lo : lo + step]]], axis=1) for lo in range(0, len(active), step)])
+        still_open = ~(masks == full).all(axis=1)
+        active, masks = active[still_open], masks[still_open]
+        order = np.lexsort(masks.T[::-1])
+        starts = np.flatnonzero(np.r_[True, (masks[order[1:]] != masks[order[:-1]]).any(axis=1)])
+        filled = 0
+        for members in np.split(order, starts[1:]):
+            key = masks[members[0]].tobytes()
+            if key not in rules:
+                rules[key] = _fill_rule(B, np.unpackbits(masks[members[0]], count=s).astype(bool), p)
+            from_, to, T = rules[key]
+            for lo in range(0, len(members) if len(to) else 0, step):
+                o = ords[active[members[lo : lo + step]]]
+                t, first = np.unique(o[:, to].ravel(), return_index=True)
+                new = ~known[t]
+                V[t[new]] = matmul_mod(T, V[o[:, from_]], p).reshape(-1, S)[first[new]]
+                known[t[new]] = True
+                filled += int(new.sum())
+        if not filled:
+            x = np.flatnonzero(~known)[: 1 if len(active) else None]
+            V = np.concatenate([V, np.zeros((nX, len(x)), dtype=np.int64)], axis=1)
+            V[x, S + np.arange(len(x))], known[x] = 1, True
+    return V, ords
+
+
+def _constraint_nullspace(F: np.ndarray, V: np.ndarray, ords: np.ndarray, p: int, budget: Budget) -> np.ndarray:
+    """A basis (rows) of the c with F V[L] c = 0 on every flat L (a row of
+    ords).  The constraint rows are eliminated a chunk of flats at a time
+    into the RREF of those so far, which has at most |S| rows."""
+    s, S = ords.shape[1], V.shape[1]
+    rows = len(ords) * len(F)
+    budget.charge(rows * s * S + rows * S * S, "weak space constraints")
+    R, pivots = np.zeros((0, S), dtype=np.int64), []
+    step = max(1, _CHUNK_WORDS // (s * S))
+    for lo in range(0, len(ords), step):
+        C = matmul_mod(F, V[ords[lo : lo + step]], p).reshape(-1, S)
+        R, pivots, rank = rref_mod(np.concatenate([R, C]), p)
+        R = R[:rank]
+    return nullspace_of_rref(R, pivots, p)
+
+
+def _basis(V: np.ndarray, N: np.ndarray | None, p: int, budget: Budget) -> np.ndarray:
+    """The RREF of the columns of V N^T (of V when N is None), without zero
+    rows: charged |S|^2 |X| before V N^T is built."""
+    budget.charge(V.shape[1] ** 2 * len(V), "weak space basis")
+    R, _, rank = rref_mod(V.T if N is None else matmul_mod(N, V.T, p), p)
+    return R[:rank]
 
 
 def restriction_space(X: VarietyPoints, a: int, budget: Budget | None = None) -> LinearSpaceOfFunctions:
@@ -216,10 +347,13 @@ def star_check(X: VarietyPoints, a: int, budget: Budget | None = None) -> StarRe
     """Whether every weakly polynomial function of degree <= a extends globally.
 
     Compares dimensions after verifying the containment restriction <= weak,
-    which must hold unconditionally.
+    which must hold unconditionally.  R comes from the weak space's seed
+    stage when that ran (its dimension is the rank of the monomial matrix on
+    the seeds), and is computed here otherwise.
     """
-    ws = weak_space(X, a, budget=budget)
-    rs = restriction_space(X, a, budget=budget)
+    ws, rs = _weak_space(X, a, budget)
+    if rs is None:
+        rs = restriction_space(X, a, budget=budget)
     if not ws.contains_space(rs):
         raise VerificationError("restriction space not contained in weak space")
     return StarReport(ws.dim == rs.dim, ws.dim, rs.dim)

@@ -1,3 +1,5 @@
+import functools
+import itertools
 import random
 import tracemalloc
 from fractions import Fraction
@@ -5,17 +7,21 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
+from sympy import GF
+from sympy.polys.matrices import DomainMatrix
 
-from rankforge import MultiPoly, PolyFamily, PrimeField, VerificationError, random_poly
-from rankforge.catalog import counterexample_function, counterexample_variety
-from rankforge.errors import InputError
+from rankforge import MultiPoly, PolyFamily, PrimeField, VerificationError, random_poly, weakpoly
+from rankforge.catalog import counterexample_function, counterexample_variety, xn_variety
+from rankforge.errors import BudgetExceededError, InputError
 from rankforge.explicit import ExplicitVariety
 from rankforge.geometry import VarietyPoints, enumerate_points, enumerate_subspaces_in
-from rankforge.linalg import check_dual_certificate, nullspace_mod, rank_mod, rref_mod
+from rankforge.linalg import check_dual_certificate, matmul_mod, nullspace_mod, rank_mod, rref_mod
 from rankforge.poly import monomials
+from rankforge.runtime import Budget
 from rankforge.weakpoly import (
     FunctionOnX,
     LinearSpaceOfFunctions,
+    _flat_blocks,
     _forbidden_coefficient_rows,
     density_certificate,
     extend_by_slices,
@@ -387,6 +393,30 @@ def weak_space_one_shot(X, a):
     return R[:rank]
 
 
+def weak_space_shrinking_kernel(X, a):
+    """weak_space as it was before propagation: only a basis K (|X| x k, as
+    columns) of the functions meeting every block of flats so far is kept.
+    The first block's nullspace gives K; a later block meets f = K c iff
+    F K[L] c = 0 for each of its flats L, so with N the nullspace of those
+    blocks stacked, K becomes K N^T.  The RREF of K's columns is returned."""
+    p, nX = X.field.p, len(X)
+    F, _, blocks = _flat_blocks(X, a, None)
+    K = None
+    for _, ords in blocks:
+        if K is None:
+            rows = np.zeros((len(F) * len(ords), nX), dtype=np.int64)
+            for j, o in enumerate(ords):
+                rows[j * len(F) : (j + 1) * len(F), o] = F
+            K = nullspace_mod(rows, p).T
+        else:
+            C = matmul_mod(F, K[ords], p).reshape(-1, K.shape[1])
+            K = matmul_mod(K, nullspace_mod(C, p).T, p)
+    if K is None:
+        return np.eye(nX, dtype=np.int64)
+    R, _, rank = rref_mod(K.T, p)
+    return R[:rank]
+
+
 def random_varieties():
     rng = random.Random(17)
     cases = []
@@ -411,9 +441,102 @@ def test_streamed_weak_space_equals_one_shot_nullspace(X, a):
     assert ws.basis.shape == expect.shape
 
 
-def test_weak_space_memory_is_near_x_squared():
-    # the F_7^4 variety of dual-path-extension: 832 lines, 4160 constraint
-    # rows on 385 points; one dense matrix of them alone is 12.8 MB
+# Beyond random_varieties(): on xn d=2, n=3 over F_3 (261 points), a = 3 has
+# l = 2 and a stall (73 seeds, dim R = 71), and a = 4 has l = 3 and a gap
+# (dim W = 141 > dim R = 140); the counterexample stalls, with a gap.
+PROPAGATION_CASES = [
+    pytest.param(xn_variety(2, 3, 3).points(), 3, id="xn-F3^6-a3-l2-stall"),
+    pytest.param(xn_variety(2, 3, 3).points(), 4, id="xn-F3^6-a4-l3-gap"),
+    pytest.param(counterexample_variety(), 1, id="counterexample-gap"),
+]
+
+
+@pytest.mark.parametrize("X, a", random_varieties() + PROPAGATION_CASES)
+def test_propagated_weak_space_equals_the_shrinking_kernel(X, a):
+    ws = weak_space(X, a)
+    expect = weak_space_shrinking_kernel(X, a)
+    assert ws.basis.dtype == expect.dtype and ws.basis.shape == expect.shape
+    assert ws.basis.tobytes() == expect.tobytes()
+
+
+class _Recorded(Budget):
+    """The default budget, recording what each charge is for."""
+
+    def __init__(self):
+        super().__init__()
+        self.charged: list[str] = []
+
+    def charge(self, estimate, what=""):
+        self.charged.append(what)
+        super().charge(estimate, what)
+
+
+@pytest.mark.parametrize(
+    "X, a, stalls",
+    [
+        pytest.param(ExplicitVariety(2, 2, F7).points(), 1, False, id="F7^4-a1"),
+        pytest.param(xn_variety(2, 3, 5).points(), 1, False, id="xn-F5^6-a1"),
+        pytest.param(xn_variety(2, 3, 3).points(), 3, True, id="xn-F3^6-a3-l2"),
+        pytest.param(counterexample_variety(), 1, True, id="counterexample"),
+    ],
+)
+def test_constraints_are_read_only_after_a_stall(X, a, stalls):
+    # with no stall, |S| = dim R seeds certify W = R
+    budget = _Recorded()
+    ws = weak_space(X, a, budget)
+    assert ("weak space constraints" in budget.charged) == stalls
+    assert (ws.dim > restriction_space(X, a).dim) <= stalls
+
+
+class _Refusing(Budget):
+    """Refuses the first charge for `what`."""
+
+    def __init__(self, what: str):
+        super().__init__()
+        self.what = what
+
+    def charge(self, estimate, what=""):
+        if what == self.what:
+            raise BudgetExceededError(int(estimate), 0, what)
+        super().charge(estimate, what)
+
+
+@pytest.mark.parametrize(
+    "stage, what",
+    [("_propagate", "weak space propagation"), ("_constraint_nullspace", "weak space constraints"), ("_basis", "weak space basis")],
+)
+def test_each_stage_refuses_before_it_builds_its_arrays(monkeypatch, stage, what):
+    # xn d=2, n=3 over F_3 with a = 3 stalls, so all three stages run; the
+    # memory a stage holds above what it was handed, at its peak, is measured
+    # once when it runs and once when its charge refuses
+    X = xn_variety(2, 3, 3).points()
+    run, grown = getattr(weakpoly, stage), []
+
+    def measured(*args):
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        try:
+            return run(*args)
+        finally:
+            grown.append(tracemalloc.get_traced_memory()[1] - held)
+
+    monkeypatch.setattr(weakpoly, stage, measured)
+    tracemalloc.start()
+    try:
+        weak_space(X, 3)
+        with pytest.raises(BudgetExceededError, match=what):
+            weak_space(X, 3, _Refusing(what))
+    finally:
+        tracemalloc.stop()
+    ran, refused = grown
+    assert refused < 2**12 and ran > 2**16
+
+
+def test_propagated_weak_space_holds_no_x_by_x_array():
+    # the F_7^4 variety of dual-path-extension: 385 points, 832 lines, 5
+    # seeds and no stall.  The peak measured 0.22 MB (numpy 2.4, Python
+    # 3.11); the bound adds 0.28 MB of margin and stays below one 385 x 385
+    # int64 array (1.13 MB).  The shrinking kernel peaked at 3.9 MB.
     X = ExplicitVariety(2, 2, F7).points()
     tracemalloc.start()
     try:
@@ -422,7 +545,95 @@ def test_weak_space_memory_is_near_x_squared():
     finally:
         tracemalloc.stop()
     assert ws.dim == 5
-    assert peak < 10 * 2**20
+    assert peak < 2**19
+
+
+@functools.cache
+def brute_force_flats(p, n, m):
+    """Every m-dimensional affine subspace of F_p^n, each once, as its points
+    in parameter order (t_1..t_m row-major, point base + sum t_j d_j).
+    Direction spaces are grown one vector at a time and named by their point
+    sets; each is then cut into its cosets."""
+    vectors = list(itertools.product(range(p), repeat=n))
+    spans = {frozenset([(0,) * n]): ()}
+    for _ in range(m):
+        grown = {}
+        for D, dirs in spans.items():
+            reached = set(D)
+            for v in vectors:
+                if v not in reached:
+                    E = frozenset(tuple((u[i] + c * v[i]) % p for i in range(n)) for u in D for c in range(p))
+                    reached |= E
+                    grown.setdefault(E, dirs + (v,))
+        spans = grown
+    flats = []
+    for dirs in spans.values():
+        covered = set()
+        for base in vectors:
+            if base not in covered:
+                pts = [
+                    tuple((base[i] + sum(t[j] * dirs[j][i] for j in range(m))) % p for i in range(n))
+                    for t in itertools.product(range(p), repeat=m)
+                ]
+                covered.update(pts)
+                flats.append(pts)
+    return flats
+
+
+def weak_space_by_definition(X, a):
+    """The functions on X whose restriction to every affine subspace inside X,
+    of every dimension, has no monomial of degree > a: each restriction is
+    interpolated by the inverse of the Vandermonde matrix (t^e), and the
+    nullspace of the stacked coefficient rows is taken over GF(p) by sympy.
+    Returned as its RREF basis."""
+    p, n = X.field.p, X.n
+    K = GF(p)
+    vandermonde = DomainMatrix([[K(pow(t, e, p)) for e in range(p)] for t in range(p)], (p, p), K)
+    inverse = np.array([[int(c) % p for c in row] for row in vandermonde.inv().to_list()], dtype=np.int64)
+    ordinal = {point: i for i, point in enumerate(X.points)}
+    rows = []
+    for m in range(1, n + 1):
+        coefficients = functools.reduce(lambda A, B: np.kron(A, B) % p, [inverse] * m)
+        high = [i for i, e in enumerate(itertools.product(range(p), repeat=m)) if sum(e) > a]
+        for points in brute_force_flats(p, n, m):
+            if all(pt in ordinal for pt in points):
+                for i in high:
+                    row = [0] * len(X)
+                    for pt, c in zip(points, coefficients[i]):
+                        row[ordinal[pt]] = (row[ordinal[pt]] + int(c)) % p
+                    rows.append(row)
+    if not rows:
+        return np.eye(len(X), dtype=np.int64)
+    R, pivots = DomainMatrix([[K(v) for v in row] for row in rows], (len(rows), len(X)), K).nullspace().rref()
+    return np.array([[int(c) % p for c in row] for row in R.to_list()[: len(pivots)]], dtype=np.int64).reshape(len(pivots), len(X))
+
+
+RANDOM_VARIETIES = {param.id: param.values for param in random_varieties()}
+
+
+@pytest.mark.parametrize(
+    "X, a",
+    [
+        pytest.param(counterexample_variety(), 1, id="counterexample-gap"),
+        pytest.param(xn_variety(2, 2, 3).points(), 2, id="xn-F3^4-a2-l2"),
+        pytest.param(*RANDOM_VARIETIES["F3^4-d2-a2-11"], id="F3^4-a2-l2-gap"),
+        pytest.param(*RANDOM_VARIETIES["F5^3-d2-a1-12"], id="F5^3-a1-gap"),
+        pytest.param(*RANDOM_VARIETIES["F7^3-d2-a1-18"], id="F7^3-a1-gap"),
+    ],
+)
+def test_weak_space_equals_its_definition(X, a):
+    # weak dimensions 4, 14, 15, 7 and 9 on 13, 33, 27, 25 and 49 points
+    expect = weak_space_by_definition(X, a)
+    assert 0 < len(expect) < len(X)
+    assert weak_space(X, a).basis.tobytes() == expect.tobytes()
+
+
+def test_brute_force_flats_are_every_affine_subspace():
+    # (p^n - 1)/(p - 1) directions times p^(n-1) cosets for lines; the 130
+    # planes through 0 in F_3^4 have 9 cosets each
+    assert len(brute_force_flats(5, 2, 1)) == 30
+    assert len(brute_force_flats(3, 4, 2)) == 130 * 9
+    assert all(len(set(points)) == 9 for points in brute_force_flats(3, 4, 2))
 
 
 def first_offending_by_subspace_loop(f, a):
