@@ -14,10 +14,12 @@ the end-to-end runs: see ab.py.
 - `weak_space xn d=.., a=..`: `weak_space(X, a)` on the points of the
   block-product variety, run once whatever --reps is (the parent takes up
   to minutes on them), with the child's peak RSS; the hash is of the basis
-  bytes.  d=2, n=4 over F_3 with a = 2 runs under a budget of 10^9: its
-  propagation charges 4.8e8.  The parent refuses d=2, n=3 over F_7 at the
-  default budget ("subspace list"), so that part records the refusal, and
-  its basis digest (`basis_digest`, not a `*sha256` field) is not compared.
+  bytes.  d=2, n=4 over F_3 with a = 2 runs under a budget of 10^9, where
+  the parent answers too (it refuses at the default budget, "subspace
+  list" 3.0e8), so that the bases are compared.  The parent refuses d=2,
+  n=3 over F_7 at the default budget ("subspace list"), so that part
+  records the refusal, and its basis digest (`basis_digest`, not a
+  `*sha256` field) is not compared.
 """
 
 from __future__ import annotations

@@ -191,8 +191,8 @@ def weak_space(X: VarietyPoints, a: int, budget: Budget | None = None) -> Linear
 
 def _weak_space(
     X: VarietyPoints, a: int, budget: Budget | None
-) -> tuple[LinearSpaceOfFunctions, LinearSpaceOfFunctions | None]:
-    """W, and the restriction space R when it was computed on the way.
+) -> tuple[LinearSpaceOfFunctions, LinearSpaceOfFunctions]:
+    """W, and the restriction space R computed on the way.
 
     On each l-flat L a function f in W is a polynomial of degree <= a, so f
     on L is fixed by its values on any of L's points whose columns span those
@@ -214,9 +214,9 @@ def _weak_space(
     budget = budget or Budget()
     p, nX = X.field.p, len(X)
     F, flats, blocks = _flat_blocks(X, a, budget)
-    if not len(F) or not len(flats):
-        return LinearSpaceOfFunctions(X, np.eye(nX, dtype=np.int64)), None
     rs = restriction_space(X, a, budget)
+    if not len(F) or not len(flats):
+        return LinearSpaceOfFunctions(X, np.eye(nX, dtype=np.int64)), rs
     pivots = (rs.basis != 0).argmax(axis=1)  # the first nonzero entry of each RREF row
     l = local_testing_dimension(X.field, a)
     B = box(X.field, l).monomial_matrix(monomials(l, a, cap=p - 1), np.arange(p**l)).T  # rows: t^e on the grid
@@ -245,19 +245,20 @@ def _propagate(
     values on each flat lie in B's row space, and the flats' ordinals in X
     (nflats x p^l, read from the (first flat, ordinals) blocks).
 
-    A wave charges (nX + open flats x p^l) x |S| words, reads the known
-    points of each open flat as a packed mask, and groups the flats by mask.
-    The points a mask fixes (`_fill_rule`, cached per mask) are filled for
-    its flats a chunk at a time, by one product per chunk.  A wave reads only
-    points known when it starts and writes only the others, so the order of
-    its fills does not matter; a point that several flats fix takes the
-    first combination met, since each holds on W.  A wave that fills nothing
-    adds the first unknown point as a seed, or every unknown point when no
-    flat is open, since those lie on no flat.  The first wave is charged
-    once more before the ordinals and V are built.
+    A wave reads the known points of each open flat as a packed mask and
+    groups the flats by mask.  The points a mask fixes (`_fill_rule`, cached
+    per mask) are filled for its flats a chunk at a time, by one product per
+    chunk.  A wave reads only points known when it starts and writes only
+    the others, so the order of its fills does not matter; a point that
+    several flats fix takes the first combination met, since each holds on W.
+    A wave that fills nothing adds the first unknown point as a seed, or
+    every unknown point once no flat is open, since those lie on no flat.
+    Charged before each array it builds: the ordinals and V, each wave's mask
+    read (open flats x p^l), each group's fills (flats x fixed x fixing x
+    |S|) and each widening of V by new seeds.
     """
     s = B.shape[1]
-    budget.charge((nX + nflats * s) * len(seeds), "weak space propagation")
+    budget.charge(nflats * s + nX * len(seeds), "weak space propagation")
     ords = np.empty((nflats, s), dtype=np.min_scalar_type(nX - 1))
     for start, block in blocks:
         ords[start : start + len(block)] = block
@@ -270,19 +271,22 @@ def _propagate(
     active = np.arange(nflats)
     while not known.all():
         S = V.shape[1]
-        budget.charge((nX + len(active) * s) * S, "weak space propagation")
         step = max(1, _CHUNK_WORDS // (s * S))
-        masks = np.concatenate([np.packbits(known[ords[active[lo : lo + step]]], axis=1) for lo in range(0, len(active), step)])
-        still_open = ~(masks == full).all(axis=1)
-        active, masks = active[still_open], masks[still_open]
-        order = np.lexsort(masks.T[::-1])
-        starts = np.flatnonzero(np.r_[True, (masks[order[1:]] != masks[order[:-1]]).any(axis=1)])
-        filled = 0
-        for members in np.split(order, starts[1:]):
+        groups, filled = [], 0
+        if len(active):
+            budget.charge(len(active) * s, "weak space propagation")
+            masks = np.concatenate([np.packbits(known[ords[active[lo : lo + step]]], axis=1) for lo in range(0, len(active), step)])
+            still_open = ~(masks == full).all(axis=1)
+            active, masks = active[still_open], masks[still_open]
+            order = np.lexsort(masks.T[::-1])
+            starts = np.flatnonzero(np.r_[True, (masks[order[1:]] != masks[order[:-1]]).any(axis=1)])
+            groups = np.split(order, starts[1:]) if len(active) else []
+        for members in groups:
             key = masks[members[0]].tobytes()
             if key not in rules:
                 rules[key] = _fill_rule(B, np.unpackbits(masks[members[0]], count=s).astype(bool), p)
             from_, to, T = rules[key]
+            budget.charge(len(members) * len(to) * len(from_) * S, "weak space propagation")
             for lo in range(0, len(members) if len(to) else 0, step):
                 o = ords[active[members[lo : lo + step]]]
                 t, first = np.unique(o[:, to].ravel(), return_index=True)
@@ -292,6 +296,7 @@ def _propagate(
                 filled += int(new.sum())
         if not filled:
             x = np.flatnonzero(~known)[: 1 if len(active) else None]
+            budget.charge(nX * (S + len(x)), "weak space propagation")
             V = np.concatenate([V, np.zeros((nX, len(x)), dtype=np.int64)], axis=1)
             V[x, S + np.arange(len(x))], known[x] = 1, True
     return V, ords
@@ -348,12 +353,9 @@ def star_check(X: VarietyPoints, a: int, budget: Budget | None = None) -> StarRe
 
     Compares dimensions after verifying the containment restriction <= weak,
     which must hold unconditionally.  R comes from the weak space's seed
-    stage when that ran (its dimension is the rank of the monomial matrix on
-    the seeds), and is computed here otherwise.
+    stage, so its elimination runs once.
     """
     ws, rs = _weak_space(X, a, budget)
-    if rs is None:
-        rs = restriction_space(X, a, budget=budget)
     if not ws.contains_space(rs):
         raise VerificationError("restriction space not contained in weak space")
     return StarReport(ws.dim == rs.dim, ws.dim, rs.dim)

@@ -451,7 +451,34 @@ PROPAGATION_CASES = [
 ]
 
 
-@pytest.mark.parametrize("X, a", random_varieties() + PROPAGATION_CASES)
+# Varieties with points on no flat of the testing dimension: y (x^2 + y^2 - 1)
+# over F_5 (a = 1) is the line y = 0 with (0, 1) and (0, 4), and the cubic
+# over F_3^3 (a = 2, l = 2) has 7 of its 16 points on no plane inside it.
+# Propagation runs out of open flats with such points still unknown; weak
+# dimensions 4 and 13 above restriction dimensions 3 and 10.
+OFF_FLAT_CASES = [
+    pytest.param(
+        enumerate_points(PolyFamily([poly_of(F5, 2, [(1, (2, 1)), (1, (0, 3)), (-1, (0, 1))])])), 1, id="F5^2-line-and-two-points"
+    ),
+    pytest.param(
+        enumerate_points(
+            PolyFamily(
+                [
+                    poly_of(
+                        F3,
+                        3,
+                        [(1, (1, 0, 0)), (1, (1, 0, 1)), (1, (1, 1, 0)), (1, (1, 2, 0)), (1, (2, 0, 0)), (1, (2, 0, 1)), (2, (1, 0, 2)), (2, (2, 1, 0))],
+                    )
+                ]
+            )
+        ),
+        2,
+        id="F3^3-cubic-a2-l2",
+    ),
+]
+
+
+@pytest.mark.parametrize("X, a", random_varieties() + PROPAGATION_CASES + OFF_FLAT_CASES)
 def test_propagated_weak_space_equals_the_shrinking_kernel(X, a):
     ws = weak_space(X, a)
     expect = weak_space_shrinking_kernel(X, a)
@@ -486,6 +513,14 @@ def test_constraints_are_read_only_after_a_stall(X, a, stalls):
     ws = weak_space(X, a, budget)
     assert ("weak space constraints" in budget.charged) == stalls
     assert (ws.dim > restriction_space(X, a).dim) <= stalls
+
+
+def test_propagation_is_charged_for_the_fills_it_does():
+    # xn d=2, n=2 over F_7 with a = 2: 385 points, 832 lines, 14 seeds and no
+    # stall.  No charge here exceeds 75,460 (the basis); charging every open
+    # line's 7 points for every seed would ask (385 + 832 * 7) * 14 = 86,926
+    X = xn_variety(2, 2, 7).points()
+    assert weak_space(X, 2, Budget(80_000)).dim == 14
 
 
 class _Refusing(Budget):
@@ -619,10 +654,12 @@ RANDOM_VARIETIES = {param.id: param.values for param in random_varieties()}
         pytest.param(*RANDOM_VARIETIES["F3^4-d2-a2-11"], id="F3^4-a2-l2-gap"),
         pytest.param(*RANDOM_VARIETIES["F5^3-d2-a1-12"], id="F5^3-a1-gap"),
         pytest.param(*RANDOM_VARIETIES["F7^3-d2-a1-18"], id="F7^3-a1-gap"),
-    ],
+    ]
+    + OFF_FLAT_CASES,
 )
 def test_weak_space_equals_its_definition(X, a):
-    # weak dimensions 4, 14, 15, 7 and 9 on 13, 33, 27, 25 and 49 points
+    # weak dimensions 4, 14, 15, 7, 9, 4 and 13 on 13, 33, 27, 25, 49, 7 and
+    # 16 points
     expect = weak_space_by_definition(X, a)
     assert 0 < len(expect) < len(X)
     assert weak_space(X, a).basis.tobytes() == expect.tobytes()
