@@ -14,8 +14,10 @@ with --out also writes it there: the `command`, the `machine`, then
   child process on this checkout's `src`, and with --parent also on the
   parent's `src`; every field named `*sha256` must then be equal on both
   sides;
-- with --parent, `payloads`: the sha256 of every acceptance criterion's
-  `payload_bytes()` on both sides, which must be equal; `end_to_end`:
+- with --parent, first the bytecode of both checkouts' src and perfbench
+  brought up to date (`compile_checkout`), then `payloads`: the sha256 of
+  every acceptance criterion's `payload_bytes()` on both sides, which must
+  be equal; `end_to_end`:
   `perfbench/run.py --seconds 0 --trace 0` on both workloads, each seed run
   once in the parent checkout and once here, the side that runs first
   alternating by seed, for seeds 1 to --pairs and then the next --pairs
@@ -218,8 +220,19 @@ def claim(workload: dict, name: str) -> dict:
     }
 
 
+def compile_checkout(checkout: Path) -> None:
+    """Bring the bytecode of a checkout's src and perfbench up to date.
+    compileall writes it even under PYTHONDONTWRITEBYTECODE, where a child
+    would otherwise compile every stale module again, and count that in its
+    setup time and peak RSS."""
+    for tree in ("src", "perfbench"):
+        subprocess.run([sys.executable, "-m", "compileall", "-q", str(checkout / tree)], check=True)
+
+
 def end_to_end(parent: Path, n: int) -> dict:
     sides = {"parent": parent, "change": ROOT}
+    for checkout in sides.values():
+        compile_checkout(checkout)
     payloads = {side: child([sys.executable, "-c", PAYLOADS], checkout / "src") for side, checkout in sides.items()}
     if payloads["parent"] != payloads["change"]:
         raise SystemExit("the acceptance payloads of the parent and the change differ")

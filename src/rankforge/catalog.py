@@ -80,13 +80,18 @@ def degenerate_census_family() -> tuple[PolyFamily, tuple[int, ...]]:
 # ---------------------------------------------------------------------------
 
 
+def _int_param(kv: str, spec: str) -> tuple[str, int]:
+    """A constructor parameter "key=integer" as (key, integer)."""
+    k, _, v = kv.partition("=")
+    try:
+        return k.strip(), int(v)  # with no "=", v is "" and int refuses it
+    except ValueError:
+        raise InputError(f"constructor {spec!r}: expected key=integer, got {kv!r}") from None
+
+
 def _parse_named(spec: str) -> list[MultiPoly]:
     if spec.startswith("xn:") or spec == "xn":
-        params = {}
-        if ":" in spec:
-            for kv in spec.split(":", 1)[1].split(","):
-                k, v = kv.split("=")
-                params[k.strip()] = int(v)
+        params = dict(_int_param(kv, spec) for kv in spec.split(":", 1)[1].split(",")) if ":" in spec else {}
         try:
             d, n, q = params["d"], params["n"], params["q"]
         except KeyError as exc:
@@ -98,7 +103,7 @@ def _parse_named(spec: str) -> list[MultiPoly]:
     if spec.startswith("char2-quartic"):
         n = 5
         if ":" in spec:
-            n = int(spec.split(":", 1)[1].split("=")[1])
+            n = _int_param(spec.split(":", 1)[1], spec)[1]
         return [char2_quartic(n)]
     raise InputError(f"unknown constructor {spec!r}")
 

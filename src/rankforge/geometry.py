@@ -15,10 +15,11 @@ hands over a level in canonical order, `_Flats.points` gives the points of a
 whole stack of flats at once, and `AffineSubspace` objects are built only
 where a caller lists or returns them.
 
-The extension census grows once to dimension m+1, reads the m-flats in the
-hyperplane off level m, reads the sections of the (m+1)-flats by the
-hyperplane off their canonical forms as arrays (`_Flats.sections`), and
-matches the two by their (base, rows) keys; no (m+1)-subspace is listed.
+The extension census grows the m-flats L inside the hyperplane W = {l = b}
+only, and takes one extension step from each: an (m+1)-flat of the set
+through L that leaves W is L + span(y - base) for exactly one point y of the
+set on the level l = b+1 that is zero at L's pivot columns, so it tests
+those (L, y) pairs on their points.  No (m+1)-flat is grown or listed.
 
 Composition fibers are counted by sorting the maps' value tuples, each
 packed into a base-p integer when that fits in int64, one chunk of maps at a
@@ -34,7 +35,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .domain import Box, _pow_mod, box
+from .domain import Box, box
 from .errors import InputError, VerificationError
 from .gf import PrimeField
 from .linalg import rank_mod, rref_mod
@@ -235,40 +236,9 @@ class _Flats:
         """The flats a slice, mask or index array selects, in its order."""
         return _Flats(self.box, self.base[key], self.rows[key])
 
-    def keys(self) -> np.ndarray:
-        """(N, k+1): each flat's base and rows, which name it."""
-        return np.concatenate([self.base[:, None], self.rows], axis=1)
-
     def points(self) -> np.ndarray:
         """(N, p^k) box indices of each flat's points, in parameter order."""
         return self.box.subspace_points(self.box.decode(self.base), self.box.decode(self.rows))
-
-    def inside(self, coeffs, level: int) -> np.ndarray:
-        """Mask of the flats inside {x : sum_i coeffs[i] x_i = level}."""
-        p = self.box.field.p
-        return (_functional(self.box, coeffs, self.base) == level % p) & ~_functional(self.box, coeffs, self.rows).any(axis=1)
-
-    def sections(self, coeffs, level: int) -> "_Flats":
-        """The sections by {x : sum_i coeffs[i] x_i = level} of the flats on
-        which that functional l is not constant, in canonical form and in
-        their order; the other flats are dropped.  With row_j the last row
-        where l is nonzero, the other rows become row_i - (l(row_i)/l(row_j))
-        row_j and the base moves along row_j onto the level.  Only rows before
-        j change, and not on a pivot, so the form stays canonical with no
-        rref_mod call."""
-        bx = self.box
-        p, k = bx.field.p, self.rows.shape[1]
-        ls = _functional(bx, coeffs, self.rows)
-        j = ((ls != 0) * np.arange(1, k + 1)).max(axis=1, initial=0) - 1  # -1 where l is constant
-        live = j >= 0
-        ls, j, at = ls[live], j[live], np.arange(int(live.sum()))
-        base, rows = bx.decode(self.base[live]), bx.decode(self.rows[live])
-        row_j = rows[at, j]
-        inv = _pow_mod(ls[at, j], p - 2, p)  # 1 / l(row_j), by Fermat
-        t = (int(level) % p - _functional(bx, coeffs, self.base[live])) * inv % p
-        rows = rows - (ls * inv[:, None] % p)[:, :, None] * row_j[:, None, :]  # encode reduces mod p
-        rest = rows[np.arange(k) != j[:, None]].reshape(len(j), max(k - 1, 0), bx.n)
-        return _Flats(bx, bx.encode(base + t[:, None] * row_j), bx.encode(rest))
 
     def subspaces(self) -> list[AffineSubspace]:
         """The flats as AffineSubspace objects, in their order."""
@@ -279,9 +249,12 @@ class _Flats:
         ]
 
 
-def _grow(X: VarietyPoints, within: Hyperplane | None, budget: Budget, listed: int | None = None):
-    """Yield the canonical k-flats inside X (and within the hyperplane, when
-    given) for k = 0, 1, 2, ...; the generator ends after an empty level.
+def _grow(X: VarietyPoints, m: int, within: Hyperplane | None, budget: Budget, listed: bool = False) -> _Flats:
+    """The canonical m-flats inside X (and within the hyperplane, when
+    given), in (pivots, basis, base) order: the order of a scan over pivot
+    sets, then RREF fillings, then bases, each lexicographic.  They are grown
+    from the points one dimension at a time; growth stops at an empty level,
+    and no m-flat fits in k^n when m > n, so then nothing is grown.
 
     A canonical k-flat (base, rows r_1..r_k) arises once, from the (k-1)-flat
     (base, r_1..r_{k-1}): that one is canonical, lies in X, has its last
@@ -294,26 +267,31 @@ def _grow(X: VarietyPoints, within: Hyperplane | None, budget: Budget, listed: i
     Level 0 is charged as the p^n box; level k, before it is built, as its
     (parent, b) pairs times the p^k points of each candidate (the parent's
     p^(k-1) rebuilt, the p^(k-1)(p-1) new ones tested), which also covers
-    the k+1 indices each kept flat stores.  The level the caller will list,
-    `listed` (none by default), is charged first as (k+1)(n+1) words a pair,
-    as if listed.
+    the k+1 indices each kept flat stores.  When the caller will list level
+    m (`listed`), it is charged first as (m+1)(n+1) words a pair, as if
+    listed.
     """
+    if m < 0:
+        raise InputError(f"subspace dimension must be >= 0, got {m}")
     bx = X.box
+    empty = _Flats(bx, np.zeros(0, dtype=np.int64), np.zeros((0, m), dtype=np.int64))
+    if m > bx.n:
+        return empty
     budget.charge(bx.size, "subspace enumeration")
     allowed = X.indicator if within is None else X.indicator & within.indicator(bx)
     pts = np.flatnonzero(allowed)
-    level = _Flats(bx, pts, np.zeros((len(pts), 0), dtype=np.int64))
-    while True:
-        yield level
-        if not len(level):
-            return
-        level = _extend(level, allowed, pts, budget, listed)
+    flats = _Flats(bx, pts, np.zeros((len(pts), 0), dtype=np.int64))
+    for k in range(1, m + 1):
+        if not len(flats):
+            return empty
+        flats = _extend(flats, allowed, pts, budget, listed and k == m)
+    return flats[np.lexsort(np.concatenate([_pivots(bx, flats.rows), flats.rows, flats.base[:, None]], axis=1).T[::-1])]
 
 
-def _extend(level: _Flats, allowed: np.ndarray, pts: np.ndarray, budget: Budget, listed: int | None) -> _Flats:
+def _extend(level: _Flats, allowed: np.ndarray, pts: np.ndarray, budget: Budget, listed: bool) -> _Flats:
     """The canonical (k+1)-flats inside the allowed points (indicator, and its
     sorted indices pts), each from the one canonical k-flat in level it
-    extends (see _grow, also for `listed`)."""
+    extends (see _grow; `listed` charges the new level as a list first)."""
     bx = level.box
     p, n = bx.field.p, bx.n
     N, k = level.rows.shape
@@ -333,7 +311,7 @@ def _extend(level: _Flats, allowed: np.ndarray, pts: np.ndarray, budget: Budget,
     # (up to N words each) are held across all n columns
     pairs = sum(int(candidates(c)[2].sum()) for c in range(n))
     budget.charge(pairs * s * p, "subspace enumeration")
-    if k + 1 == listed:
+    if listed:
         budget.charge(pairs * (k + 2) * (n + 1), "subspace list")
     params = np.arange(s, dtype=np.int64)[:, None] // p ** np.arange(k - 1, -1, -1, dtype=np.int64) % p  # (s, k)
     t = np.arange(1, p, dtype=np.int64)[:, None, None]
@@ -358,25 +336,11 @@ def _extend(level: _Flats, allowed: np.ndarray, pts: np.ndarray, budget: Budget,
     return _Flats(bx, np.concatenate(bases), np.concatenate(rows))
 
 
-def _level(X: VarietyPoints, levels, m: int) -> _Flats:
-    """The m-flats from a _grow generator over X (an empty level if growth
-    stops first) in (pivots, basis, base) order, the order of a scan over
-    pivot sets, then RREF fillings, then bases, each lexicographic.  No m-flat
-    fits in k^n when m > n: then nothing is grown."""
-    if m < 0:
-        raise InputError(f"subspace dimension must be >= 0, got {m}")
-    if m > X.n:
-        return _Flats(X.box, np.zeros(0, dtype=np.int64), np.zeros((0, m), dtype=np.int64))
-    for k, flats in enumerate(levels):
-        if k == m or not len(flats):
-            return flats[np.lexsort(np.concatenate([_pivots(X.box, flats.rows), flats.rows, flats.base[:, None]], axis=1).T[::-1])]
-
-
 def subspace_flats(X: VarietyPoints, m: int, within: Hyperplane | None = None, budget: Budget | None = None) -> _Flats:
     """All m-flats fully contained in X (and in the hyperplane, when given),
     canonical, in (pivots, basis, base) order, as arrays; charged for their
     growth only (see _grow)."""
-    return _level(X, _grow(X, within, budget or Budget()), m)
+    return _grow(X, m, within, budget or Budget())
 
 
 def _listed(flats: _Flats, budget: Budget) -> list[AffineSubspace]:
@@ -396,7 +360,7 @@ def enumerate_subspaces_in(
     """All m-dimensional affine subspaces fully contained in X (and in the
     hyperplane, when given), canonical, in (pivots, basis, base) order."""
     budget = budget or Budget()
-    return _listed(_level(X, _grow(X, within, budget, m), m), budget)
+    return _listed(_grow(X, m, within, budget, listed=True), budget)
 
 
 # ---------------------------------------------------------------------------
@@ -426,22 +390,42 @@ def census_extension(
     m: int,
     budget: Budget | None = None,
 ) -> SubspaceCensus:
-    """Classify m-subspaces of X cap W by extendability to an (m+1)-subspace
-    of X that leaves W.
+    """Classify the m-subspaces of X cap W, W = {l = b}, by extendability
+    to an (m+1)-subspace of X that leaves W.
 
-    One growth inside X gives both levels: Z is the m-flats with l(base) = b
-    and l(rows) = 0, and level m+1 (not grown when Z is empty) is read as its
-    sections by W."""
+    Z is grown inside X cap W.  An (m+1)-flat M of X through L in Z that
+    leaves W meets the level l = b+1 in a translate of L, and exactly one
+    point y of that translate is zero at L's pivot columns: L's base is, and
+    L's RREF rows clear y there.  So L extends iff some point y of X on that
+    level, zero at L's pivots, puts L + t(y - base), t = 1..p-1, inside X,
+    and distinct y's give distinct M's.  Z comes in pivot order, so each
+    pivot set is one run of Z, with one mask for its y's.  The (L, y) pairs
+    are charged p^(m+1) points each before any is tested or Z is listed, and
+    tested a chunk of about `_CHUNK_BYTES` at a time."""
     budget = budget or Budget()
-    levels = _grow(X, None, budget, m + 1)
-    flats = _level(X, levels, m)
-    Z = flats[flats.inside(W.coeffs, W.b)]
+    Z = subspace_flats(X, m, W, budget)
+    if not len(Z):
+        return SubspaceCensus(m, (), ())
+    bx = X.box
+    p = bx.field.p
+    ys = bx.decode(X.indices[X.levels(W.coeffs) == (W.b + 1) % p])  # the points of X at level b+1
+    pivots = _pivots(bx, Z.rows)
+    starts = np.flatnonzero(np.r_[True, (pivots[1:] != pivots[:-1]).any(axis=1)])
+    runs = [(lo, hi, ys[~ys[:, pivots[lo]].any(axis=1)]) for lo, hi in zip(starts.tolist(), [*starts[1:].tolist(), len(Z)])]
+    budget.charge(sum((hi - lo) * len(y) for lo, hi, y in runs) * p ** (m + 1), "extension census")
     listed = _listed(Z, budget)
-    # an M that leaves W meets it in one m-flat, and one on which l is
-    # constant lies in W or misses it; an empty Z has nothing to match
-    sections = next(levels).sections(W.coeffs, W.b).keys() if len(Z) else Z.keys()
-    _, label = np.unique(np.concatenate([sections, Z.keys()]), axis=0, return_inverse=True)
-    extendable = np.isin(label[len(sections) :], label[: len(sections)])
+    extendable = np.zeros(len(Z), dtype=bool)
+    cap = max(1, _CHUNK_BYTES // (p**m * max(bx.n, 1) * 8))  # (L, y) pairs per chunk
+    for lo, hi, y in runs:
+        base, rows = bx.decode(Z.base[lo:hi]), bx.decode(Z.rows[lo:hi])
+        pairs = (hi - lo) * len(y)
+        for i in range(0, pairs, cap):
+            L, j = np.divmod(np.arange(i, min(i + cap, pairs)), len(y))
+            d = y[j] - base[L]
+            for t in range(1, p):  # the translate of L at level b+t, for the pairs still alive
+                live = X.indicator[bx.subspace_points((base[L] + t * d) % p, rows[L])].all(axis=1)
+                L, d = L[live], d[live]
+            extendable[lo + L] = True
     return SubspaceCensus(m, tuple(listed), tuple(L for L, e in zip(listed, extendable) if not e))
 
 

@@ -119,6 +119,30 @@ def test_one_pair_is_refused_before_anything_runs(script, monkeypatch, capsys):
     assert ab.parser().parse_args(["--pairs", "2"]).pairs == 2
 
 
+def test_end_to_end_compiles_both_checkouts_first(script, tmp_path, monkeypatch):
+    # compileall writes bytecode under PYTHONDONTWRITEBYTECODE too, and
+    # end_to_end brings both sides up to date before any child runs
+    ab = script("ab")
+    sources = [tmp_path / "src" / "pkg" / "mod.py", tmp_path / "perfbench" / "run.py"]
+    for source in sources:
+        source.parent.mkdir(parents=True)
+        source.write_text("X = 1\n")
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    ab.compile_checkout(tmp_path)
+    assert all(Path(importlib.util.cache_from_source(str(source))).exists() for source in sources)
+    events = []
+    monkeypatch.setattr(ab, "compile_checkout", lambda checkout: events.append(("compile", checkout)))
+
+    def child(cmd, src, cwd=None):
+        events.append(("child", src))
+        raise SystemExit("stop")
+
+    monkeypatch.setattr(ab, "child", child)
+    with pytest.raises(SystemExit, match="stop"):
+        ab.end_to_end(tmp_path, 2)
+    assert events == [("compile", tmp_path), ("compile", ab.ROOT), ("child", tmp_path / "src")]
+
+
 def test_parts_compare_every_hash(script):
     ab = script("ab")
     doc = {"cases": {"rows": [{"sha256": "a", "histogram_sha256": "b", "s": 1.0}]}, "acceptance": {"sha256": "c"}}

@@ -174,6 +174,14 @@ def test_cli_non_integer_list_is_an_input_error(capsys, flag, argv):
     assert doc["error"] == "input" and doc["detail"].startswith(f"{flag} expects comma-separated integers")
 
 
+@pytest.mark.parametrize("spec", ["xn:d=2,n", "xn:d=2,n=x,q=3", "char2-quartic:n=x", "char2-quartic:n"])
+def test_cli_malformed_named_constructor_is_an_input_error(capsys, spec):
+    code, out, err = run_cli(capsys, "bias", "--poly", spec)
+    assert code == 2 and out == ""
+    doc = json.loads(err)
+    assert doc["error"] == "input" and doc["detail"].startswith(f"constructor {spec!r}: expected key=integer")
+
+
 def test_cli_universal_negative(capsys):
     code, out, _ = run_cli(
         capsys,

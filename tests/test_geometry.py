@@ -15,7 +15,6 @@ from rankforge import geometry
 from rankforge.explicit import ExplicitVariety
 from rankforge.geometry import (
     AffineSubspace,
-    _Flats,
     _functional,
     Hyperplane,
     VarietyPoints,
@@ -370,6 +369,45 @@ def test_census_when_growth_stops_below_m(indices, m):
     assert cen.Z == cen.Y == () and cen.ratio is None
 
 
+def test_census_charges_its_pairs_before_z_is_listed():
+    # each line L of X in W = {x0 = 0} with each point y of X on x0 = 1 that
+    # is zero at L's pivot, times the p^2 points of L + span(y - base): charged
+    # after Z is grown and before Z is listed, so a budget just below it
+    # refuses with no list charged
+    X = enumerate_points(quadric_f3())
+    W = Hyperplane((1, 0, 0, 0), 0)
+    points = [X.box.point_of(int(i)) for i in X.indices]
+    Z = scan_subspaces_in(X, 1, W)
+    pairs = sum(1 for L in Z for y in points if y[0] == 1 and y[L.basis[0].index(1)] == 0)
+    charges = []
+    census_extension(X, W, 1, budget=_recording_budget(charges))
+    assert charges[-2:] == [pairs * 9, len(Z) * 2 * 5]  # then Z's list: 2 tuples of n + 1 words a line
+    grown = charges[:-2]
+    assert max(grown) < pairs * 9 - 1
+    charges.clear()
+    with pytest.raises(BudgetExceededError) as refusal:
+        census_extension(X, W, 1, budget=_recording_budget(charges, pairs * 9 - 1))
+    assert refusal.value.what == "extension census"
+    assert charges == grown + [pairs * 9]
+
+
+def test_dense_census_is_refused_before_its_pairs_are_tested():
+    # all of F_3^8, W = {x0 = 0}, m = 1: Z is the lines of W, grown inside W,
+    # and each has 3^6 points y on x0 = 1 that are zero at its pivot; the
+    # pairs are refused before any is tested or Z is listed
+    full = VarietyPoints(PolyFamily([MultiPoly.zero(F3, 8)]), range(3**8))
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError) as refusal:
+            census_extension(full, Hyperplane((1,) + (0,) * 7, 0), 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert refusal.value.what == "extension census"
+    assert refusal.value.estimate == count_affine_subspaces(F3, 7, 1) * 3**6 * 3**2
+    assert peak < 64 * 2**20
+
+
 def test_census_empty_Z_reported_as_undefined():
     # a variety with no lines at all in the slice
     fam = PolyFamily([poly_of(F3, 2, [(1, (2, 0)), (1, (0, 2))])])  # x^2+y^2: only origin
@@ -551,7 +589,7 @@ def test_census_extension_matches_brute_force():
         for b in range(X.field.p):  # b != 0: a W that misses the origin
             W = Hyperplane(coeffs, b)
             w_ind = W.indicator(X.box)
-            for m in (0, 1):
+            for m in (0, 1, 2):
                 cen = census_extension(X, W, m)
                 leaving = [M for M in scan_subspaces_in(X, m + 1) if not w_ind[M.points(X.box)].all()]
                 Z = scan_subspaces_in(X, m, W)
@@ -582,23 +620,9 @@ def test_census_reduces_large_hyperplane_coefficients():
                     assert census_extension(X, Hyperplane(cs, b + p * big), m) == cen
 
 
-def flats_of(bx, subspaces, k):
-    """The canonical k-subspaces as one _Flats stack, in their order."""
-    base = np.array([bx.index_of(M.base) for M in subspaces], dtype=np.int64)
-    rows = np.array([[bx.index_of(r) for r in M.basis] for M in subspaces], dtype=np.int64).reshape(len(subspaces), k)
-    return _Flats(bx, base, rows)
-
-
-def section_by_points(M, coeffs, level):
-    """M cap {l = level} from its points alone: canonical, spanned by the
-    differences of the points of M on the level."""
-    field, bx = M.field, box(M.field, M.n)
-    pts = [bx.point_of(int(i)) for i in M.points(bx)]
-    on = [x for x in pts if sum(c * v for c, v in zip(coeffs, x)) % field.p == level]
-    return AffineSubspace.from_span(field, on[0], [[(v - u) % field.p for u, v in zip(on[0], x)] for x in on[1:]])
-
-
-def test_section_is_canonical_and_exact():
+def test_functional_reads_the_coordinates_of_flat_points():
+    # sum_i c_i x_i at the points of random flats, from their box indices,
+    # against the dot product of their coordinates
     rng = random.Random(3)
     for _ in range(300):
         field = rng.choice((F2, F3, F5))
@@ -611,44 +635,9 @@ def test_section_is_canonical_and_exact():
             [[rng.randrange(p) for _ in range(n)] for _ in range(k)],
         )
         coeffs = [rng.randrange(p) for _ in range(n)]
-        level = rng.randrange(p)
         bx = box(field, n)
         vals = np.array([bx.point_of(int(i)) for i in M.points(bx)]).reshape(-1, n) @ coeffs % p
         assert list(_functional(bx, coeffs, M.points(bx))) == list(vals)
-        sections = flats_of(bx, [M], M.dim).sections(coeffs, level).subspaces()
-        if (vals == vals[0]).all():  # l constant on M: no section
-            assert sections == []
-            continue
-        [S] = sections
-        assert S == AffineSubspace.from_span(field, S.base, S.basis)
-        assert S.dim == M.dim - 1
-        assert sorted(S.points(bx)) == sorted(M.points(bx)[vals == level])
-
-
-def test_stacked_sections_drop_the_flats_where_l_is_constant():
-    # stacks of six k-flats, the second and fifth with every direction in
-    # the kernel of l: the sections of the other four, in stack order, each
-    # equal to the one read off its points
-    rng = random.Random(4)
-    for _ in range(60):
-        field = rng.choice((F2, F3, F5))
-        p = field.p
-        n = rng.randint(2, 4)
-        k = rng.randint(1, n - 1)
-        coeffs = [0] * n
-        while not any(coeffs):
-            coeffs = [rng.randrange(p) for _ in range(n)]
-        level = rng.randrange(p)
-        bx = box(field, n)
-        stack = []
-        while len(stack) < 6:
-            dirs = [[rng.randrange(p) for _ in range(n)] for _ in range(k)]
-            M = AffineSubspace.from_span(field, [rng.randrange(p) for _ in range(n)], dirs)
-            constant = not any(sum(c * v for c, v in zip(coeffs, row)) % p for row in M.basis)
-            if M.dim == k and constant == (len(stack) % 3 == 1):
-                stack.append(M)
-        expect = [section_by_points(M, coeffs, level) for i, M in enumerate(stack) if i % 3 != 1]
-        assert flats_of(bx, stack, k).sections(coeffs, level).subspaces() == expect
 
 
 @pytest.mark.parametrize(
