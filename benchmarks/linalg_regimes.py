@@ -2,10 +2,14 @@
 against the plain Gauss-Jordan loop.  Options, output and the end-to-end
 runs: see ab.py.
 
-`solves`: the `rref_mod` inputs of the dual-path-extension criterion (its
-weak-space and extension systems over F_7) with both sides above `PANEL`,
-each timed by `rref_mod` (the panel route) and by the plain Gauss-Jordan
-loop, which must agree.
+`solves`: the `rref_mod` inputs of `weak_space` on xn d=2, n=3 over F_3
+(261 points) with a = 3, whose propagation stalls, with both sides above
+`PANEL`: the restriction system (78 x 261), the constraint chunks on the 73
+seed columns, and the basis (71 x 261).  Each is timed by `rref_mod` (the
+panel route) and by the plain Gauss-Jordan loop, which must agree.  No
+acceptance criterion reaches this regime: since the weak space is computed
+by propagation, no system of dual-path-extension has both sides above
+`PANEL`.
 """
 
 from __future__ import annotations
@@ -20,7 +24,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 import ab  # noqa: E402
 
 from rankforge import linalg  # noqa: E402
+from rankforge.catalog import xn_variety  # noqa: E402
 from rankforge.linalg import PANEL, as_mod_array, rref_mod  # noqa: E402
+from rankforge.weakpoly import weak_space  # noqa: E402
 
 
 def solve_row(A: np.ndarray, p: int, reps: int) -> dict:
@@ -36,8 +42,9 @@ def solve_row(A: np.ndarray, p: int, reps: int) -> dict:
 
 
 def solves(reps: int) -> list[dict]:
-    calls = ab.criterion_calls(linalg.rref_mod, ["dual-path-extension"])["dual-path-extension"]
-    inputs = [(call.arguments["A"], call.arguments["p"]) for call in calls if min(np.shape(call.arguments["A"])) > PANEL]
+    with ab.recorded(linalg.rref_mod) as calls:
+        weak_space(xn_variety(2, 3, 3).points(), 3)
+    inputs = [(call.arguments["A"], call.arguments["p"]) for _, call, _ in calls if min(np.shape(call.arguments["A"])) > PANEL]
     return [solve_row(np.asarray(A, dtype=np.int64), p, reps) for A, p in inputs]
 
 

@@ -39,7 +39,7 @@ from .poly import (
     random_poly,
     restrict,
 )
-from .runtime import SERIAL, Budget, ParallelContext
+from .runtime import Budget, ParallelContext
 
 __all__ = [
     "AnalyticRank",
@@ -59,7 +59,6 @@ __all__ = [
     "PolyFamily",
     "PrimeField",
     "RankforgeError",
-    "SERIAL",
     "VerificationError",
     "alternating_sum_eval",
     "analytic_rank",

@@ -3,11 +3,14 @@
 Named constructors ship the objects every experiment needs, so acceptance
 runs take no hand-written JSON:
 
-  xn:d=D,n=N,q=Q        the block-product hypersurface family
+  xn:d=D,n=N,q=Q[,c=C]  the block-product hypersurface family
   counterexample        the cubic xy(x-y) over F_5 whose weakly linear
                         function does not extend to a linear polynomial
-  char2-quartic         the degree-4 elementary symmetric polynomial in 5
-                        variables over F_2 (high rank, low nc-rank)
+  char2-quartic[:n=N]   the degree-4 elementary symmetric polynomial in N
+                        (default 5) variables over F_2 (high rank, low
+                        nc-rank)
+
+A key a constructor does not take, or a key given twice, is an input error.
 """
 
 from __future__ import annotations
@@ -89,9 +92,23 @@ def _int_param(kv: str, spec: str) -> tuple[str, int]:
         raise InputError(f"constructor {spec!r}: expected key=integer, got {kv!r}") from None
 
 
+def _named_params(spec: str, keys: tuple[str, ...]) -> dict[str, int]:
+    """A constructor's "key=integer" parameters after its colon; a key not in
+    `keys`, or given twice, is an input error."""
+    params: dict[str, int] = {}
+    for kv in spec.split(":", 1)[1].split(",") if ":" in spec else ():
+        k, v = _int_param(kv, spec)
+        if k not in keys:
+            raise InputError(f"constructor {spec!r}: unknown key {k!r}")
+        if k in params:
+            raise InputError(f"constructor {spec!r}: repeated key {k!r}")
+        params[k] = v
+    return params
+
+
 def _parse_named(spec: str) -> list[MultiPoly]:
     if spec.startswith("xn:") or spec == "xn":
-        params = dict(_int_param(kv, spec) for kv in spec.split(":", 1)[1].split(",")) if ":" in spec else {}
+        params = _named_params(spec, ("d", "n", "q", "c"))
         try:
             d, n, q = params["d"], params["n"], params["q"]
         except KeyError as exc:
@@ -100,11 +117,8 @@ def _parse_named(spec: str) -> list[MultiPoly]:
                 for copy in range(params.get("c", 1))]
     if spec in ("counterexample", "paper-counterexample"):
         return [counterexample_poly()]
-    if spec.startswith("char2-quartic"):
-        n = 5
-        if ":" in spec:
-            n = _int_param(spec.split(":", 1)[1], spec)[1]
-        return [char2_quartic(n)]
+    if spec.startswith("char2-quartic:") or spec == "char2-quartic":
+        return [char2_quartic(_named_params(spec, ("n",)).get("n", 5))]
     raise InputError(f"unknown constructor {spec!r}")
 
 

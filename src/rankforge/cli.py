@@ -47,7 +47,7 @@ from .gf import PrimeField
 from .nullsatz import ideal_membership, vanishing_vs_ideal_dims
 from .poly import MultilinearForm, MultiPoly
 from .rank import family_rank, nc_rank, partition_rank, schmidt_rank
-from .runtime import Budget
+from .runtime import DEFAULT_BUDGET, Budget
 from .weakpoly import (
     FunctionOnX,
     extend_by_slices,
@@ -86,7 +86,7 @@ def _emit(args, doc, csv_rows=None) -> None:
 
 
 def _common(sub):
-    sub.add_argument("--budget", type=int, default=10**8, help="evaluation-step budget")
+    sub.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="evaluation-step budget")
     sub.add_argument("--out", help="write output to a file instead of stdout")
     sub.add_argument("--format", choices=["json", "csv"], default="json")
 

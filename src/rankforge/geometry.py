@@ -22,8 +22,8 @@ set on the level l = b+1 that is zero at L's pivot columns, so it tests
 those (L, y) pairs on their points.  No (m+1)-flat is grown or listed.
 
 Composition fibers are counted by sorting the maps' value tuples, each
-packed into a base-p integer when that fits in int64, one chunk of maps at a
-time, and merging the chunks' counts.
+packed into a base-p integer (int64 when it fits, a Python int otherwise),
+one chunk of maps at a time, and merging the chunks' counts.
 """
 
 from __future__ import annotations
@@ -538,29 +538,25 @@ def kappa_fibers(
         h += 1
     low = points(np.arange(sub**h, dtype=np.int64))
     chunks = ((lo, points(np.array([lo], dtype=np.int64)) + low) for lo in range(0, total_maps, sub**h))
-    if p ** len(columns) < 2**63:
-        # a key's base-p digits as one integer: sorting the codes finds every
-        # fiber.  Chunks' counts are merged once they hold as many entries as
-        # the merged counts and as a chunk's worth of bytes, so merging costs
-        # at most about twice their own entries, and waits on at most one
-        # entry per fiber plus one chunk.
-        weights = p ** np.arange(len(columns) - 1, -1, -1, dtype=np.int64)
-        merged = (np.zeros(0, dtype=np.int64),) * 3  # code, first map, count
-        pending, waiting = [], 0
-        for lo, idx in chunks:
-            code, first, counts = np.unique(keys_at(idx) @ weights, return_index=True, return_counts=True)
-            pending.append((code, first + lo, counts))
-            waiting += len(code)
-            if waiting >= max(len(merged[0]), _CHUNK_BYTES // 8):
-                merged, pending, waiting = _merge_fibers([merged, *pending]), [], 0
-        _, first, counts = _merge_fibers([merged, *pending])
-        seen = np.argsort(first)  # fibers in the order their first map comes
-        fibers = dict(zip(map(tuple, keys_at(points(first[seen]))), counts[seen].tolist()))
-    else:
-        fibers = {}
-        for _, idx in chunks:
-            for row in map(tuple, keys_at(idx)):
-                fibers[row] = fibers.get(row, 0) + 1
+    # A key's base-p digits as one integer: sorting the codes finds every
+    # fiber.  The codes are int64 while p^len(columns) < 2^63, and Python ints
+    # (an object array, which np.unique and np.lexsort sort alike) past that.
+    # Chunks' counts are merged once they hold as many entries as the merged
+    # counts and as a chunk's worth of bytes, so merging costs at most about
+    # twice their own entries, and waits on at most one entry per fiber plus
+    # one chunk.
+    weights = np.array([p**k for k in range(len(columns) - 1, -1, -1)], dtype=np.int64 if p ** len(columns) < 2**63 else object)
+    merged = (np.zeros(0, dtype=np.int64),) * 3  # code, first map, count
+    pending, waiting = [], 0
+    for lo, idx in chunks:
+        code, first, counts = np.unique(keys_at(idx) @ weights, return_index=True, return_counts=True)
+        pending.append((code, first + lo, counts))
+        waiting += len(code)
+        if waiting >= max(len(merged[0]), _CHUNK_BYTES // 8):
+            merged, pending, waiting = _merge_fibers([merged, *pending]), [], 0
+    _, first, counts = _merge_fibers([merged, *pending])
+    seen = np.argsort(first)  # fibers in the order their first map comes
+    fibers = dict(zip(map(tuple, keys_at(points(first[seen]))), counts[seen].tolist()))
 
     total_targets = 1
     for d in family.degrees:

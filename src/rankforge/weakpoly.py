@@ -31,7 +31,6 @@ the already-covered levels.  Whenever both succeed they agree on X.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -42,12 +41,13 @@ from .errors import InputError, VerificationError
 from .gf import PrimeField
 from .linalg import (
     matmul_mod,
+    nullspace_mod,
     nullspace_of_rref,
     rref_mod,
     row_space_leq,
     solve_mod,
 )
-from .poly import MultiPoly, monomials, vandermonde_inverse
+from .poly import MultiPoly, monomials
 from .geometry import AffineSubspace, Hyperplane, VarietyPoints, slice_variety, subspace_flats
 from .runtime import Budget
 
@@ -107,37 +107,23 @@ def local_testing_dimension(field: PrimeField, a: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _forbidden_coefficient_rows(field: PrimeField, l: int, a: int) -> np.ndarray:
-    """Rows extracting grid-interpolation coefficients of monomials of degree > a.
-
-    Row order matches itertools.product over exponents; columns are the q^l
-    grid points in row-major parameter order.
-    """
-    p = field.p
-    Vinv = vandermonde_inverse(field)
-    rows = []
-    for e in itertools.product(range(p), repeat=l):
-        if sum(e) > a:
-            row = np.ones(1, dtype=np.int64)
-            for ei in e:
-                row = np.kron(row, Vinv[ei]) % p
-            rows.append(row)
-    if rows:
-        return np.stack(rows)
-    return np.zeros((0, p**l), dtype=np.int64)
-
-
 def _flat_blocks(X: VarietyPoints, a: int, budget: Budget | None):
-    """The forbidden-coefficient rows F of the testing dimension l, the
-    l-flats inside X in canonical order, and their ordinals in X in blocks of
-    about |X| constraint rows: (first flat, (flats, p^l) ordinals) pairs,
-    none when F is empty.  The flats are grown before this returns."""
+    """For the testing dimension l: B, the values of the monomials of degree
+    <= a on the p^l points of an l-flat's parameter grid (rows, row-major
+    parameter order), which span the value vectors of a function of degree
+    <= a there; F, a basis (rows) of the orthogonal complement of B's row
+    space, so f has degree <= a on a flat iff F f[L] = 0; the l-flats inside
+    X in canonical order; and their ordinals in X in blocks of about |X|
+    constraint rows: (first flat, (flats, p^l) ordinals) pairs, none when F
+    is empty.  The flats are grown before this returns."""
+    p = X.field.p
     l = local_testing_dimension(X.field, a)
     flats = subspace_flats(X, l, budget=budget)
-    F = _forbidden_coefficient_rows(X.field, l, a)
+    B = box(X.field, l).monomial_matrix(monomials(l, a, cap=p - 1), np.arange(p**l)).T
+    F = nullspace_mod(B, p)
     per_block = max(1, len(X) // max(1, len(F)))
     starts = range(0, len(flats) if len(F) else 0, per_block)
-    return F, flats, ((s, X.ordinals_of_indices(flats[s : s + per_block].points())) for s in starts)
+    return B, F, flats, ((s, X.ordinals_of_indices(flats[s : s + per_block].points())) for s in starts)
 
 
 def is_weakly_polynomial(
@@ -148,7 +134,7 @@ def is_weakly_polynomial(
     """Test weak degree <= a; on failure also return the first offending
     subspace in canonical order."""
     p = f.X.field.p
-    F, flats, blocks = _flat_blocks(f.X, a, budget)
+    _, F, flats, blocks = _flat_blocks(f.X, a, budget)
     for s, ords in blocks:
         bad = np.flatnonzero((f.values[ords] @ F.T % p).any(axis=1))
         if len(bad):
@@ -196,9 +182,8 @@ def _weak_space(
 
     On each l-flat L a function f in W is a polynomial of degree <= a, so f
     on L is fixed by its values on any of L's points whose columns span those
-    of B, the values of the monomials of degree <= a on L's parameter grid
-    (rows), which span the value vectors with no forbidden coefficient.
-    Stages, each charged before it builds its arrays:
+    of B (see `_flat_blocks`).  Stages, each charged before it builds its
+    arrays:
     - seeds S: the pivot points of R, which fix every function in R (R lies
       in W always);
     - propagation (`_propagate`): V (|X| x |S|) with f = V f[S] for every f
@@ -213,13 +198,11 @@ def _weak_space(
     """
     budget = budget or Budget()
     p, nX = X.field.p, len(X)
-    F, flats, blocks = _flat_blocks(X, a, budget)
+    B, F, flats, blocks = _flat_blocks(X, a, budget)
     rs = restriction_space(X, a, budget)
     if not len(F) or not len(flats):
         return LinearSpaceOfFunctions(X, np.eye(nX, dtype=np.int64)), rs
     pivots = (rs.basis != 0).argmax(axis=1)  # the first nonzero entry of each RREF row
-    l = local_testing_dimension(X.field, a)
-    B = box(X.field, l).monomial_matrix(monomials(l, a, cap=p - 1), np.arange(p**l)).T  # rows: t^e on the grid
     V, ords = _propagate(B, len(flats), blocks, nX, pivots, p, budget)
     N = _constraint_nullspace(F, V, ords, p, budget) if V.shape[1] > rs.dim else None
     return LinearSpaceOfFunctions(X, _basis(V, N, p, budget)), rs

@@ -52,6 +52,7 @@ def test_linalg_regimes_case(script):
     lr = script("linalg_regimes")
     A = np.random.default_rng(0).integers(0, 7, size=(70, 66))
     assert lr.solve_row(A, 7, 1)["rank"] == 66
+    assert lr.solves(1)  # some recorded system has both sides above PANEL
 
 
 def test_memory_peaks_cases(script):

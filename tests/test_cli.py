@@ -42,6 +42,8 @@ def test_parse_errors():
     with pytest.raises(InputError):
         parse_poly_arg("no-such-constructor")
     with pytest.raises(InputError):
+        parse_poly_arg("char2-quartic5")  # not char2-quartic with n = 5
+    with pytest.raises(InputError):
         parse_poly_arg('{"q": 5, "n":')
     with pytest.raises(InputError):
         parse_hyperplane("1,2", PrimeField(3), 2)
@@ -180,6 +182,22 @@ def test_cli_malformed_named_constructor_is_an_input_error(capsys, spec):
     assert code == 2 and out == ""
     doc = json.loads(err)
     assert doc["error"] == "input" and doc["detail"].startswith(f"constructor {spec!r}: expected key=integer")
+
+
+@pytest.mark.parametrize(
+    "spec, detail",
+    [
+        ("xn:d=2,n=2,q=3,z=1", "unknown key 'z'"),
+        ("xn:d=2,n=2,q=3,d=3", "repeated key 'd'"),
+        ("char2-quartic:k=7", "unknown key 'k'"),
+    ],
+    ids=["xn-unknown", "xn-repeated", "char2-quartic-unknown"],
+)
+def test_cli_named_constructor_refuses_unknown_and_repeated_keys(capsys, spec, detail):
+    code, out, err = run_cli(capsys, "bias", "--poly", spec)
+    assert code == 2 and out == ""
+    doc = json.loads(err)
+    assert doc["error"] == "input" and doc["detail"] == f"constructor {spec!r}: {detail}"
 
 
 def test_cli_universal_negative(capsys):

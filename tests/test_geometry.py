@@ -490,11 +490,11 @@ def test_kappa_fibers_match_digit_table_and_build_none(monkeypatch, family, m, l
     assert stats.mass() == stats.total_maps
 
 
-def test_kappa_code_path_matches_dict_fallback(monkeypatch):
+def test_kappa_wide_keys_take_the_same_code_path(monkeypatch):
     # over F_3 with m = 1 a key has 3c digits: 3^39 < 2^63 <= 3^42, so 13
-    # members take the integer codes and 14 (the 13 and a copy of the first)
-    # the dict loop; the 14-member keys are the 13-member keys plus the
-    # first member's 3 values, in the same first-seen order
+    # members take int64 codes and 14 (the 13 and a copy of the first) Python
+    # int codes, sorted alike; the 14-member keys are the 13-member keys plus
+    # the first member's 3 values, in the same first-seen order
     rng = random.Random(5)
     polys = [random_poly(F3, 2, 2, rng) for _ in range(13)]
     sorts = []
@@ -502,9 +502,9 @@ def test_kappa_code_path_matches_dict_fallback(monkeypatch):
     monkeypatch.setattr(np, "unique", lambda *a, **k: sorts.append(1) or unique(*a, **k))
     coded = kappa_fibers(PolyFamily(polys), 1)
     assert sorts == [1]
-    looped = kappa_fibers(PolyFamily(polys + polys[:1]), 1)
-    assert sorts == [1]
-    assert list(looped.fibers.items()) == [(key + key[:3], count) for key, count in coded.fibers.items()]
+    wide = kappa_fibers(PolyFamily(polys + polys[:1]), 1)
+    assert sorts == [1, 1]
+    assert list(wide.fibers.items()) == [(key + key[:3], count) for key, count in coded.fibers.items()]
     assert list(coded.fibers.items()) == list(kappa_fibers_by_digit_table(PolyFamily(polys), 1).items())
     assert list(coded.fibers) != sorted(coded.fibers)  # first-seen order is not the sorted order here
 
@@ -647,7 +647,7 @@ def test_functional_reads_the_coordinates_of_flat_points():
         (PolyFamily([random_poly(F3, 2, 2, random.Random(3)), random_poly(F3, 2, 2, random.Random(4))]), 1, False),
         (PolyFamily([random_poly(F5, 2, 3, random.Random(6))]), 1, False),  # many small fibers
         (PolyFamily([random_poly(F5, 2, 3, random.Random(6))]), 1, True),
-        (PolyFamily([random_poly(F3, 2, 2, random.Random(s)) for s in range(14)]), 1, False),  # dict fallback
+        (PolyFamily([random_poly(F3, 2, 2, random.Random(s)) for s in range(14)]), 1, False),  # wide keys
     ],
 )
 @pytest.mark.parametrize("chunk_bytes", [0, 2**10, 2**16])

@@ -7,7 +7,14 @@ ParallelContext and passing it (and `workers=1`) to these functions.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
+
+from rankforge.runtime import ParallelContext
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "rankforge"
 
@@ -52,3 +59,16 @@ def test_scan_flags_ctx_and_workers():
     source = "def f(x, ctx=None): pass\nclass C:\n    def g(self, *, workers=1):\n        def h(ctx): pass\n"
     assert parallel_params("m", source) == ["m.f", "m.C.g", "m.C.g.h"]
     assert parallel_params("m", "def f(x, budget=None): pass\n") == []
+
+
+def test_parallel_context_is_a_serial_stand_in():
+    # one chunk, the whole range, in the calling thread; and importing the
+    # package loads no thread pool
+    assert ParallelContext(2).map_chunks(lambda lo, hi: (lo, hi), 7) == [(0, 7)]
+    assert ParallelContext(2).map_chunks(lambda lo, hi: (lo, hi), 0) == []
+    with pytest.raises(ValueError):
+        ParallelContext(0)
+    code = "import sys, rankforge\nassert 'concurrent.futures' not in sys.modules\n"
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr

@@ -16,13 +16,12 @@ from rankforge.errors import BudgetExceededError, InputError
 from rankforge.explicit import ExplicitVariety
 from rankforge.geometry import VarietyPoints, enumerate_points, enumerate_subspaces_in
 from rankforge.linalg import check_dual_certificate, matmul_mod, nullspace_mod, rank_mod, rref_mod
-from rankforge.poly import monomials
+from rankforge.poly import monomials, vandermonde_inverse
 from rankforge.runtime import Budget
 from rankforge.weakpoly import (
     FunctionOnX,
     LinearSpaceOfFunctions,
     _flat_blocks,
-    _forbidden_coefficient_rows,
     density_certificate,
     extend_by_slices,
     extend_by_solve,
@@ -372,13 +371,56 @@ def test_density_certificate_on_line_incidence():
         assert verdict.status == "empty-confirmed"
 
 
+def kronecker_constraint_rows(field, l, a):
+    """The constraint rows of an l-flat as they were built before they were
+    read off B: one row per exponent e of degree > a, in itertools.product
+    order, extracting the coefficient of t^e in the interpolation of the
+    values on the p^l grid points (row-major parameter order), as the
+    Kronecker product of rows of the inverse Vandermonde matrix."""
+    p = field.p
+    Vinv = vandermonde_inverse(field)
+    rows = []
+    for e in itertools.product(range(p), repeat=l):
+        if sum(e) > a:
+            row = np.ones(1, dtype=np.int64)
+            for ei in e:
+                row = np.kron(row, Vinv[ei]) % p
+            rows.append(row)
+    if rows:
+        return np.stack(rows)
+    return np.zeros((0, p**l), dtype=np.int64)
+
+
+def test_constraint_rows_span_the_kronecker_rows(monkeypatch):
+    # F, the nullspace of B, and the Kronecker rows span one space, for every
+    # a with p^l <= 2000; with B planted at degree <= a + 1, F misses the rows
+    # of the exponents of degree a + 1, and the comparison sees it
+    def rref(F, p):
+        R, _, rank = rref_mod(F, p)
+        return R[:rank].tobytes(), F.shape
+
+    def constraint_rows(X, a):
+        return _flat_blocks(X, a, None)[1]
+
+    for p in (2, 3, 5, 7):
+        field = PrimeField(p)
+        X = enumerate_points(PolyFamily([MultiPoly.zero(field, 1)]))  # all of F_p
+        reachable = itertools.takewhile(lambda a: p ** local_testing_dimension(field, a) <= 2000, itertools.count())
+        for a in reachable:
+            expect = rref(kronecker_constraint_rows(field, local_testing_dimension(field, a), a), p)
+            assert rref(constraint_rows(X, a), p) == expect
+            with monkeypatch.context() as planted:
+                planted.setattr(weakpoly, "monomials", lambda n, d, cap: monomials(n, d + 1, cap=cap))
+                assert rref(constraint_rows(X, a), p) != expect
+
+
 def weak_space_one_shot(X, a):
     """weak_space as it was before its rows were streamed: one dense
     (forbidden rows x subspaces, |X|) matrix, then its nullspace."""
     p = X.field.p
     l = local_testing_dimension(X.field, a)
     subspaces = enumerate_subspaces_in(X, l)
-    F = _forbidden_coefficient_rows(X.field, l, a)
+    F = kronecker_constraint_rows(X.field, l, a)
     if F.shape[0] == 0 or not subspaces:
         return np.eye(len(X), dtype=np.int64)
     rows = np.zeros((F.shape[0] * len(subspaces), len(X)), dtype=np.int64)
@@ -400,7 +442,7 @@ def weak_space_shrinking_kernel(X, a):
     F K[L] c = 0 for each of its flats L, so with N the nullspace of those
     blocks stacked, K becomes K N^T.  The RREF of K's columns is returned."""
     p, nX = X.field.p, len(X)
-    F, _, blocks = _flat_blocks(X, a, None)
+    _, F, _, blocks = _flat_blocks(X, a, None)
     K = None
     for _, ords in blocks:
         if K is None:
@@ -679,7 +721,7 @@ def first_offending_by_subspace_loop(f, a):
     restriction has a coefficient of degree > a."""
     X = f.X
     l = local_testing_dimension(X.field, a)
-    F = _forbidden_coefficient_rows(X.field, l, a)
+    F = kronecker_constraint_rows(X.field, l, a)
     for L in enumerate_subspaces_in(X, l):
         vals = f.values_at_box_indices(L.points(X.box))
         if F.shape[0] and ((F @ vals) % X.field.p).any():
