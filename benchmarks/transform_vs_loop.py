@@ -13,7 +13,7 @@ here only, the route `Box.eval_poly` takes (`packed`, `stages`, `matmul` or
 `horner`; Horner when n = 1, packed when p = 2, stages when p (p-1)^2 < 2^16
 and p^(n-1) >= 2^11, else matmul) and the best time of each layout on its
 own (`Box._eval_transform`, the matmul; `Box._eval_stages` where p <= 37;
-`Box._eval_packed` where p = 2, whose words are unpacked only for the hash),
+`Box._eval_packed` where p = 2, whose bits are unpacked only for the hash),
 which must all give the route's values.
 
 `bias F_2^n`: `bias` of a random cubic over F_2^20 to F_2^26 (the largest box

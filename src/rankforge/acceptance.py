@@ -517,6 +517,7 @@ def run_suite(only: str | None = None, budget: Budget | None = None) -> list[Cri
         return [run_criterion(only, budget)]
     domain._BOX_CACHE.clear()
     poly._VINV_CACHE.clear()
+    poly._RANDOM_MONOMIALS.clear()
     results = [run_criterion(n, budget) for n in CRITERIA]
     replay = [run_criterion(n, budget) for n in CRITERIA]
     mismatched = [

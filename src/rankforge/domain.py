@@ -14,15 +14,22 @@ It runs the transform in one of three layouts, chosen from (p, n) alone:
 
 - Packed bits over F_2 (n >= 2).  There the transform is the fast Moebius
   transform, value(x) = XOR of the coefficients at the exponents m <= x, and
-  every entry is one bit: point 64 w + b is bit b of little-endian word w.
-  Index bit k < 6 lies inside a word and takes one stage
-  W ^= (W & LOW_k) << 2^k, LOW_k the bits whose in-word index has bit k
-  clear; each higher index bit XORs the lower half of every block of
-  2^(k-5) words into its upper half.  A box of fewer than 64 points uses the
-  low 2^n bits of one word.  `Box.value_counts` reads one member's
-  histogram off the words by popcount and unpacks them to a byte a point
-  only to key several members; `Box.common_zeros` ORs the members' words;
-  `eval_poly` unpacks them and widens the bytes to int64.
+  every entry is one bit.  A box of at most `_INT_POINTS` (2^12) points
+  holds them as one Python int, the value at point i as bit i: index bit k
+  takes one stage W ^= (W & LOW_k) << 2^k, LOW_k the bits whose index has
+  bit k clear, and the box keeps its n masks (at most 6 KB).  A larger box
+  holds little-endian uint64 words, point 64 w + b at bit b of word w:
+  index bit k < 6 lies inside a word and takes the same stage with a
+  word's LOW_k; each higher index bit XORs the lower half of every block of
+  2^(k-5) words into its upper half.  On the small boxes of the acceptance
+  battery numpy's per-call cost dominates the words: `value_counts` of a
+  cubic took 7-18 us on one int against 22-38 us on words (2^3 to 2^6
+  points); the two tie from 2^12 to 2^14 points, the words win from 2^15
+  (1.1 against 2.3 ms at 2^20), and the masks of a 2^20-point box would be
+  2.4 MB (BENCH_small_kernels.json).  `Box.value_counts` reads one
+  member's histogram off either layout by popcount and unpacks it to a
+  byte a point only to key several members; `Box.common_zeros` ORs the
+  members' bits; `eval_poly` unpacks them and widens the bytes to int64.
 - Constant-geometry stages (Pease's layout of the FFT) when a stage fits
   16 bits (p (p-1)^2 < 2^16, so p <= 37) and a row holds p^(n-1) >= 2^11
   entries.  Stage s reads the leading digit as the contiguous rows A[e] of a
@@ -39,7 +46,9 @@ It runs the transform in one of three layouts, chosen from (p, n) alone:
   layout won by the polynomial (F_5^5, F_7^4, F_31^3, F_37^3), and from
   2^11 on the stages won every measured case.  Past 16 bits, stages on
   uint32 entries lost to the matmul even on long rows (F_131^3, F_257^3).
-  benchmarks/transform_vs_loop.py times the layouts on each side.
+  benchmarks/transform_vs_loop.py times the layouts on each side.  The
+  Vandermonde columns are sliced from a p x p table of powers that the box
+  keeps when p^2 <= 4096; a larger p builds only the columns that occur.
 
 Over the whole box when n = 1, where the p x k_0 Vandermonde block can be p
 times the box, it runs Horner's rule over P's exponents on the p field
@@ -80,6 +89,8 @@ def _packs(p: int, n: int) -> bool:
     return p == 2 and n >= 2
 
 
+_INT_POINTS = 2**12  # F_2 boxes up to this size hold their bits in one Python int
+_TABLE_ENTRIES = 2**12  # the largest p x p power table a box keeps
 _WORD = np.dtype("<u8")  # 64 points, point 64 w + b at bit b of word w
 # _LOW[k]: the bits of a word whose in-word index has bit k clear
 _LOW = tuple(_WORD.type(sum(1 << b for b in range(64) if not b >> k & 1)) for k in range(6))
@@ -102,6 +113,13 @@ def _bincount(key: np.ndarray, bins: int) -> np.ndarray:
     for lo in range(0, len(key), step):
         counts += np.bincount(key[lo : lo + step], minlength=bins)
     return counts
+
+
+def _int_masks(n: int) -> tuple[int, ...]:
+    """LOW_k for k < n over the 2^n bits of one int: the bits whose index
+    has bit k clear, a run of 2^k ones every 2^(k+1) bits."""
+    ones = (1 << (1 << n)) - 1
+    return tuple(ones // ((1 << (2 << k)) - 1) * ((1 << (1 << k)) - 1) for k in range(n))
 
 
 def _reduce(T: np.ndarray, p: int, scratch: np.ndarray) -> None:
@@ -155,6 +173,8 @@ class Box:
         self._places = np.array(
             [field.p ** (n - 1 - i) for i in range(n)], dtype=np.int64
         )
+        self._low = _int_masks(n) if _packs(field.p, n) and self.size <= _INT_POINTS else None
+        self._table = None  # the p x p powers x^e of the matmul route, built on first use
 
     def digits(self) -> np.ndarray:
         """(size, n) array of coordinates; row i is the point with index i.
@@ -191,14 +211,15 @@ class Box:
         sum_i v_i p^(c-1-i) counts the points where (P_1, ..., P_c) takes the
         value (v_1, ..., v_c); p^c int64 counts.
 
-        One member over F_2 is counted by popcount on its packed words.
+        One member over F_2 is counted by popcount on its packed bits.
         Otherwise each member's values are folded into a key of the narrowest
         dtype that holds p^c values, and the key is counted a chunk at a time.
         """
         polys = list(polys)
         p, bins = self.field.p, self.field.p ** len(polys)
         if len(polys) == 1 and _packs(p, self.n):
-            ones = int(np.bitwise_count(self._eval_packed(polys[0])).sum(dtype=np.int64))
+            W = self._eval_packed(polys[0])
+            ones = W.bit_count() if self._low else int(np.bitwise_count(W).sum(dtype=np.int64))
             return np.array([self.size - ones, ones], dtype=np.int64)
         values = (self._values(P) for P in polys)  # each a fresh array
         key = next(values, np.zeros(self.size, dtype=np.uint8))
@@ -211,9 +232,9 @@ class Box:
 
     def common_zeros(self, polys) -> np.ndarray:
         """Ascending indices of the points where every member vanishes; over
-        F_2 the complement of the OR of the members' packed words."""
+        F_2 the complement of the OR of the members' packed bits."""
         if _packs(self.field.p, self.n):
-            W = np.zeros(self._words(), dtype=_WORD)
+            W = 0 if self._low else np.zeros(self._words(), dtype=_WORD)
             for P in polys:
                 W |= self._eval_packed(P)
             good = self._unpack(~W)
@@ -297,16 +318,28 @@ class Box:
     def _words(self) -> int:
         return -(-self.size // 64)
 
-    def _unpack(self, W: np.ndarray) -> np.ndarray:
-        """The box's bits of packed words, one uint8 a point; the bits past
-        the box in a partial word are dropped."""
+    def _unpack(self, W) -> np.ndarray:
+        """The box's bits of packed values (an int or words), one uint8 a
+        point; bits past the box, in a partial word or above a negative
+        int's box bits, are dropped."""
+        if self._low:
+            W = np.frombuffer((W & ((1 << self.size) - 1)).to_bytes(-(-self.size // 8), "little"), dtype=np.uint8)
         return np.unpackbits(W.view(np.uint8), count=self.size, bitorder="little")
 
-    def _eval_packed(self, P: MultiPoly) -> np.ndarray:
-        """The transform over F_2 on packed bits: P's values, bit b of word w
-        the value at point 64 w + b (see the module docstring)."""
+    def _eval_packed(self, P: MultiPoly):
+        """The transform over F_2 on packed bits: P's values as one int, bit
+        i the value at point i, in a box of at most `_INT_POINTS` points, and
+        as words, bit b of word w the value at point 64 w + b, in a larger
+        one (see the module docstring)."""
         M, _ = self._exponents(P)  # every coefficient is 1
         idx = M @ self._places
+        if self._low:
+            W = 0
+            for i in idx.tolist():  # distinct, as the reduced monomials are
+                W |= 1 << i
+            for k, low in enumerate(self._low):
+                W ^= (W & low) << (1 << k)
+            return W
         W = np.zeros(self._words(), dtype=_WORD)
         np.bitwise_or.at(W, idx >> 6, np.left_shift(_WORD.type(1), (idx & 63).astype(_WORD)))
         tmp = np.empty_like(W)
@@ -318,6 +351,16 @@ class Box:
             V = W.reshape(-1, 2, 1 << (k - 6))
             V[:, 1] ^= V[:, 0]
         return W
+
+    def _power_columns(self, E: list[int]) -> np.ndarray:
+        """The columns x^e, e in E, of the matmul route: a slice of the box's
+        p x p table when p^2 <= `_TABLE_ENTRIES`, else built for E alone."""
+        p = self.field.p
+        if p * p > _TABLE_ENTRIES:
+            return _powers(p, E)
+        if self._table is None:
+            self._table = _powers(p, list(range(p)))
+        return self._table if len(E) == p else self._table[:, E]
 
     def _eval_transform(self, P: MultiPoly) -> np.ndarray:
         """The transform as one int64 matmul per axis."""
@@ -331,7 +374,7 @@ class Box:
             if bound * (p - 1) * len(E) >= 2**63:
                 T, bound = T % p, p - 1
             T = T.reshape(p**i, p, -1)
-            T = np.matmul(_powers(p, E), T if len(E) == p else T[:, E, :])
+            T = np.matmul(self._power_columns(E), T if len(E) == p else T[:, E, :])
             bound *= (p - 1) * len(E)
         return T.reshape(self.size) % p
 

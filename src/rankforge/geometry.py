@@ -494,8 +494,9 @@ def kappa_fibers(
 
     Fiber keys are the tuples of value vectors of P_i o phi on k^m, which are
     in bijection with the reduced target polynomials since deg <= d_i < q.
-    The maps are taken in chunks of about `_CHUNK_BYTES`, so memory is
-    O(chunk) plus one entry per fiber, whatever the number of maps.
+    The maps are taken in chunks within a factor sqrt(p^(m+1)) of
+    `_CHUNK_BYTES`, so memory is O(chunk) plus one entry per fiber,
+    whatever the number of maps.
     """
     field = family.field
     p = field.p
@@ -532,9 +533,13 @@ def kappa_fibers(
     # Chunks of sub^h maps that differ only in their last h rows, with h >= 1
     # for n >= 1 (a chunk is never smaller than `table`).  A zero row puts 0
     # in every coordinate, so a chunk's points are its first map's points
-    # plus those of the first chunk.
+    # plus those of the first chunk.  h makes the chunk's keys the power of
+    # sub nearest `_CHUNK_BYTES` in ratio, not the largest below it: each
+    # chunk costs numpy calls whatever its size, and with sub = 9 and 3 key
+    # columns the largest below is 17 KB, 738 chunks a pass, the nearest
+    # 157 KB.
     h = min(n, 1)
-    while h < n and sub ** (h + 1) * len(columns) * 8 <= _CHUNK_BYTES:
+    while h < n and (sub**h * len(columns) * 8) * (sub ** (h + 1) * len(columns) * 8) < _CHUNK_BYTES**2:
         h += 1
     low = points(np.arange(sub**h, dtype=np.int64))
     chunks = ((lo, points(np.array([lo], dtype=np.int64)) + low) for lo in range(0, total_maps, sub**h))

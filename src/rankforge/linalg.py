@@ -1,24 +1,32 @@
 """Exact dense linear algebra over F_p on int64 numpy arrays.
 
 All entries stay in [0, p) between operations; p < 2^31 keeps every
-intermediate product inside int64, so results are exact.  `rref_mod` has two
-routes, and neither changes a result, because the reduced row echelon form
-of a matrix is unique: R, its pivots and rank, the nullspace read off it
-(`nullspace_of_rref`), and `solve_mod`'s solution and dual certificate (each
-the free-variables-zero solution of a system) do not depend on how they
-were eliminated.
+intermediate product inside int64, so results are exact.  `rref_mod` has
+three routes, chosen from p and the shape alone, and none changes a result,
+because the reduced row echelon form of a matrix is unique: R, its pivots
+and rank, the nullspace read off it (`nullspace_of_rref`), and
+`solve_mod`'s solution and dual certificate (each the free-variables-zero
+solution of a system) do not depend on how they were eliminated.
 
+- Bit rows over F_2: each row is packed into one Python int (bit j =
+  column j), Gauss-Jordan takes one XOR per row update, and R is unpacked
+  at the end (packed-row elimination, as in M4RI: Albrecht, Bard & Hart,
+  ACM TOMS 2010).  It beat the plain loop at every measured size, from the
+  3 x 3 systems of the rank searches to 1500 x 1500.
 - Plain Gauss-Jordan, one pivot column at a time with the first nonzero
-  entry as pivot, for small matrices and for primes too large for the other
-  route.
-- Column panels, when both sides exceed `PANEL` and (PANEL+1)(p-1)^2 < 2^53:
-  eliminating a copy of the narrow panel (by the same route, `SUBPANEL`
-  columns at a time) finds its pivot columns C and pivot rows S, and one
-  float64 matmul then clears the panel from every other row,
-  M_i <- M_i - M_iC * (M_SC^-1 * M_S) mod p.  An updated entry is M_i's
-  entry plus at most PANEL products below (p-1)^2, so float64 holds it
-  exactly and reduces it once (the delayed reduction of FFLAS-FFPACK, Dumas,
-  Giorgi & Pernet 2008).
+  entry as pivot, for odd p below the panels' size and for primes too
+  large for them.
+- Column panels, for odd p when both sides exceed `PANEL`, `rref_steps`
+  reaches `PANEL_STEPS` and (PANEL+1)(p-1)^2 < 2^53: eliminating a copy of
+  the narrow panel (by the same route, `SUBPANEL` columns at a time) finds
+  its pivot columns C and pivot rows S, and one float64 matmul then clears
+  the panel from every other row, M_i <- M_i - M_iC * (M_SC^-1 * M_S) mod p.  An updated entry
+  is M_i's entry plus at most PANEL products below (p-1)^2, so float64
+  holds it exactly and reduces it once (the delayed reduction of
+  FFLAS-FFPACK, Dumas, Giorgi & Pernet 2008).  benchmarks/linalg_regimes.py
+  times both routes on each side of `PANEL_STEPS`: over F_3 and F_7 the
+  loop won or tied below about 3 * 10^6 steps (144 x 144, 400 x 73,
+  78 x 261) and the panels won from there on, 1.3-4x.
 
 `solve_mod` eliminates [A | b] once.  When A x = b has no solution, its
 certificate y (y.A = 0, y.b = 1) solves [A | b]^T y = (0, ..., 0, 1): one
@@ -36,9 +44,10 @@ from .errors import InputError, VerificationError
 CERTIFICATE_ROW_LIMIT = 4096
 
 # Column widths of the blocked route: panels, and the subpanels that find
-# each panel's pivots.
+# each panel's pivots; and the least `rref_steps` for which it is taken.
 PANEL = 64
 SUBPANEL = 8
+PANEL_STEPS = 3 * 10**6
 
 
 def as_mod_array(A, p: int) -> np.ndarray:
@@ -77,6 +86,38 @@ def _gauss_jordan(M: np.ndarray, p: int, order: np.ndarray | None = None) -> lis
             M[touched] = (M[touched] - np.outer(col[touched], M[r])) % p
         pivots.append(c)
         r += 1
+    return pivots
+
+
+def _gauss_jordan_bits(M: np.ndarray) -> list[int]:
+    """Reduce a 0/1 matrix to its RREF over F_2 in place; return the pivot
+    columns.  Row i is held as one Python int, bit j its entry in column j,
+    so clearing a pivot column from a row is one XOR."""
+    rows, cols = M.shape
+    if not M.size:
+        return []
+    width = -(-cols // 8)
+    packed = np.packbits(M.astype(np.uint8), axis=1, bitorder="little").tobytes()
+    R = [int.from_bytes(packed[i * width : (i + 1) * width], "little") for i in range(rows)]
+    pivots: list[int] = []
+    r = 0
+    for c in range(cols):
+        bit = 1 << c
+        for i in range(r, rows):
+            if R[i] & bit:
+                break
+        else:
+            continue
+        pivot = R[i]
+        R[i] = R[r]
+        R = [v ^ pivot if v & bit else v for v in R]  # R[r] too, restored below
+        R[r] = pivot
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    flat = np.frombuffer(b"".join(v.to_bytes(width, "little") for v in R), dtype=np.uint8)
+    M[...] = np.unpackbits(flat.reshape(rows, width), axis=1, count=cols, bitorder="little")
     return pivots
 
 
@@ -134,7 +175,9 @@ def _gauss_jordan_panels(M: np.ndarray, p: int, width: int = PANEL, order: np.nd
 def rref_mod(A, p: int) -> tuple[np.ndarray, list[int], int]:
     """Reduced row echelon form; returns (R, pivot_columns, rank)."""
     M = as_mod_array(A, p)
-    if min(M.shape) > PANEL and (PANEL + 1) * (p - 1) ** 2 < 2**53:
+    if p == 2:
+        pivots = _gauss_jordan_bits(M)
+    elif min(M.shape) > PANEL and rref_steps(*M.shape) >= PANEL_STEPS and (PANEL + 1) * (p - 1) ** 2 < 2**53:
         pivots = _gauss_jordan_panels(M, p)
     else:
         pivots = _gauss_jordan(M, p)

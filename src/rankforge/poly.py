@@ -46,14 +46,16 @@ class MultiPoly:
         self.n = n
         clean: dict[Monomial, int] = {}
         if terms:
+            p = field.p
             for mono, c in terms.items():
                 if len(mono) != n:
                     raise InputError(f"monomial {mono} has wrong arity (expected {n})")
-                if any(e < 0 for e in mono):
+                mono = tuple(map(int, mono))
+                if mono and min(mono) < 0:
                     raise InputError(f"negative exponent in {mono}")
-                c = int(c) % field.p
+                c = int(c) % p
                 if c:
-                    clean[tuple(int(e) for e in mono)] = c
+                    clean[mono] = c
         self.terms = clean
 
     # -- constructors ---------------------------------------------------------
@@ -442,9 +444,11 @@ class MultilinearForm:
             raise InputError("block dimensions do not match variable count")
         # computed once per form, not a field: equality and hash are by the two fields
         object.__setattr__(self, "_offsets", tuple(itertools.accumulate(self.block_dims, initial=0))[:-1])
+        slices = [slice(o, o + dim) for o, dim in zip(self._offsets, self.block_dims)]
         for mono in self.poly.terms:
-            if self.block_degrees(mono) != (1,) * self.d:
-                raise InputError("term is not multilinear across blocks")
+            for block in slices:
+                if sum(mono[block]) != 1:
+                    raise InputError("term is not multilinear across blocks")
 
     @property
     def d(self) -> int:
@@ -612,16 +616,24 @@ def interpolate(field: PrimeField, l: int, values: Sequence[int], degree_bound: 
 # ---------------------------------------------------------------------------
 
 
+# (n, degree, p - 1) -> the monomials random_poly draws coefficients for,
+# lexicographically, and those of the top degree
+_RANDOM_MONOMIALS: dict[tuple[int, int, int], tuple[tuple[Monomial, ...], tuple[Monomial, ...]]] = {}
+
+
 def random_poly(field: PrimeField, n: int, degree: int, rng, ensure_degree: bool = True) -> MultiPoly:
     """A random reduced polynomial of formal degree exactly `degree` (if possible)."""
     p = field.p
-    monos = sorted(monomials(n, degree, cap=p - 1))  # lexicographic: the order coefficients are drawn in
+    key = (n, degree, p - 1)
+    if key not in _RANDOM_MONOMIALS:
+        monos = tuple(sorted(monomials(n, degree, cap=p - 1)))  # lexicographic: the order coefficients are drawn in
+        _RANDOM_MONOMIALS[key] = monos, tuple(m for m in monos if sum(m) == degree)
+    monos, top = _RANDOM_MONOMIALS[key]
     terms: dict[Monomial, int] = {}
     for m in monos:
         c = rng.randrange(p)
         if c:
             terms[m] = c
-    top = [m for m in monos if sum(m) == degree]
     if ensure_degree and top and not any(m in terms for m in top):
         m = top[rng.randrange(len(top))]
         terms[m] = 1 + rng.randrange(p - 1) if p > 1 else 1

@@ -10,8 +10,13 @@ Which Q tuples are searched rests on one fact: the set of sums
 sum_j Q_j R_j, with every R_j ranging over a fixed space V, depends only on
 span(Q_1..Q_r).  Schmidt rank has one V for every Q (all polynomials of
 degree < deg P); partition rank has one V per block set J, so the Q's form
-one group per J.  Rank <= r therefore holds iff some choice of subspaces,
-one per group with dimensions adding up to r, works, and each subspace is
+one group per J.  A product is symmetric in its factors, so either side of
+a bipartition can be the Q side: partition rank enumerates the side with
+fewer monomials (the one holding block 0 on a tie), which for (2, 2, 2)
+blocks makes the groups 2, 2, 2 vectors long instead of 2, 4, 4, and
+decides a (3, 3, 3) form over F_3 at the default budget.  Rank <= r
+therefore holds iff some choice of subspaces, one per group with
+dimensions adding up to r, works, and each subspace is
 searched once, as the rows of its reduced row echelon form (RREF) over the
 Q coefficient vectors.  Q candidates are the normalized coefficient vectors
 (first nonzero entry 1, graded-lex coefficient order) of each group, listed
@@ -38,8 +43,9 @@ builds anything, so a refused search allocates no candidate block.  For a
 given r the search wants the first admissible tuple, in index order, whose
 column blocks span P's coefficient vector.  `_SpanSearch` reads candidates
 only as far as its walk reaches, walks the admissible tuples depth-first and
-shares each prefix's echelon basis (bit-packed over F_2) among all tuples
-that extend it, so most tuples cost one block's reduction and no solve;
+shares each prefix's echelon basis (bit-packed over F_2, where the walk
+reduces by XOR inline) among all tuples that extend it, so most tuples cost
+one block's reduction and no solve;
 only the hit is solved, by `solve_mod` on its rebuilt blocks, so the
 certificate is the one a solve per admissible tuple would give, and only
 the hit's Q and R become polynomials.
@@ -52,6 +58,7 @@ never a large integer.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -346,6 +353,7 @@ class _SpanSearch:
     def first(self, r: int):
         """(admissible tuple, solution x) for the first hit, or None."""
         blocks, sizes, later = self.blocks, self.sizes, self.later
+        binary = self.p == 2
         basis: list = []
 
         def visit(prefix: tuple, b0: int, group: int, free, t):
@@ -365,9 +373,20 @@ class _SpanSearch:
                     if len(left) + later[g] < need:
                         continue  # nor does this row
                     mark = len(basis)
-                    for v in self._column_basis(i):
-                        self._insert(basis, v)
-                    rest = self._reduce(t, basis, mark)
+                    if binary:  # _insert and _reduce over F_2, inlined
+                        rest = t
+                        for v in self._column_basis(i):
+                            for pivot, w in basis:
+                                if v & pivot:
+                                    v ^= w
+                            if v:
+                                basis.append((v & -v, v))
+                                if rest & v & -v:
+                                    rest ^= v
+                    else:
+                        for v in self._column_basis(i):
+                            self._insert(basis, v)
+                        rest = self._reduce(t, basis, mark)
                     if rest == self.zero:
                         # only at depth r: a shorter admissible tuple was
                         # already refuted at a smaller r
@@ -484,7 +503,14 @@ def _partition_search(
     budget: Budget | None = None,
     factor_dictionary: list[tuple[frozenset, MultiPoly]] | None = None,
 ) -> RankResult:
-    """`partition_rank` by the search driver, for any number of blocks."""
+    """`partition_rank` by the search driver, for any number of blocks.
+
+    Without a dictionary each unordered bipartition is one group, whose Q
+    side is the block set with fewer monomials (the one holding block 0 on
+    a tie) and whose R side is the other: either factor of a product can be
+    enumerated, so the search stays exhaustive, and `value` and `per_r` are
+    those of enumerating the block-0 side; only the certificate's pairs,
+    and the charges, differ."""
     budget = budget or Budget()
     if T.is_zero():
         return RankResult(0, r_max=r_max, certificate=RankCertificate("partition", ()))
@@ -496,8 +522,13 @@ def _partition_search(
     offs = T.block_offsets()
     all_blocks = frozenset(range(d))
     if factor_dictionary is None:
-        # J always contains block 0, so each unordered bipartition appears once
-        splits = [frozenset((0,) + J) for size in range(1, d) for J in itertools.combinations(range(1, d), size - 1)]
+        # each unordered bipartition appears once, as the side that contains
+        # block 0 unless the other side has fewer monomials
+        splits = []
+        for size in range(1, d):
+            for J in itertools.combinations(range(1, d), size - 1):
+                J = frozenset((0,) + J)
+                splits.append(min(J, all_blocks - J, key=lambda side: math.prod(dims[b] for b in side)))
         q_sides = {J: _block_monomials(dims, offs, J) for J in splits}
         q_factors = (
             (J, [(m, c) for m, c in zip(q_sides[J], vec) if c], vec)

@@ -15,6 +15,7 @@ from rankforge.acceptance import CRITERIA, CriterionResult, run_criterion, run_s
 from rankforge.gf import PrimeField
 from rankforge.poly import monomials
 from rankforge.runtime import Budget
+from test_rank import partition_search_shape
 
 _NAMES = list(CRITERIA)
 
@@ -102,8 +103,9 @@ def _search_charge(q: int, sizes: list[int], rows: int, width: int, r: int) -> i
         # the class-(3, 3, 3) representative x0y0 + x1y1 + x2y2: Schmidt rank in
         # 6 variables, factors of degree <= 1, products of degree <= 2
         ("rank-axioms", (2, [len(monomials(6, 1))], len(monomials(6, 2)), len(monomials(6, 1)))),
-        # a (2, 2, 2) trilinear form over F_2: Q sides on blocks {0}, {0, 1}, {0, 2}
-        ("bias-prank-consistency", (2, [2, 4, 4], 8, 4)),
+        # a (2, 2, 2) trilinear form over F_2: Q sides on blocks {0}, {2}, {1},
+        # the smaller side of each bipartition
+        ("bias-prank-consistency", (2, *partition_search_shape((2, 2, 2)))),
     ],
 )
 def test_rank_search_cut_short_by_the_budget_refuses(name, shape):

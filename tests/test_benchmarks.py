@@ -51,8 +51,26 @@ def test_rank_layer_case(script):
 def test_linalg_regimes_case(script):
     lr = script("linalg_regimes")
     A = np.random.default_rng(0).integers(0, 7, size=(70, 66))
-    assert lr.solve_row(A, 7, 1)["rank"] == 66
+    row = lr.solve_row(A, 7, 1)
+    assert row["rank"] == 66 and row["route"] == "plain_loop"  # below PANEL_STEPS
+    assert lr.route(np.random.default_rng(1).integers(0, 7, size=(150, 150)), 7) == "panels"
+    assert lr.route(A % 2, 2) == "bit_rows"
     assert lr.solves(1)  # some recorded system has both sides above PANEL
+    assert len(lr.battery_f2_systems()) > 100
+
+
+def test_small_kernels_cases(script):
+    sk = script("small_kernels")
+    A = np.random.default_rng(0).integers(0, 2, size=(70, 66))
+    assert sk.same_rref(sk.replaced_route(A, 2), sk.rref_mod(A, 2)[:2])
+    F2 = PrimeField(2)
+    for n, layout in ((3, "int"), (12, "int"), (13, "words")):
+        bx = sk.Box(F2, n)
+        assert (bx._low is not None) == (layout == "int")
+        P = poly.random_poly(F2, n, 3, random.Random(n))
+        other = sk.with_layout(sk.Box(F2, n), "words" if layout == "int" else "int")
+        assert bx.value_counts([P]).tolist() == other.value_counts([P]).tolist()
+    assert len(sk.trilinear_forms()) == 40 and sk.trilinear(1)["searches"] == 40
 
 
 def test_memory_peaks_cases(script):

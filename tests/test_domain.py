@@ -126,8 +126,15 @@ def f2_polys(draw):
 
 
 def unpacked(bx: Box, P: MultiPoly) -> np.ndarray:
-    """Every bit of P's packed words, in point order, past the box too."""
-    return np.unpackbits(bx._eval_packed(P).view(np.uint8), bitorder="little")
+    """Every bit of P's packed values, in point order, past the box too: the
+    words' every bit, or the one int's bits below the box size, once none is
+    set above it."""
+    W = bx._eval_packed(P)
+    if isinstance(W, int):
+        assert bx.size <= domain._INT_POINTS and W >> bx.size == 0
+        return np.array([W >> i & 1 for i in range(bx.size)], dtype=np.uint8)
+    assert bx.size > domain._INT_POINTS
+    return np.unpackbits(W.view(np.uint8), bitorder="little")
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -139,7 +146,7 @@ def test_packed_route_matches_term_loop(P):
     assert whole.dtype == np.int64 and np.array_equal(whole, oracle)
     if P.n >= 2:
         bits = unpacked(bx, P)
-        assert len(bits) == 64 * -(-bx.size // 64)
+        assert len(bits) == (bx.size if bx.size <= domain._INT_POINTS else 64 * -(-bx.size // 64))
         assert np.array_equal(bits[: bx.size], oracle) and not bits[bx.size :].any()
     # the popcount counts are the counts of the values
     assert bx.value_counts([P]).tolist() == np.bincount(whole, minlength=2).tolist()

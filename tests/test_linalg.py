@@ -1,6 +1,7 @@
-"""Exact linear algebra mod p: both RREF routes against sympy's DomainMatrix,
-nullspaces and solutions and dual certificates, and the memory of the panel
-route and of tall infeasible solves."""
+"""Exact linear algebra mod p: the three RREF routes against sympy's
+DomainMatrix and the bit rows over F_2 against the plain loop, nullspaces and
+solutions and dual certificates, and the memory of the panel route and of
+tall infeasible solves."""
 
 import os
 import subprocess
@@ -20,6 +21,7 @@ from rankforge import linalg
 from rankforge.errors import InputError, VerificationError
 from rankforge.linalg import (
     PANEL,
+    PANEL_STEPS,
     as_mod_array,
     check_dual_certificate,
     inv_mod,
@@ -29,6 +31,7 @@ from rankforge.linalg import (
     rank_mod,
     row_space_leq,
     rref_mod,
+    rref_steps,
     solve_mod,
 )
 
@@ -167,31 +170,112 @@ def matrices(draw):
     return p, random_matrix(seed, p, rows, cols, rank, zero_cols, repeats)
 
 
+def takes_panels(A: np.ndarray, p: int) -> bool:
+    """Whether `rref_mod` should take the panel route."""
+    rows, cols = A.shape
+    return p != 2 and min(rows, cols) > PANEL and rref_steps(rows, cols) >= PANEL_STEPS and (PANEL + 1) * (p - 1) ** 2 < 2**53
+
+
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(matrices())
-@example((7, random_matrix(1, 7, 70, 75, 70, 3, 4)))  # panel route
-@example((2, random_matrix(2, 2, 80, 66, 50, 2, 6)))  # panel route over F_2
-@example((101, random_matrix(3, 101, 66, 80, 30, 0, 0)))  # panel route, rank deficient
+@example((7, random_matrix(1, 7, 140, 160, 40, 3, 4)))  # panel route
+@example((7, random_matrix(1, 7, 70, 75, 70, 3, 4)))  # both sides above PANEL, below PANEL_STEPS: plain route
+@example((2, random_matrix(2, 2, 80, 66, 50, 2, 6)))  # bit rows, both sides above PANEL
+@example((101, random_matrix(3, 101, 150, 200, 30, 0, 0)))  # panel route, rank deficient
 @example((3, random_matrix(4, 3, 12, 9, 5, 2, 3)))  # plain route
 @example((2147483647, random_matrix(5, 2147483647, 70, 70, 65, 1, 2)))  # large p: plain route
-@example((11771657, random_matrix(6, 11771657, 70, 72, 70, 1, 2)))  # largest prime the panel route takes
+@example((11771657, random_matrix(6, 11771657, 140, 160, 30, 1, 2)))  # largest prime the panel route takes
 def test_rref_matches_sympy(case):
     p, A = case
     before = A.copy()
-    panels = linalg._gauss_jordan_panels
-    with mock.patch.object(linalg, "_gauss_jordan_panels", wraps=panels) as spy:
+    with (
+        mock.patch.object(linalg, "_gauss_jordan_panels", wraps=linalg._gauss_jordan_panels) as panels,
+        mock.patch.object(linalg, "_gauss_jordan_bits", wraps=linalg._gauss_jordan_bits) as bits,
+    ):
         R, pivots, rank = rref_mod(A, p)
     assert np.array_equal(A, before)  # eliminated a copy
-    assert spy.called == (min(A.shape) > PANEL and (PANEL + 1) * (p - 1) ** 2 < 2**53)
+    assert panels.called == takes_panels(A, p) and bits.called == (p == 2)
     expect, expect_pivots = sympy_rref(A, p)
     assert R.dtype == np.int64 and R.shape == A.shape
     assert np.array_equal(R, expect)
     assert pivots == expect_pivots and rank == len(expect_pivots)
 
 
+def plain_rref(A: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    """R and the pivots by the plain Gauss-Jordan loop, the reference of the
+    other routes."""
+    M = as_mod_array(A, p)
+    return M, linalg._gauss_jordan(M, p)
+
+
+@st.composite
+def f2_matrices(draw):
+    """0/1 matrices of 0 to 90 rows and columns, of any rank, with zero
+    columns and repeated rows; entries drawn past 1 are reduced mod 2."""
+    rows = draw(st.integers(0, 90))
+    cols = draw(st.integers(0, 90))
+    if not rows * cols:
+        return np.zeros((rows, cols), dtype=np.int64)
+    rank = draw(st.integers(0, min(rows, cols)))
+    A = random_matrix(draw(st.integers(0, 2**31 - 1)), 2, rows, cols, rank, draw(st.integers(0, 4)), draw(st.integers(0, 6)))
+    return A + 2 * draw(st.integers(0, 3))
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(f2_matrices())
+@example(np.zeros((0, 5), dtype=np.int64))  # no rows
+@example(np.zeros((4, 0), dtype=np.int64))  # no columns
+@example(np.zeros((0, 0), dtype=np.int64))
+@example(random_matrix(7, 2, 3000, 80, 60, 3, 40))  # tall: the battery's constraint systems are this shape
+@example(random_matrix(8, 2, 9, 70, 9, 2, 0))  # wide, full row rank: the loop ends on the last row
+def test_f2_bit_rows_match_the_plain_loop_and_sympy(A):
+    R, pivots, rank = rref_mod(A, 2)
+    expect, expect_pivots = plain_rref(A, 2)
+    assert R.dtype == np.int64 and R.shape == A.shape
+    assert np.array_equal(R, expect) and pivots == expect_pivots and rank == len(pivots)
+    if A.size:
+        sympy_R, sympy_pivots = sympy_rref(A % 2, 2)
+        assert np.array_equal(R, sympy_R) and pivots == sympy_pivots
+
+
+@pytest.mark.parametrize("rows, cols, rank", [(80, 3000, 80), (400, 400, 390), (3000, 80, 80)])
+def test_f2_bit_rows_on_large_shapes_match_the_plain_loop(rows, cols, rank):
+    A = random_matrix(rows + cols, 2, rows, cols, rank, 5, 20)
+    R, pivots, _ = rref_mod(A, 2)
+    expect, expect_pivots = plain_rref(A, 2)
+    assert np.array_equal(R, expect) and pivots == expect_pivots
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(f2_matrices(), st.booleans(), st.integers(0, 2**31 - 1))
+def test_f2_solve_nullspace_and_inverse(A, feasible, seed):
+    rows, cols = A.shape
+    rng = np.random.RandomState(seed)
+    b = (A @ rng.randint(0, 2, cols)) % 2 if feasible else rng.randint(0, 2, rows)
+    x, y = solve_mod(A, b, 2)
+    expect_x = sympy_solution(A % 2, b, 2) if rows else np.zeros(cols, dtype=np.int64)
+    if expect_x is None:
+        assert x is None and np.array_equal(y, sympy_dual(A % 2, b, 2))
+        check_dual_certificate(A, b, y, 2)
+    else:
+        assert y is None and np.array_equal(x, expect_x) and not np.any((A @ x - b) % 2)
+    N = nullspace_mod(A, 2)
+    expect_R, expect_pivots = plain_rref(A, 2)
+    assert N.shape == (cols - len(expect_pivots), cols) and not np.any((A @ N.T) % 2)
+    assert np.array_equal(N, nullspace_of_rref(expect_R, expect_pivots, 2))
+    square = A[: min(rows, cols), : min(rows, cols)] % 2
+    if rank_mod(square, 2) == len(square):
+        inverse = inv_mod(square, 2)
+        assert np.array_equal((square @ inverse) % 2, np.eye(len(square), dtype=np.int64))
+    else:
+        with pytest.raises(InputError, match="singular"):
+            inv_mod(square, 2)
+
+
 def test_panel_route_dual_certificate_on_tall_infeasible_system():
     p = 7
-    A = random_matrix(11, p, 100, 70, 50, 2, 10)
+    A = random_matrix(11, p, 700, 70, 20, 2, 10)
+    assert takes_panels(A, p)
     b = (A @ np.random.RandomState(12).randint(0, p, 70)) % p
     b[0] = (b[0] + 1) % p  # leave the column space
     with mock.patch.object(linalg, "_gauss_jordan_panels", wraps=linalg._gauss_jordan_panels) as spy:
@@ -269,7 +353,7 @@ def test_panel_route_peak_memory_not_above_plain_loop():
 
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(matrices(), st.booleans(), st.integers(0, 2**31 - 1))
-@example((7, random_matrix(10, 7, 100, 70, 50, 2, 10)), False, 12)  # tall, panel route, infeasible
+@example((7, random_matrix(10, 7, 100, 70, 50, 2, 10)), False, 12)  # tall, infeasible
 @example((7, random_matrix(10, 7, 100, 70, 50, 2, 10)), True, 12)  # the same system made feasible
 def test_solve_mod_matches_sympy(case, feasible, seed):
     p, A = case

@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 import sympy
 from hypothesis import given, settings
@@ -42,6 +43,29 @@ def test_eval_examples():
 def test_eval_arity_mismatch():
     with pytest.raises(InputError):
         poly_of(F5, 2, [(1, (1, 1))]).eval((1,))
+
+
+def test_constructor_checks_and_normalizes_terms():
+    with pytest.raises(InputError, match="wrong arity"):
+        MultiPoly(F3, 2, {(1, 0, 0): 1})
+    with pytest.raises(InputError, match="negative exponent"):
+        MultiPoly(F3, 2, {(1, -1): 1})
+    with pytest.raises(InputError, match="negative exponent"):
+        MultiPoly(F3, 2, {(1, -1): 3})  # checked before the coefficient vanishes mod p
+    P = MultiPoly(F5, 2, {(np.int64(2), np.uint8(1)): np.int64(7), (0, np.int16(0)): np.int32(-1), (1, 1): 5, (3, 0): 0})
+    assert P.terms == {(2, 1): 2, (0, 0): 4}
+    assert all(type(e) is int for mono in P.terms for e in mono) and all(type(c) is int for c in P.terms.values())
+    assert MultiPoly(F2, 0, {(): np.int64(3)}).terms == {(): 1}
+
+
+def test_multilinear_form_checks_every_block():
+    with pytest.raises(InputError, match="variable count"):
+        MultilinearForm((2, 2), MultiPoly(F2, 3))
+    for bad in ((1, 1, 0, 1), (1, 0, 0, 0), (0, 0, 1, 1), (2, 0, 1, 0)):
+        with pytest.raises(InputError, match="not multilinear"):
+            MultilinearForm((2, 2), MultiPoly(F2, 4, {(1, 0, 0, 1): 1, bad: 1}))
+    T = MultilinearForm((1, 2, 1), MultiPoly(F3, 4, {(1, 0, 1, 1): 2, (1, 1, 0, 1): 1}))
+    assert T.block_offsets() == (0, 1, 3) and T.block_degrees((1, 0, 1, 1)) == (1, 1, 1)
 
 
 def test_delta_examples():

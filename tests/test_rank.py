@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import tracemalloc
 from dataclasses import replace
@@ -564,11 +565,34 @@ def dense_trilinear(field, n):
     return MultilinearForm.from_tensor_poly(MultiPoly(field, 3 * n, terms), (n, n, n))
 
 
+def partition_search_shape(dims) -> tuple[list[int], int, int]:
+    """(group sizes, rows, widest R side) of `_partition_search` without a
+    dictionary, by its side rule: each bipartition's Q side is the side that
+    holds block 0, unless the other side has fewer monomials."""
+    d = len(dims)
+    sides = []
+    for size in range(1, d):
+        for rest in itertools.combinations(range(1, d), size - 1):
+            J = math.prod(dims[b] for b in (0,) + rest)
+            other = math.prod(dims) // J
+            sides.append((other, J) if other < J else (J, other))
+    return [q for q, _ in sides], math.prod(dims), max(r for _, r in sides)
+
+
+def partition_charge(dims, q: int, r: int) -> int:
+    """What `_rank_search` charges a partition search on these blocks for r."""
+    sizes, rows, width = partition_search_shape(dims)
+    return rank._span_count(sizes, q, r) * rows * width * r
+
+
 @pytest.mark.parametrize(
     "label, thunk",
     [
         ("schmidt F_5^2 cubic", lambda: schmidt_rank(random_poly(PrimeField(5), 2, 3, random.Random(0)), 2, Budget(10**5))),
-        ("partition F_3 dense (3, 3, 3)", lambda: partition_rank(dense_trilinear(F3, 3), 2, Budget(10**5))),
+        (
+            "partition F_3 dense (3, 3, 3)",
+            lambda: partition_rank(dense_trilinear(F3, 3), 2, Budget(partition_charge((3, 3, 3), 3, 1) - 1)),
+        ),
         ("schmidt F_3^3 cubic", lambda: schmidt_rank(random_poly(F3, 3, 3, random.Random(0)), 2, Budget(10**7))),
     ],
 )
@@ -582,6 +606,59 @@ def test_refusal_at_r1_allocates_nothing(label, thunk):
     finally:
         tracemalloc.stop()
     assert peak < 2**20, label
+
+
+def block0_side_search(T: MultilinearForm, r_max: int, budget: Budget) -> RankResult:
+    """`_partition_search` without a dictionary as it was before the side
+    rule: every bipartition's Q side is the side that holds block 0."""
+    if T.is_zero():
+        return RankResult(0, r_max=r_max, certificate=RankCertificate("partition", ()))
+    dims, offs, d = T.block_dims, T.block_offsets(), T.d
+    everything = frozenset(range(d))
+    splits = [frozenset((0,) + rest) for size in range(1, d) for rest in itertools.combinations(range(1, d), size - 1)]
+    q_sides = {J: rank._block_monomials(dims, offs, J) for J in splits}
+    r_sides = {J: rank._block_monomials(dims, offs, everything - J) for J in splits}
+    candidates = (
+        (J, [(m, c) for m, c in zip(q_sides[J], vec) if c], r_sides[J], vec)
+        for J in splits
+        for vec in rank._normalized_vectors(T.field.p, len(q_sides[J]))
+    )
+    row_of = {m: i for i, m in enumerate(rank._block_monomials(dims, offs, everything))}
+    sizes, width = [len(q_sides[J]) for J in splits], max(map(len, r_sides.values()))
+    return rank._rank_search("partition", T.poly, row_of, candidates, sizes, width, r_max, budget, lambda cert: cert.verify_partition(T))
+
+
+@pytest.mark.parametrize(
+    "field, dims",
+    [
+        (F2, (1, 2, 2)), (F2, (2, 2, 2)), (F2, (3, 1, 2)), (F2, (2, 3, 2)), (F3, (1, 2, 2)), (F3, (2, 2, 1)), (F3, (2, 2, 2)),
+        (F2, (1, 1, 2, 2)), (F2, (2, 1, 1, 2)), (F2, (2, 2, 2, 1)), (F3, (1, 1, 2, 1)), (F3, (1, 2, 1, 2)),
+    ],
+)  # fmt: skip
+def test_smaller_side_decides_as_the_block0_side(field, dims):
+    # either factor of a product can be enumerated, so the search stays exhaustive
+    rng = random.Random(hash(dims) % 1000 + field.p)
+    for _ in range(3):
+        T = random_multilinear(field, dims, rng)
+        res = partition_rank(T, 4, Budget(10**12))
+        ref = block0_side_search(T, 4, Budget(10**12))
+        assert (res.value, res.per_r, res.exhaustive) == (ref.value, ref.per_r, ref.exhaustive), T.poly
+        if res.certificate is not None:
+            res.certificate.verify_partition(T)
+    with patch.object(rank, "_rank_search", wraps=rank._rank_search) as spy:
+        partition_rank(T, 1, Budget(10**12))
+    sizes, width = spy.call_args.args[4:6]
+    assert (sizes, len(spy.call_args.args[2]), width) == partition_search_shape(dims)
+
+
+def test_dense_333_form_over_f3_is_decided_at_the_default_budget():
+    # the block-0 side enumerates 3^9-vector bilinear groups and stops at r = 2 on the budget
+    for seed in range(2):
+        T = random_multilinear(F3, (3, 3, 3), random.Random(seed))
+        res = partition_rank(T, 4)
+        assert res.decided and res.value == 3 and res.per_r == ((1, "no"), (2, "no"), (3, "found"))
+        res.certificate.verify_partition(T)
+    assert block0_side_search(T, 4, Budget()).per_r[-1] == (2, "budget")
 
 
 def test_schmidt_rank_of_many_variables_is_refused_before_any_listing():
