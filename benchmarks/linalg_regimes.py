@@ -17,7 +17,7 @@ dual-path-extension has both sides above `PANEL`.
 
 `f2`: over F_2, the bit rows of `rref_mod` against the route they
 replaced there: the plain loop on one batch of the 3 x 3 systems
-bias-prank-consistency eliminates (`matrices` of them, one call each), and
+rank-axioms hands to `rank_mod` (`matrices` of them, one call each), and
 the panels on a random 1500 x 1500 matrix.
 """
 
@@ -82,8 +82,9 @@ def crossover(reps: int) -> list[dict]:
 
 
 def battery_f2_systems() -> list[np.ndarray]:
-    """The 3 x 3 systems over F_2 that bias-prank-consistency eliminates."""
-    calls = ab.criterion_calls(linalg.rref_mod, ["bias-prank-consistency"])["bias-prank-consistency"]
+    """The 3 x 3 systems over F_2 that rank-axioms hands to `rank_mod`: its
+    sandwich matrices, and the polar matrices of its quadrics in 3 variables."""
+    calls = ab.criterion_calls(linalg.rank_mod, ["rank-axioms"])["rank-axioms"]
     return [np.asarray(call.arguments["A"]) for call in calls if call.arguments["p"] == 2 and np.shape(call.arguments["A"]) == (3, 3)]
 
 

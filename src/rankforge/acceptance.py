@@ -518,6 +518,7 @@ def run_suite(only: str | None = None, budget: Budget | None = None) -> list[Cri
     domain._BOX_CACHE.clear()
     poly._VINV_CACHE.clear()
     poly._RANDOM_MONOMIALS.clear()
+    poly._FORM_EXPANSIONS.clear()
     results = [run_criterion(n, budget) for n in CRITERIA]
     replay = [run_criterion(n, budget) for n in CRITERIA]
     mismatched = [

@@ -404,26 +404,35 @@ class Box:
         return T
 
     def _eval_terms(self, P: MultiPoly, D: np.ndarray) -> np.ndarray:
-        """Term-by-term values of P at the points whose coordinates are D's rows."""
+        """Term-by-term values of P at the points whose coordinates are D's
+        rows (entries in [0, p)).  A term starts from its first factor's
+        column, x^1 is D's column itself, and a coefficient 1 is not
+        applied.  The terms, each below p < 2^31, are summed unreduced and
+        reduced once, exact in int64 for fewer than 2^32 terms."""
         p = self.field.p
-        m = D.shape[0]
-        out = np.zeros(m, dtype=np.int64)
+        out = np.zeros(D.shape[0], dtype=np.int64)
         # keep a power only if another term uses it too: a dense univariate
         # then holds one column at a time, not one per term
         uses = collections.Counter((i, e) for mono in P.terms for i, e in enumerate(mono) if e)
         pow_cache: dict[tuple[int, int], np.ndarray] = {}
         for mono, c in P.terms.items():
-            t = np.full(m, c, dtype=np.int64)
+            t = None
             for i, e in enumerate(mono):
                 if e:
                     key = (i, e)
                     acc = pow_cache.get(key)
                     if acc is None:
-                        acc = _pow_mod(D[:, i], e, p)
+                        acc = D[:, i] if e == 1 else _pow_mod(D[:, i], e, p)
                         if uses[key] > 1:
                             pow_cache[key] = acc
-                    t = (t * acc) % p
-            out = (out + t) % p
+                    t = acc if t is None else t * acc % p
+            if t is None:  # the constant term
+                out += c
+            elif c == 1:
+                out += t  # t may be D's column or a cached power: read, never written
+            else:
+                out += t * c % p
+        out %= p
         return out
 
     def subspace_points(self, base: np.ndarray, basis: np.ndarray) -> np.ndarray:

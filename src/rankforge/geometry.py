@@ -21,9 +21,13 @@ through L that leaves W is L + span(y - base) for exactly one point y of the
 set on the level l = b+1 that is zero at L's pivot columns, so it tests
 those (L, y) pairs on their points.  No (m+1)-flat is grown or listed.
 
-Composition fibers are counted by sorting the maps' value tuples, each
-packed into a base-p integer (int64 when it fits, a Python int otherwise),
-one chunk of maps at a time, and merging the chunks' counts.
+Composition fibers are counted from the maps' value tuples, each packed
+into a base-p code (int64 when it fits, a Python int otherwise), one chunk
+of maps at a time, and the chunks' counts are merged.  A chunk whose code
+space p^(columns) is no larger than its number of maps is counted with
+`np.bincount` (each code's first map by `np.minimum.at`); a larger code
+space is sorted (`np.unique`).  Both give the same (code, first map, count)
+triples, in code order.
 """
 
 from __future__ import annotations
@@ -484,6 +488,19 @@ def _merge_fibers(parts: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return code[start], first[start], np.add.reduceat(counts, start)
 
 
+def _chunk_fibers(codes: np.ndarray, bins: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(code, first position, count) of each distinct code in [0, bins), in
+    code order: counted when the code space is no larger than the chunk,
+    sorted otherwise."""
+    if bins > len(codes):
+        return np.unique(codes, return_index=True, return_counts=True)
+    counts = np.bincount(codes, minlength=bins)
+    first = np.full(bins, len(codes), dtype=np.int64)
+    np.minimum.at(first, codes, np.arange(len(codes), dtype=np.int64))
+    code = np.flatnonzero(counts)
+    return code, first[code], counts[code]
+
+
 def kappa_fibers(
     family: PolyFamily,
     m: int,
@@ -496,7 +513,9 @@ def kappa_fibers(
     in bijection with the reduced target polynomials since deg <= d_i < q.
     The maps are taken in chunks within a factor sqrt(p^(m+1)) of
     `_CHUNK_BYTES`, so memory is O(chunk) plus one entry per fiber,
-    whatever the number of maps.
+    whatever the number of maps.  A chunk's codes are counted when their
+    code space is no larger than the chunk, and sorted otherwise
+    (`_chunk_fibers`).
     """
     field = family.field
     p = field.p
@@ -543,18 +562,20 @@ def kappa_fibers(
         h += 1
     low = points(np.arange(sub**h, dtype=np.int64))
     chunks = ((lo, points(np.array([lo], dtype=np.int64)) + low) for lo in range(0, total_maps, sub**h))
-    # A key's base-p digits as one integer: sorting the codes finds every
-    # fiber.  The codes are int64 while p^len(columns) < 2^63, and Python ints
-    # (an object array, which np.unique and np.lexsort sort alike) past that.
+    # A key's base-p digits as one integer: counting or sorting the codes
+    # finds every fiber.  The codes are int64 while p^len(columns) < 2^63,
+    # and Python ints (an object array, which np.unique and np.lexsort sort
+    # alike, and which is never counted) past that.
     # Chunks' counts are merged once they hold as many entries as the merged
     # counts and as a chunk's worth of bytes, so merging costs at most about
     # twice their own entries, and waits on at most one entry per fiber plus
     # one chunk.
-    weights = np.array([p**k for k in range(len(columns) - 1, -1, -1)], dtype=np.int64 if p ** len(columns) < 2**63 else object)
+    bins = p ** len(columns)
+    weights = np.array([p**k for k in range(len(columns) - 1, -1, -1)], dtype=np.int64 if bins < 2**63 else object)
     merged = (np.zeros(0, dtype=np.int64),) * 3  # code, first map, count
     pending, waiting = [], 0
     for lo, idx in chunks:
-        code, first, counts = np.unique(keys_at(idx) @ weights, return_index=True, return_counts=True)
+        code, first, counts = _chunk_fibers(keys_at(idx) @ weights, bins)
         pending.append((code, first + lo, counts))
         waiting += len(code)
         if waiting >= max(len(merged[0]), _CHUNK_BYTES // 8):

@@ -508,12 +508,31 @@ def _splits(mono: Monomial, d: int):
                 yield head + a, ways * m
 
 
+# (monomial, d) -> what the monomial contributes to the order-d form, before
+# its coefficient: (its arrangements, prod m_i!) when deg m = d, and its
+# splits as (h exponents, multinomial, whether x keeps a factor) when
+# deg m > d.  Cleared at the start of `acceptance.run_suite`.
+_FORM_EXPANSIONS: dict[tuple[Monomial, int], tuple] = {}
+
+
+def _expansion(mono: Monomial, d: int) -> tuple:
+    key = (mono, d)
+    if key not in _FORM_EXPANSIONS:
+        if sum(mono) == d:
+            _FORM_EXPANSIONS[key] = tuple(_arrangements(mono)), math.prod(map(math.factorial, mono))
+        else:
+            n = len(mono)
+            _FORM_EXPANSIONS[key] = tuple((split[n:], multinom, any(split[:n])) for split, multinom in _splits(mono, d))
+    return _FORM_EXPANSIONS[key]
+
+
 def multilinear_form(P: MultiPoly, d: int | None = None) -> MultilinearForm:
     """The order-d symmetric multilinear form D_{h_1} ... D_{h_d} P.
 
     d defaults to the formal degree of P and must be at least 1.  The terms
-    come from the closed form in the module docstring; distinct terms of P
-    give distinct exponent tuples, so none are merged.
+    come from the closed form in the module docstring, each monomial's
+    expansion looked up once (`_expansion`); distinct terms of P give
+    distinct exponent tuples, so none are merged.
     """
     if d is None:
         d = P.degree()
@@ -525,16 +544,17 @@ def multilinear_form(P: MultiPoly, d: int | None = None) -> MultilinearForm:
     for mono, c in P.terms.items():
         deg = sum(mono)
         if deg == d:
-            coeff = c * math.prod(map(math.factorial, mono)) % p
+            arrangements, weight = _expansion(mono, d)
+            coeff = c * weight % p
             if coeff:
-                terms.update(dict.fromkeys(_arrangements(mono), coeff))
+                terms.update(dict.fromkeys(arrangements, coeff))
         elif deg > d:
-            for split, multinom in _splits(mono, d):
+            for tail, multinom, base in _expansion(mono, d):
                 coeff = c * multinom % p
                 if coeff:
-                    if any(split[:n]):
+                    if base:
                         raise VerificationError("base point failed to cancel in multilinear form")
-                    terms[split[n:]] = coeff
+                    terms[tail] = coeff
     return MultilinearForm((n,) * d, MultiPoly(P.field, d * n, terms))
 
 

@@ -33,7 +33,20 @@ shorter sum exists, since a form in x times a form in y is a rank-one
 matrix.  The budget is charged for that RREF, and `per_r` reads exactly as
 the search's would.  The certificate is a valid one, but not the search's:
 it is checked as M = C R, and its polynomials are re-expanded when first
-read.
+read.  Over F_2 each row of M is one int, reduced by `linalg.rref_bit_rows`,
+and M = C R is checked as "row i is the XOR of the rows of R at its pivot
+bits".
+
+A quadric's Schmidt search starts at its polar bound.  A product of two
+factors of degree <= 1 adds a matrix of rank <= 2 to P's polar matrix A
+(the symmetric matrix of its degree-2 part), so P needs at least
+r0 = max(1, ceil(rank(A) / 2)) products (cf. Ananyan-Hochster, JAMS 2020).
+One charged rank of A refutes every r < r0: those levels read "no" in
+`per_r` and are neither charged nor searched, and the certificate's
+`bound_provenance` reads "polar rank refutes r<r0" (followed by
+", exhausted r0<=r<k" when the search refuted more) instead of
+"exhausted r<k".  The search still returns the first hit in index order, so
+`value`, `per_r` and the certificate's pairs are those of the walk from 1.
 
 Schmidt rank and every other partition rank run one driver,
 `_rank_search`.  The caller supplies the target, the group sizes, the
@@ -67,7 +80,7 @@ import numpy as np
 from .analytic import CharHistogram, histogram_of_poly
 from .errors import BudgetExceededError, InputError, VerificationError
 from .gf import PrimeField
-from .linalg import matmul_mod, rref_mod, rref_steps, solve_mod
+from .linalg import matmul_mod, rank_mod, rref_bit_rows, rref_mod, rref_steps, solve_mod
 from .poly import MultilinearForm, MultiPoly, PolyFamily, monomials, multilinear_form, product_matrix
 from .runtime import Budget
 
@@ -217,7 +230,7 @@ def _span_count(sizes: list[int], q: int, r: int) -> int:
 
 def _rank_search(
     kind: str, P: MultiPoly, row_of: dict, candidates, sizes: list[int], width: int, r_max: int, budget: Budget, verify,
-    exhaustive: bool = True,
+    exhaustive: bool = True, r_min: int = 1,
 ) -> RankResult:
     """Minimal r with P = sum of r products Q_j R_j, Q_j drawn from candidates.
 
@@ -226,14 +239,15 @@ def _rank_search(
     coefficient) terms, R's monomials, the vector); R is solved for, so it
     is at most `width` wide.  Each r is charged the number of admissible
     r-tuples times rows * width * r before the search reads a candidate, and
-    only the hit's factors become polynomials.
+    only the hit's factors become polynomials.  Every r < r_min is already
+    refuted by the caller's bound: it reads "no", uncharged and unsearched.
     """
     target = np.zeros(len(row_of), dtype=np.int64)
     for m, c in P.terms.items():
         target[row_of[m]] = c
     search = _SpanSearch(candidates, sizes, lambda cand: product_matrix(row_of, cand[1], cand[2]), target, P.field.p)
-    per_r: list[tuple[int, str]] = []
-    for r in range(1, r_max + 1):
+    per_r: list[tuple[int, str]] = [(r, "no") for r in range(1, min(r_min, r_max + 1))]
+    for r in range(r_min, r_max + 1):
         try:
             budget.charge(_span_count(sizes, P.field.p, r) * len(row_of) * width * r, f"{kind} rank search at r={r}")
         except BudgetExceededError as exc:
@@ -255,7 +269,13 @@ def _rank_search(
             R = MultiPoly(P.field, P.n, {m: c for m, c in zip(monos_r, x[pos : pos + len(monos_r)]) if c})
             pairs.append((Q, R) if J is None else (tuple(sorted(J)), Q, R))
             pos += len(monos_r)
-        cert = RankCertificate(kind, tuple(pairs), f"exhausted r<{r}" if exhaustive else "dictionary search")
+        if not exhaustive:
+            provenance = "dictionary search"
+        elif r_min == 1:
+            provenance = f"exhausted r<{r}"
+        else:
+            provenance = f"polar rank refutes r<{r_min}" + (f", exhausted {r_min}<=r<{r}" if r > r_min else "")
+        cert = RankCertificate(kind, tuple(pairs), provenance)
         verify(cert)
         per_r.append((r, "found"))
         return RankResult(r, r_max=r_max, certificate=cert, per_r=tuple(per_r), exhaustive=exhaustive)
@@ -415,7 +435,8 @@ def schmidt_rank(P: MultiPoly, r_max: int, budget: Budget | None = None) -> Rank
     """Minimal r with P = sum of r products of strictly lower-degree factors.
 
     Exhaustive for each r <= r_max; formal polynomial identity (no reduction
-    by the field equation).
+    by the field equation).  A quadric's search starts at its polar bound
+    (`_polar_bound`), which is charged before it is computed.
     """
     budget = budget or Budget()
     if P.is_zero():
@@ -423,13 +444,33 @@ def schmidt_rank(P: MultiPoly, r_max: int, budget: Budget | None = None) -> Rank
     d = P.degree()
     if d <= 1:
         return RankResult(None, infinite=True, r_max=r_max)
+    r_min = 1
+    if d == 2:
+        budget.charge(rref_steps(P.n, P.n), "schmidt polar rank")
+        r_min = _polar_bound(P)
     q = P.field.p
     factor_monos = monomials(P.n, d - 1)
     M = len(factor_monos)
     # degree <= 2(d-1) covers every monomial of P, since d >= 2
     row_of = {m: i for i, m in enumerate(monomials(P.n, 2 * (d - 1)))}
     candidates = ((None, [(m, c) for m, c in zip(factor_monos, vec) if c], factor_monos, vec) for vec in _normalized_vectors(q, M))
-    return _rank_search("schmidt", P, row_of, candidates, [M], M, r_max, budget, lambda cert: cert.verify_schmidt(P))
+    return _rank_search("schmidt", P, row_of, candidates, [M], M, r_max, budget, lambda cert: cert.verify_schmidt(P), r_min=r_min)
+
+
+def _polar_bound(P: MultiPoly) -> int:
+    """max(1, ceil(rank(A) / 2)) for the polar matrix A of a quadric P: A[i][j]
+    = A[j][i] is the coefficient of x_i x_j for i != j, and A[i][i] twice
+    that of x_i^2.  A product of two factors of degree <= 1 with linear
+    parts q and s has degree-2 part (q . x)(s . x), whose polar matrix
+    q s^T + s q^T has rank <= 2 in every characteristic; so a sum of r such
+    products has r >= rank(A) / 2."""
+    p, n = P.field.p, P.n
+    A = np.zeros((n, n), dtype=np.int64)
+    for mono, c in P.terms.items():
+        if sum(mono) == 2:
+            i, j = (v for v, e in enumerate(mono) for _ in range(e))
+            A[i, j] = A[j, i] = c if i != j else 2 * c % p
+    return max(1, -(-rank_mod(A, p) // 2))
 
 
 # ---------------------------------------------------------------------------
@@ -479,11 +520,13 @@ def _matrix_rank_partition(T: MultilinearForm, r_max: int, budget: Budget) -> Ra
     With R the nonzero rows of M's RREF and C the pivot columns of M,
     M = C R, so x^T M y = sum_i (x . C_i)(R_i . y).  M = C R is checked
     here; the certificate's polynomials are built, and re-expanded, when
-    first read.
+    first read.  Over F_2 the work runs on bit rows (`_bit_rank_partition`).
     """
     n1, n2 = T.block_dims
     budget.charge(rref_steps(n1, n2), "partition rank by matrix rank")
     p = T.field.p
+    if p == 2:
+        return _bit_rank_partition(T, r_max)
     M = np.zeros((n1, n2), dtype=np.int64)
     for mono, c in T.poly.terms.items():
         M[mono.index(1), mono.index(1, n1) - n1] = c
@@ -495,6 +538,35 @@ def _matrix_rank_partition(T: MultilinearForm, r_max: int, budget: Budget) -> Ra
         raise VerificationError("bilinear form: M != C R mod p")
     per_r = tuple((r, "no") for r in range(1, k)) + ((k, "found"),)
     return RankResult(k, r_max=r_max, certificate=_MatrixRankCertificate(T, C, R), per_r=per_r)
+
+
+def _bit_rank_partition(T: MultilinearForm, r_max: int) -> RankResult:
+    """`_matrix_rank_partition` over F_2 on bit rows: row i of M is one int,
+    bit j its entry M[i, j], and its RREF is taken by `rref_bit_rows`.
+    M = C R holds iff each row of M is the XOR of the rows of R at its
+    pivot bits; C and R are unpacked only once that is checked."""
+    n1, n2 = T.block_dims
+    M = [0] * n1
+    for mono in T.poly.terms:
+        M[mono.index(1)] |= 1 << mono.index(1, n1) - n1
+    R = M.copy()
+    pivots = rref_bit_rows(R, n2)
+    k = len(pivots)
+    if k > r_max:
+        return RankResult(None, r_max=r_max, per_r=tuple((r, "no") for r in range(1, r_max + 1)))
+    del R[k:]
+    for row in M:
+        acc = 0
+        for c, r in zip(pivots, R):
+            if row >> c & 1:
+                acc ^= r
+        if acc != row:
+            raise VerificationError("bilinear form: M != C R mod p")
+    width = -(-n2 // 8)
+    bits = np.frombuffer(b"".join(v.to_bytes(width, "little") for v in M + R), dtype=np.uint8).reshape(-1, width)
+    B = np.unpackbits(bits, axis=1, count=n2, bitorder="little").astype(np.int64)
+    per_r = tuple((r, "no") for r in range(1, k)) + ((k, "found"),)
+    return RankResult(k, r_max=r_max, certificate=_MatrixRankCertificate(T, B[:n1, pivots], B[n1:]), per_r=per_r)
 
 
 def _partition_search(
@@ -735,7 +807,8 @@ def prank_lower_bound_from_bias(T: MultilinearForm, budget: Budget | None = None
     q = T.field.p
     if bias_fr == 1:
         return BiasPrankBound(0, bias_fr, True, hist)
-    r = 0
-    while bias_fr < Fraction(1, q ** (r + 1)):
+    # bias < q^-(r+1), with val an integer, in integers
+    num, r = int(val), 0
+    while num * q ** (r + 1) < hist.domain_size:
         r += 1
     return BiasPrankBound(r, bias_fr, False, hist)

@@ -86,6 +86,20 @@ def test_determinism_fails_on_state_carried_between_passes(monkeypatch, plant):
     assert determinism.payload == {"mismatched": list(criteria)}
 
 
+def test_run_suite_clears_the_form_expansions(monkeypatch):
+    # an expansion planted before the suite is gone when its first pass runs
+    monkeypatch.setattr(poly, "_FORM_EXPANSIONS", {((1, 1), 2): "planted"})
+    seen = []
+
+    def crit(budget):
+        seen.append(((1, 1), 2) in poly._FORM_EXPANSIONS)
+        return True, "", {}
+
+    monkeypatch.setattr(acceptance, "CRITERIA", {"form-expansions": crit})
+    run_suite()
+    assert seen == [False, False]
+
+
 def test_budget_refusals_are_not_failures():
     # a starved suite reports refusals, distinct from failures
     res = run_criterion("gowers-identity", Budget(10))
@@ -100,9 +114,12 @@ def _search_charge(q: int, sizes: list[int], rows: int, width: int, r: int) -> i
 @pytest.mark.parametrize(
     "name, shape",
     [
-        # the class-(3, 3, 3) representative x0y0 + x1y1 + x2y2: Schmidt rank in
-        # 6 variables, factors of degree <= 1, products of degree <= 2
-        ("rank-axioms", (2, [len(monomials(6, 1))], len(monomials(6, 2)), len(monomials(6, 1)))),
+        # S = x0x2 + x1x3 over F_3: Schmidt rank in 4 variables, factors of
+        # degree <= 1, products of degree <= 2.  Its polar rank 4 refutes
+        # r = 1 unsearched, and those of the class representatives refute
+        # every level rank-axioms asks of them, so S at r = 2 is the first
+        # search the criterion charges above this budget
+        ("rank-axioms", (3, [len(monomials(4, 1))], len(monomials(4, 2)), len(monomials(4, 1)))),
         # a (2, 2, 2) trilinear form over F_2: Q sides on blocks {0}, {2}, {1},
         # the smaller side of each bipartition
         ("bias-prank-consistency", (2, *partition_search_shape((2, 2, 2)))),
@@ -116,4 +133,4 @@ def test_rank_search_cut_short_by_the_budget_refuses(name, shape):
     assert _search_charge(q, sizes, rows, width, 1) <= limit
     res = run_criterion(name, Budget(limit))
     assert res.status == "refused", res.detail
-    assert "rank search at r=2" in res.detail and res.payload == {}
+    assert f"rank search at r=2: estimated {limit + 1} steps" in res.detail and res.payload == {}

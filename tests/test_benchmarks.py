@@ -73,6 +73,19 @@ def test_small_kernels_cases(script):
     assert len(sk.trilinear_forms()) == 40 and sk.trilinear(1)["searches"] == 40
 
 
+def test_bound_and_count_cases(script):
+    bc = script("bound_and_count")
+    rows = bc.refutations(1)
+    assert [(row["call"], row["r0"], row["value"]) for row in rows[-2:]] == [("P over F_2", 2, 2), ("S over F_3", 2, 2)]
+    assert all(row["r0"] > row["r_max"] and row["value"] is None for row in rows[:-2])  # refuted unsearched
+    assert bc.kappa(1)["fibers"] == 27
+    assert bc.bilinear(1)["forms"] == 1346
+    assert [row["calls"] for row in bc.gowers_eval(1)] == [100] * 4
+    assert bc.forms(1)["calls"] > 100
+    part = bc.criterion("rank-axioms")(1)
+    assert part["status"] == "pass" and len(part["payload_sha256"]) == 64
+
+
 def test_memory_peaks_cases(script):
     mp = script("memory_peaks")
     X = ExplicitVariety(2, 2, PrimeField(3)).points()

@@ -340,3 +340,26 @@ def test_value_distribution_charges_its_bins():
         value_distribution(PolyFamily([MultiPoly.variable(F2, 1, 0)] * 3), Budget(7))
     assert value_distribution(PolyFamily([MultiPoly.variable(F2, 1, 0)] * 3), Budget(8)).counts == (1, 0, 0, 0, 0, 0, 0, 1)
 
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, 2**31 - 1])
+def test_eval_terms_matches_pointwise_eval(p):
+    # formal exponents >= p, coefficients 1 and others, shared powers, and
+    # the constant and zero polynomials, at random indices
+    field, rng = PrimeField(p), random.Random(p)
+    n = 3 if p < 2**20 else 2  # box indices in int64
+    bx = Box(field, n)
+    idx = np.array(sorted({rng.randrange(bx.size) for _ in range(60)} | {0, bx.size - 1}), dtype=np.int64)
+    D = bx.decode(idx)
+    cases = [MultiPoly.zero(field, n), MultiPoly.constant(field, n, 1), MultiPoly.constant(field, n, p - 1), MultiPoly.variable(field, n, 1)]
+    for _ in range(12):
+        terms = {tuple(rng.choice((0, 1, 1, 2, p - 1, p, p + 1, 2 * p + 3)) for _ in range(n)): rng.choice((1, rng.randrange(p))) for _ in range(6)}
+        cases.append(MultiPoly(field, n, terms))
+    for P in cases:
+        got = bx._eval_terms(P, D)
+        assert got.dtype == np.int64 and not np.shares_memory(got, D), P
+        assert got.tolist() == [P.eval(bx.point_of(int(i))) for i in idx], P
+    # x_1 alone: the term is D's column itself, and the result is not
+    got = bx._eval_terms(MultiPoly.variable(field, n, 1), D)
+    got += 1
+    assert np.array_equal(bx.decode(idx), D)

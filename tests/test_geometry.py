@@ -640,6 +640,12 @@ def test_functional_reads_the_coordinates_of_flat_points():
         assert list(_functional(bx, coeffs, M.points(bx))) == list(vals)
 
 
+def sorted_fibers(codes: np.ndarray, bins: int):
+    """`geometry._chunk_fibers` by sorting alone, as every chunk was counted
+    before the code space was compared with the chunk."""
+    return np.unique(codes, return_index=True, return_counts=True)
+
+
 @pytest.mark.parametrize(
     "family, m, linear_only",
     [
@@ -648,17 +654,46 @@ def test_functional_reads_the_coordinates_of_flat_points():
         (PolyFamily([random_poly(F5, 2, 3, random.Random(6))]), 1, False),  # many small fibers
         (PolyFamily([random_poly(F5, 2, 3, random.Random(6))]), 1, True),
         (PolyFamily([random_poly(F3, 2, 2, random.Random(s)) for s in range(14)]), 1, False),  # wide keys
+        # code spaces of 27, 16 and 16 codes, no larger than most chunks
+        (PolyFamily([random_poly(F3, 3, 2, random.Random(7))]), 1, False),
+        (PolyFamily([random_poly(F2, 3, 2, random.Random(8))]), 2, True),
+        (PolyFamily([random_poly(F2, 4, 2, random.Random(9)), random_poly(F2, 4, 3, random.Random(10))]), 1, False),
     ],
 )
 @pytest.mark.parametrize("chunk_bytes", [0, 2**10, 2**16])
 def test_kappa_chunks_merge_to_the_one_shot_fibers(monkeypatch, family, m, linear_only, chunk_bytes):
     # from chunks that vary only the last row of the map, merged after each
     # chunk, up to a few large chunks: counts, first maps and first-seen
-    # order must survive the merges
+    # order must survive the merges, and equal those of sorting every chunk
     monkeypatch.setattr(geometry, "_CHUNK_BYTES", chunk_bytes)
     stats = kappa_fibers(family, m, linear_only=linear_only)
     expect = kappa_fibers_by_digit_table(family, m, linear_only)
     assert list(stats.fibers.items()) == list(expect.items())
+    monkeypatch.setattr(geometry, "_chunk_fibers", sorted_fibers)
+    assert list(kappa_fibers(family, m, linear_only=linear_only).fibers.items()) == list(stats.fibers.items())
+
+
+@pytest.mark.parametrize(
+    "family, chunk_bytes, side",
+    [
+        (PolyFamily([ExplicitVariety(2, 2, F3).polynomial()]), 0, "sorted"),  # 27 codes, chunks of 9 maps
+        (PolyFamily([ExplicitVariety(2, 2, F3).polynomial()]), 2**16, "counted"),  # one chunk of 81 maps
+        (PolyFamily([random_poly(F3, 2, 2, random.Random(s)) for s in range(14)]), 2**16, "sorted"),  # 3^42 codes
+        (PolyFamily([ExplicitVariety(2, 3, F3).polynomial()]), 2**16, "counted"),  # kappa-uniformity-trend's n = 3
+    ],
+)
+def test_kappa_counts_a_chunk_no_smaller_than_its_code_space(monkeypatch, family, chunk_bytes, side):
+    monkeypatch.setattr(geometry, "_CHUNK_BYTES", chunk_bytes)
+    sides = set()
+    chunk_fibers = geometry._chunk_fibers
+
+    def spy(codes, bins):
+        sides.add("counted" if bins <= len(codes) else "sorted")
+        return chunk_fibers(codes, bins)
+
+    monkeypatch.setattr(geometry, "_chunk_fibers", spy)
+    kappa_fibers(family, 1)
+    assert sides == {side}
 
 
 def test_kappa_memory_is_one_chunk_plus_the_fibers():

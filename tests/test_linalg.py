@@ -238,6 +238,21 @@ def test_f2_bit_rows_match_the_plain_loop_and_sympy(A):
         assert np.array_equal(R, sympy_R) and pivots == sympy_pivots
 
 
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(f2_matrices())
+@example(np.zeros((0, 5), dtype=np.int64))  # no rows
+@example(np.zeros((4, 0), dtype=np.int64))  # no columns
+@example(np.zeros((0, 0), dtype=np.int64))
+@example(np.ones((3, 3), dtype=np.int64))
+def test_rref_bit_rows_matches_rref_mod(A):
+    # the rows as ints, bit j = column j, reduced in place
+    rows = [sum(int(c) % 2 << j for j, c in enumerate(row)) for row in A]
+    pivots = linalg.rref_bit_rows(rows, A.shape[1])
+    R, expect_pivots, _ = rref_mod(A, 2)
+    assert pivots == expect_pivots and len(rows) == A.shape[0]
+    assert rows == [sum(int(c) << j for j, c in enumerate(row)) for row in R]
+
+
 @pytest.mark.parametrize("rows, cols, rank", [(80, 3000, 80), (400, 400, 390), (3000, 80, 80)])
 def test_f2_bit_rows_on_large_shapes_match_the_plain_loop(rows, cols, rank):
     A = random_matrix(rows + cols, 2, rows, cols, rank, 5, 20)

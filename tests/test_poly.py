@@ -23,6 +23,7 @@ from rankforge import (
     restrict,
 )
 from rankforge.errors import VerificationError
+from rankforge import poly
 from rankforge.poly import monomials, product_matrix
 
 F2 = PrimeField(2)
@@ -182,6 +183,49 @@ def test_multilinear_form_matches_substitution(data):
     P = small_poly(data, p, data.draw(st.integers(0, 3)))
     d = data.draw(st.sampled_from([None, 1, 2, 3, 4]))
     assert form_outcome(multilinear_form, P, d) == form_outcome(substitution_form, P, d)
+
+
+def recursive_form(P, d=None):
+    """`multilinear_form` as it was before its expansions were looked up:
+    each monomial's arrangements or splits generated afresh on every call."""
+    if d is None:
+        d = P.degree()
+    if d < 1:
+        raise InputError("multilinear form requires order d >= 1")
+    n, p = P.n, P.field.p
+    terms = {}
+    for mono, c in P.terms.items():
+        deg = sum(mono)
+        if deg == d:
+            coeff = c * math.prod(map(math.factorial, mono)) % p
+            if coeff:
+                terms.update(dict.fromkeys(poly._arrangements(mono), coeff))
+        elif deg > d:
+            for split, multinom in poly._splits(mono, d):
+                coeff = c * multinom % p
+                if coeff:
+                    if any(split[:n]):
+                        raise VerificationError("base point failed to cancel in multilinear form")
+                    terms[split[n:]] = coeff
+    return MultilinearForm((n,) * d, MultiPoly(P.field, d * n, terms))
+
+
+def form_items(fn, P, d):
+    """form_outcome with the terms in their order."""
+    out = form_outcome(fn, P, d)
+    return out if isinstance(out[0], type) else (out[0], list(out[1].items()))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_multilinear_form_is_the_recursive_expansion(data):
+    # byte for byte, terms in order, from a cold and from a warm lookup, the
+    # same monomials expanded at every order in turn
+    p = data.draw(st.sampled_from([2, 3, 5, 7]))
+    P = small_poly(data, p, data.draw(st.integers(0, 3)))
+    poly._FORM_EXPANSIONS.clear()
+    for d in data.draw(st.permutations([None, 1, 2, 3, 4])) * 2:
+        assert form_items(multilinear_form, P, d) == form_items(recursive_form, P, d), d
 
 
 @settings(max_examples=200, deadline=None)

@@ -699,3 +699,191 @@ def test_malformed_factor_dictionary_entry(entry):
     T = bilinear(F3, 2, 2, {(0, 0): 1, (1, 1): 1})
     with pytest.raises(InputError):
         partition_rank(T, 3, factor_dictionary=[(frozenset({0}), X0), entry])
+
+
+# ---------------------------------------------------------------------------
+# The polar bound of a quadric
+# ---------------------------------------------------------------------------
+
+
+def schmidt_walk_from_one(P: MultiPoly, r_max: int, budget: Budget) -> RankResult:
+    """`schmidt_rank` as it was before the polar bound: every level from
+    r = 1 searched (or refused), nothing charged for a polar rank."""
+    if P.is_zero():
+        return RankResult(0, r_max=r_max, certificate=RankCertificate("schmidt", ()))
+    d = P.degree()
+    if d <= 1:
+        return RankResult(None, infinite=True, r_max=r_max)
+    factor_monos = rank.monomials(P.n, d - 1)
+    M = len(factor_monos)
+    row_of = {m: i for i, m in enumerate(rank.monomials(P.n, 2 * (d - 1)))}
+    candidates = ((None, [(m, c) for m, c in zip(factor_monos, vec) if c], factor_monos, vec) for vec in rank._normalized_vectors(P.field.p, M))
+    return rank._rank_search("schmidt", P, row_of, candidates, [M], M, r_max, budget, lambda cert: cert.verify_schmidt(P))
+
+
+def diagonal_quadric(n1: int, n2: int, r: int) -> MultiPoly:
+    """rank-axioms' class representative x_0 y_0 + ... + x_{r-1} y_{r-1} over F_2."""
+    return MultiPoly(F2, n1 + n2, {tuple(int(v in (i, n1 + i)) for v in range(n1 + n2)): 1 for i in range(r)})
+
+
+def quadric_cases() -> list[tuple[str, MultiPoly, int]]:
+    """(label, quadric, r_max): random quadrics with squares, linear and
+    constant terms over F_2, F_3, F_5 and F_7, pure squares over F_2 (polar
+    matrix 0), and rank-axioms' quadrics, at r_max on both sides of the
+    bound."""
+    rng = random.Random(33)
+    cases = []
+    for k in range(48):
+        p = (2, 3, 5, 7)[k % 4]
+        n = rng.randint(1, 4 if p <= 3 else 3)
+        P = random_poly(PrimeField(p), n, 2, rng, ensure_degree=True)
+        if k % 3 == 0:  # formal squares, x^2 over F_2 included
+            P = P + MultiPoly(P.field, n, {tuple(2 * (v == i) for v in range(n)): 1 for i in range(n)})
+        cases.append((f"F_{p} {P}", P, rng.randint(0, 3)))
+    for n in (1, 2, 3, 4):
+        squares = MultiPoly(F2, n, {tuple(2 * (v == i) for v in range(n)): 1 for i in range(n)})
+        cases.append((f"F_2 squares n={n}", squares, 2))
+        cases.append((f"F_2 squares plus x_0 n={n}", squares + MultiPoly.variable(F2, n, 0), 2))
+    for n1, n2 in itertools.product((1, 2, 3), repeat=2):
+        for r in range(1, min(n1, n2) + 1):
+            rep = diagonal_quadric(n1, n2, r)
+            cases.append((f"class ({n1}, {n2}, {r}) at r-1", rep, r - 1))
+            if n1 + n2 <= 5:
+                cases.append((f"class ({n1}, {n2}, {r}) at r", rep, r))
+    cases.append(("rank-axioms P", poly_of(F2, 4, [(1, (1, 1, 0, 0)), (1, (0, 0, 1, 1))]), 3))
+    cases.append(("rank-axioms S", poly_of(F3, 4, [(1, (1, 0, 1, 0)), (1, (0, 1, 0, 1))]), 3))
+    return cases
+
+
+def polar_mismatches() -> list[str]:
+    """Labels of the quadric cases whose result (apart from the certificate's
+    provenance) or certificate pairs, terms in order, differ from the walk
+    from r = 1."""
+    bad = []
+    for label, P, r_max in quadric_cases():
+        (got, got_pairs), (want, want_pairs) = (outcome(lambda f=f: f(P, r_max, Budget(10**7))) for f in (schmidt_rank, schmidt_walk_from_one))
+        if replace(got, certificate=None) != replace(want, certificate=None) or got_pairs != want_pairs:
+            bad.append(label)
+    return bad
+
+
+def test_polar_bound_keeps_the_walk_from_one():
+    assert polar_mismatches() == []
+
+
+def test_polar_bound_one_too_high_is_seen(monkeypatch):
+    """The comparison above fails for a bound that refutes one level too many."""
+    bound = rank._polar_bound
+    monkeypatch.setattr(rank, "_polar_bound", lambda P: bound(P) + 1)
+    assert polar_mismatches()
+
+
+def test_no_search_below_the_polar_bound(monkeypatch):
+    levels = []
+    first = rank._SpanSearch.first
+
+    def spy(self, r):
+        levels.append(r)
+        return first(self, r)
+
+    monkeypatch.setattr(rank._SpanSearch, "first", spy)
+    searched = 0
+    for label, P, r_max in quadric_cases():
+        levels.clear()
+        r0 = rank._polar_bound(P)
+        res = schmidt_rank(P, r_max, Budget(10**7))
+        assert all(r >= r0 for r in levels), label
+        assert res.per_r[: min(r0 - 1, r_max)] == tuple((r, "no") for r in range(1, min(r0, r_max + 1))), label
+        searched += bool(levels)
+    assert searched  # some case searched above its bound
+    # the class representatives are refuted at r - 1 by their polar rank alone
+    levels.clear()
+    assert schmidt_rank(diagonal_quadric(3, 3, 3), 2).per_r == ((1, "no"), (2, "no")) and levels == []
+
+
+def test_polar_bound_values():
+    assert rank._polar_bound(diagonal_quadric(3, 3, 3)) == 3  # polar rank 6
+    assert rank._polar_bound(poly_of(F3, 4, [(1, (1, 0, 1, 0)), (1, (0, 1, 0, 1))])) == 2
+    assert rank._polar_bound(poly_of(F2, 2, [(1, (2, 0)), (1, (0, 2))])) == 1  # A = 0 over F_2
+    assert rank._polar_bound(poly_of(F3, 3, [(1, (2, 0, 0)), (1, (0, 2, 0)), (1, (0, 0, 2))])) == 2  # diag(2, 2, 2)
+    assert rank._polar_bound(poly_of(F3, 2, [(1, (1, 0)), (2, (0, 0)), (1, (1, 1))])) == 1  # rank 2
+
+
+def test_polar_bound_provenance_and_charge():
+    S = poly_of(F3, 4, [(1, (1, 0, 1, 0)), (1, (0, 1, 0, 1))])
+    res = schmidt_rank(S, 3)
+    assert res.value == 2 and res.per_r == ((1, "no"), (2, "found"))
+    assert res.certificate.bound_provenance == "polar rank refutes r<2"
+    # a rank-3 quadric over F_3 whose polar rank 4 bounds it by 2: r = 2 is searched
+    Q = poly_of(F3, 4, [(1, (1, 0, 1, 0)), (1, (0, 1, 0, 1)), (1, (0, 0, 0, 0))])
+    res = schmidt_rank(Q, 3)
+    assert res.value == 3 and res.certificate.bound_provenance == "polar rank refutes r<2, exhausted 2<=r<3"
+    assert schmidt_rank(poly_of(F3, 2, [(1, (1, 1))]), 2).certificate.bound_provenance == "exhausted r<1"
+    # the polar rank is charged before it is computed, and a refusal there raises
+    with pytest.raises(BudgetExceededError, match="schmidt polar rank: estimated 64 steps"):
+        schmidt_rank(S, 3, Budget(63))
+    # a refusal at the bound is a partial answer: the levels below it are refuted
+    res = schmidt_rank(S, 3, Budget(64))
+    assert res.per_r == ((1, "no"), (2, "budget")) and res.exceeded_at == 2
+
+
+# ---------------------------------------------------------------------------
+# Bilinear forms over F_2 on bit rows
+# ---------------------------------------------------------------------------
+
+
+def matrix_rank_partition_numpy(T: MultilinearForm, r_max: int) -> RankResult:
+    """The bilinear route over F_2 as numpy ran it before its bit rows: M as
+    an array, `rref_mod`, and M = C R checked by `matmul_mod`."""
+    n1, n2 = T.block_dims
+    M = np.zeros((n1, n2), dtype=np.int64)
+    for mono, c in T.poly.terms.items():
+        M[mono.index(1), mono.index(1, n1) - n1] = c
+    R, pivots, k = rref_mod(M, 2)
+    if k > r_max:
+        return RankResult(None, r_max=r_max, per_r=tuple((r, "no") for r in range(1, r_max + 1)))
+    C, R = M[:, pivots], R[:k]
+    assert np.array_equal(rank.matmul_mod(C, R, 2), M)
+    per_r = tuple((r, "no") for r in range(1, k)) + ((k, "found"),)
+    return RankResult(k, r_max=r_max, certificate=rank._MatrixRankCertificate(T, C, R), per_r=per_r)
+
+
+def battery_bilinear_forms():
+    """The 673 nonzero bilinear forms over F_2 of both rank criteria."""
+    for n1, n2 in itertools.product((1, 2, 3), repeat=2):
+        for mask in range(1, 1 << (n1 * n2)):
+            yield bilinear(F2, n1, n2, {(b // n2, b % n2): 1 for b in range(n1 * n2) if mask >> b & 1})
+
+
+def bias_bound_by_fractions(T: MultilinearForm) -> int:
+    """`prank_lower_bound_from_bias`'s bound as it was computed, one Fraction per step."""
+    hist = rank.histogram_of_poly(T.poly)
+    bias = Fraction(hist.char_sum_rational(), hist.domain_size)
+    r = 0
+    while bias < Fraction(1, T.field.p ** (r + 1)):
+        r += 1
+    return r
+
+
+def test_bit_rows_decide_bilinear_forms_as_numpy_did():
+    forms = list(battery_bilinear_forms())
+    assert len(forms) == 673
+    for T in forms:
+        for r_max in range(4):
+            assert outcome(lambda: partition_rank(T, r_max)) == outcome(lambda: matrix_rank_partition_numpy(T, r_max)), (T.poly, r_max)
+        assert prank_lower_bound_from_bias(T).bound == bias_bound_by_fractions(T)
+
+
+def test_bit_rows_refuse_a_corrupted_factor(monkeypatch):
+    T = bilinear(F2, 3, 3, {(0, 0): 1, (1, 1): 1, (2, 0): 1, (2, 2): 1})
+    reduce = rank.rref_bit_rows
+
+    def corrupted(rows, cols):
+        pivots = reduce(rows, cols)
+        rows[0] ^= 1 << (cols - 1)  # R's first row, one bit off
+        return pivots
+
+    assert partition_rank(T, 3).value == 3
+    monkeypatch.setattr(rank, "rref_bit_rows", corrupted)
+    with pytest.raises(VerificationError, match="M != C R"):
+        partition_rank(T, 3)
